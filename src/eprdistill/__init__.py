@@ -8,6 +8,7 @@ from .channels import (
     ancilla_photon,
     beamsplitter,
     beamsplitter_unitary,
+    catalysis_kraus_operators,
     herald_click,
     loss_channel,
     loss_kraus_operators,
@@ -22,6 +23,7 @@ from .fock import (
     InvalidStateError,
     OperatorMatrix,
     annihilation_operator,
+    apply_mode_kraus,
     apply_unitary,
     basis_vector,
     creation_operator,

@@ -1,26 +1,13 @@
 """Hot numeric kernels for joint quadrature density evaluation.
 
 Evaluating P(x_a, x_b) = t(x)^T rho t(x) over many sample points dominates
-the Monte-Carlo runtime, so the quadratic form is compiled with numba when
-available.  Set EPRDISTILL_DISABLE_NUMBA=1 to force the pure-numpy path;
-both implementations are importable for direct comparison (see
-benchmarks/bench_kernels.py).
+the Monte-Carlo runtime; the quadratic form is one BLAS product plus an
+einsum reduction.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLE_FLAG = "EPRDISTILL_DISABLE_NUMBA"
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -40,67 +27,11 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def pdf_quadratic_form_numpy(
+def pdf_quadratic_form(
     rho_real: np.ndarray, psi_a: np.ndarray, psi_b: np.ndarray
 ) -> np.ndarray:
-    """Pure-numpy reference path: P_i = sum_jk rho[j,k] t_j(i) t_k(i)."""
+    """P_i = sum_jk rho[j,k] t_j(i) t_k(i) with t = psi_a (x) psi_b per point."""
     da, npts = psi_a.shape
     db = psi_b.shape[0]
     t = (psi_a[:, None, :] * psi_b[None, :, :]).reshape(da * db, npts)
     return np.einsum("ji,ji->i", t, rho_real @ t)
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pdf_quadratic_form_jit(rho_real, psi_a, psi_b):  # pragma: no cover
-        da, npts = psi_a.shape
-        db = psi_b.shape[0]
-        dim = da * db
-        t = np.empty(dim)
-        out = np.empty(npts)
-        for i in range(npts):
-            idx = 0
-            for m in range(da):
-                pa = psi_a[m, i]
-                for n in range(db):
-                    t[idx] = pa * psi_b[n, i]
-                    idx += 1
-            acc = 0.0
-            for j in range(dim):
-                row_sum = 0.0
-                for k in range(dim):
-                    row_sum += rho_real[j, k] * t[k]
-                acc += t[j] * row_sum
-            out[i] = acc
-        return out
-
-    def pdf_quadratic_form_numba(
-        rho_real: np.ndarray, psi_a: np.ndarray, psi_b: np.ndarray
-    ) -> np.ndarray:
-        """Numba-compiled path, identical contract to the numpy version."""
-        return _pdf_quadratic_form_jit(
-            np.ascontiguousarray(rho_real),
-            np.ascontiguousarray(psi_a),
-            np.ascontiguousarray(psi_b),
-        )
-
-else:
-    pdf_quadratic_form_numba = None
-
-
-def numba_enabled() -> bool:
-    return _HAVE_NUMBA and not os.environ.get(_DISABLE_FLAG)
-
-
-def active_backend() -> str:
-    return "numba" if numba_enabled() else "numpy"
-
-
-def pdf_quadratic_form(
-    rho_real: np.ndarray, psi_a: np.ndarray, psi_b: np.ndarray
-) -> np.ndarray:
-    """Dispatch to the configured backend (checked per call, cheap)."""
-    if numba_enabled():
-        return pdf_quadratic_form_numba(rho_real, psi_a, psi_b)
-    return pdf_quadratic_form_numpy(rho_real, psi_a, psi_b)

@@ -2,7 +2,8 @@
 
 Provides the two-mode squeezed vacuum source, photon loss, the heralded
 single-photon ancilla, the mixing beamsplitter, click heralding, and the
-composed noiseless-amplification step (quantum catalysis).
+noiseless-amplification step (quantum catalysis), which composes the last
+three into one heralded Kraus map on the signal mode.
 
 Sign conventions, pinned once so every downstream number is reproducible:
 
@@ -30,11 +31,11 @@ from .fock import (
     HilbertConfig,
     OperatorMatrix,
     annihilation_operator,
+    apply_mode_kraus,
     apply_unitary,
     normalize,
     partial_trace,
     pure_state,
-    tensor_product,
 )
 
 
@@ -126,17 +127,8 @@ def loss_kraus_operators(n_max: int, tau: float) -> list[np.ndarray]:
 
 def loss_channel(state: DensityMatrix, mode: int, tau: float) -> DensityMatrix:
     """Photon loss on one mode, trace preserving, vacuum fixed point."""
-    cfg = state.config
-    cfg.check_mode(mode)
-    d = cfg.dim_per_mode
-    out = np.zeros_like(state.elements)
-    eye = np.eye(d)
-    for kraus in loss_kraus_operators(cfg.n_max, tau):
-        full = np.array([[1.0 + 0.0j]])
-        for m in range(cfg.mode_count):
-            full = np.kron(full, kraus if m == mode else eye)
-        out += full @ state.elements @ full.conj().T
-    return DensityMatrix(cfg, out)
+    ops = loss_kraus_operators(state.config.n_max, tau)
+    return DensityMatrix(state.config, apply_mode_kraus(state, mode, ops))
 
 
 def ancilla_photon(eta: float, config: HilbertConfig) -> DensityMatrix:
@@ -201,6 +193,33 @@ def herald_click(state: DensityMatrix, mode: int) -> tuple[DensityMatrix, float]
     return conditional, traced_prob
 
 
+def catalysis_kraus_operators(n_max: int, r: float, eta: float) -> np.ndarray:
+    """Heralded Kraus family of the catalysis step, acting on the signal mode.
+
+    With U the two-mode beamsplitter on (detector port, surviving port) fed
+    by (signal, ancilla), K_{n,j} = sqrt(w_j) <n|_det U |j>_anc for clicks
+    n >= 1 and ancilla j in {0, 1} with weights w = (1 - eta, eta).  The
+    three-mode circuit unitary is I_A (x) U, so these operators reproduce it
+    exactly, truncation at the cutoff included.  For each j the unheralded
+    family (n >= 0) must be complete.  Returns the stack of 2 * n_max
+    operators, shape (2 n_max, d, d).
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    d = n_max + 1
+    # the ancilla enters port 1 and reaches port 0 with amplitude +r, so
+    # port 0 is the detector: u[n, k, b, j] = <n, k| U |b, j> with detector
+    # n, surviving output k, signal b and ancilla j
+    u = beamsplitter_unitary(HilbertConfig(n_max, 2), 0, 1, r).elements
+    u = u.reshape(d, d, d, d)[..., :2]
+    gram = np.einsum("nkbj,nkcj->jbc", u.conj(), u)
+    defect = np.max(np.abs(gram - np.eye(d)))
+    if defect > 1e-12:
+        raise AssertionError(f"Kraus completeness defect {defect:.3e}")
+    weighted = u[1:] * np.sqrt([1.0 - eta, eta])
+    return weighted.transpose(0, 3, 1, 2).reshape(2 * n_max, d, d)
+
+
 def nla_catalysis(
     epr: DensityMatrix, params: ChannelParams
 ) -> tuple[DensityMatrix, float]:
@@ -212,16 +231,18 @@ def nla_catalysis(
     output port (carrying the transmitted ancilla plus the reflected signal)
     replaces mode B of the returned two-mode state.
 
+    The step runs as the heralded Kraus map of `catalysis_kraus_operators`
+    on mode B; the three-mode circuit (tensor_product, beamsplitter,
+    herald_click) gives the same state without ever being built.
+
     Returns the distilled state and the heralding probability.  For a
     vacuum-signal input the probability is exactly eta_ancilla * r^2.
     """
     if epr.config.mode_count != 2:
         raise ValueError("catalysis expects a 2-mode input state")
-    ancilla_cfg = HilbertConfig(epr.config.n_max, 1)
-    ancilla = ancilla_photon(params.eta_ancilla, ancilla_cfg)
-    joint = tensor_product(epr, ancilla)
-    mixed = beamsplitter(joint, 1, 2, params.r)
-    # Under the pinned convention the lone-ancilla path reaches the port
-    # labeled 1 with amplitude r; that port is the detector.  The port
-    # labeled 2 carries the distilled light and becomes the new mode B.
-    return herald_click(mixed, 1)
+    kraus = catalysis_kraus_operators(epr.config.n_max, params.r, params.eta_ancilla)
+    branch = apply_mode_kraus(epr, 1, kraus)
+    prob = float(np.real(np.trace(branch)))
+    if prob <= tolerances.HERALD_MIN_PROBABILITY:
+        raise HeraldingImpossibleError(prob)
+    return normalize(DensityMatrix(epr.config, branch))

@@ -56,14 +56,28 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int)
 
 
+def _section(data: dict, key: str, default: dict) -> dict:
+    value = data.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(key, f"expected an object, got {type(value).__name__}")
+    return dict(value)
+
+
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            data = json.load(handle)
+        try:
+            with open(args.config, encoding="utf-8") as handle:
+                data = json.load(handle)
+        except OSError as exc:
+            raise ConfigError("config", f"cannot read {args.config}: {exc.strerror}") from exc
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError("config", f"invalid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("config", f"expected an object, got {type(data).__name__}")
     else:
         data = load_preset(args.preset)
 
-    degrade = dict(data.get("degrade", {"mode": "none"}))
+    degrade = _section(data, "degrade", {"mode": "none"})
     if args.degrade is not None:
         degrade = {"mode": args.degrade}
     if args.theta is not None:
@@ -72,7 +86,7 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
         degrade["tau2"] = args.tau2
     data["degrade"] = degrade
 
-    gain = dict(data.get("gain", {}))
+    gain = _section(data, "gain", {})
     if args.gain_g is not None:
         gain = {"g": args.gain_g}
     if args.gain_g_min is not None:

@@ -236,6 +236,29 @@ def partial_trace(state: DensityMatrix, mode: int) -> DensityMatrix:
     return DensityMatrix(new_cfg, reduced.reshape(new_cfg.dim, new_cfg.dim))
 
 
+def apply_mode_kraus(state: DensityMatrix, mode: int, ops) -> np.ndarray:
+    """Apply rho -> sum_i K_i rho K_i^dag with single-mode operators on `mode`.
+
+    The d x d operators are stacked into the one-mode superoperator
+    S[k, l, b, c] = sum_i K_i[k, b] conj(K_i[l, c]), which is contracted with
+    the row and column indices of `mode` in the reshaped state tensor; no
+    full-size kron(I, K) is formed.  Returns the raw matrix, which is
+    sub-normalized for a heralded branch, so the caller can read its trace
+    before validating it as a DensityMatrix.
+    """
+    cfg = state.config
+    cfg.check_mode(mode)
+    d = cfg.dim_per_mode
+    kraus = np.asarray(ops, dtype=complex)
+    if kraus.ndim != 3 or kraus.shape[1:] != (d, d):
+        raise ValueError(f"expected a stack of {d}x{d} operators, got shape {kraus.shape}")
+    superop = np.tensordot(kraus, kraus.conj(), axes=(0, 0)).transpose(0, 2, 1, 3)
+    pre, post = d**mode, d ** (cfg.mode_count - 1 - mode)
+    tensor = state.elements.reshape(pre, d, post, pre, d, post)
+    out = np.tensordot(superop, tensor, axes=([2, 3], [1, 4]))
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(cfg.dim, cfg.dim)
+
+
 def expectation(state: DensityMatrix, op: OperatorMatrix) -> complex:
     """Tr(rho O).  Real up to rounding when O is Hermitian."""
     if op.config != state.config:

@@ -11,6 +11,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -53,6 +54,46 @@ class ConfigError(ValueError):
     def __init__(self, fld: str, message: str):
         self.field = fld
         super().__init__(f"{fld}: {message}")
+
+
+# JSON value type of every config field.  bool is an int subclass in
+# Python, so it is rejected explicitly wherever a number is due; Python's
+# JSON reader accepts NaN and Infinity, which no field may take.
+_FIELD_TYPES = {
+    "gamma": float, "eta_ancilla": float, "eta_a": float, "eta_b": float,
+    "n_max": int, "model": str, "sample_count": int, "seed": int,
+}
+_DEGRADE_TYPES = {"mode": str, "theta_deg": float, "tau2": float}
+_GAIN_TYPES = {"g": float, "g_min": float, "g_max": float, "steps": int, "log_spacing": bool}
+_NULLABLE = {"theta_deg", "tau2", "g", "g_min", "g_max"}
+_KIND_NAMES = {
+    float: "a finite number", int: "an integer", str: "a string", bool: "true or false",
+}
+
+
+def _type_name(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _check_types(prefix: str, data: dict, types: dict) -> None:
+    """Raise ConfigError for the first value of `data` not of its field's type."""
+    for key, value in data.items():
+        kind = types.get(key)
+        if kind is None or (value is None and key in _NULLABLE):
+            continue
+        if kind in (int, float):
+            ok = (
+                isinstance(value, (int, kind))
+                and not isinstance(value, bool)
+                and -math.inf < value < math.inf
+            )
+        else:
+            ok = isinstance(value, kind)
+        if not ok:
+            raise ConfigError(
+                prefix + key,
+                f"expected {_KIND_NAMES[kind]}, got {_type_name(value)} {value!r}",
+            )
 
 
 @dataclass(frozen=True)
@@ -149,25 +190,25 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config", f"expected an object, got {_type_name(data)}")
         data = dict(data)
         degrade = data.pop("degrade", {"mode": "none"})
         if not isinstance(degrade, dict) or "mode" not in degrade:
             raise ConfigError("degrade", "expected an object with a 'mode' key")
+        _check_types("degrade.", degrade, _DEGRADE_TYPES)
         gain_data = data.pop("gain", {})
         if not isinstance(gain_data, dict):
             raise ConfigError("gain", "expected an object")
-        known_gain = {"g", "g_min", "g_max", "steps", "log_spacing"}
-        unknown = set(gain_data) - known_gain
+        unknown = set(gain_data) - set(_GAIN_TYPES)
         if unknown:
             raise ConfigError("gain", f"unknown keys {sorted(unknown)}")
+        _check_types("gain.", gain_data, _GAIN_TYPES)
         gain = GainSpec(**gain_data)
-        known = {
-            "gamma", "eta_ancilla", "eta_a", "eta_b",
-            "n_max", "model", "sample_count", "seed",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - set(_FIELD_TYPES)
         if unknown:
             raise ConfigError("config", f"unknown keys {sorted(unknown)}")
+        _check_types("", data, _FIELD_TYPES)
         config = cls(
             degrade_mode=degrade.get("mode", "none"),
             theta_deg=degrade.get("theta_deg"),

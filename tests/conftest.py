@@ -27,6 +27,19 @@ def random_density_matrix(
     return DensityMatrix(config, rho)
 
 
+def kron_kraus_sum(state, mode, ops):
+    """Reference: sum_i E_i rho E_i^dag with E_i = K_i on `mode`, I elsewhere."""
+    cfg = state.config
+    eye = np.eye(cfg.dim_per_mode)
+    out = np.zeros_like(state.elements)
+    for op in ops:
+        full = np.array([[1.0]])
+        for m in range(cfg.mode_count):
+            full = np.kron(full, op if m == mode else eye)
+        out += full @ state.elements @ full.conj().T
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230817)

@@ -9,6 +9,7 @@ from eprdistill import (
     basis_vector,
     beamsplitter,
     beamsplitter_unitary,
+    catalysis_kraus_operators,
     covariance_summary,
     expectation,
     fidelity_with_pure,
@@ -24,7 +25,7 @@ from eprdistill import (
     vacuum_state,
 )
 
-from conftest import random_density_matrix
+from conftest import kron_kraus_sum, random_density_matrix
 
 CFG2 = HilbertConfig(n_max=3, mode_count=2)
 CFG1 = HilbertConfig(n_max=3, mode_count=1)
@@ -140,6 +141,16 @@ class TestLossChannel:
         with pytest.raises(ValueError):
             loss_channel(vacuum_state(CFG1), 0, 1.2)
 
+    def test_matches_kron_reference(self, rng):
+        rho = random_density_matrix(CFG2, rng)
+        for tau in (0.0, np.sqrt(0.05), 0.8):
+            ops = loss_kraus_operators(CFG2.n_max, tau)
+            for mode in (0, 1):
+                out = loss_channel(rho, mode, tau)
+                np.testing.assert_allclose(
+                    out.elements, kron_kraus_sum(rho, mode, ops), rtol=0.0, atol=1e-15
+                )
+
 
 class TestAncillaPhoton:
     def test_perfect_preparation(self):
@@ -245,7 +256,54 @@ class TestHeraldClick:
         assert prob == pytest.approx(brute, abs=1e-14)
 
 
+def three_mode_catalysis(epr, r, eta):
+    """The catalysis circuit written out: ancilla, 3-mode beamsplitter, click."""
+    ancilla = ancilla_photon(eta, HilbertConfig(epr.config.n_max, 1))
+    mixed = beamsplitter(tensor_product(epr, ancilla), 1, 2, r)
+    return herald_click(mixed, 1)
+
+
 class TestNlaCatalysis:
+    @pytest.mark.parametrize("n_max", [3, 6])
+    def test_matches_three_mode_circuit(self, rng, n_max):
+        cfg = HilbertConfig(n_max, 2)
+        epr = random_density_matrix(cfg, rng)
+        for r in (0.05, 0.3, 1.0):
+            for eta in (0.0, 0.65, 1.0):
+                params = ChannelParams(r=r, eta_ancilla=eta)
+                if r == 1.0 and eta == 0.0:
+                    # full reflection sends only the (absent) ancilla photon
+                    # to the detector: no click on either path
+                    with pytest.raises(HeraldingImpossibleError):
+                        three_mode_catalysis(epr, r, eta)
+                    with pytest.raises(HeraldingImpossibleError):
+                        nla_catalysis(epr, params)
+                    continue
+                out, prob = nla_catalysis(epr, params)
+                ref, ref_prob = three_mode_catalysis(epr, r, eta)
+                assert out.config == ref.config
+                np.testing.assert_allclose(out.elements, ref.elements, rtol=0.0, atol=1e-12)
+                assert prob == pytest.approx(ref_prob, rel=1e-12)
+
+    @pytest.mark.parametrize("n_max", [3, 6])
+    def test_vacuum_without_ancilla_impossible_on_both_paths(self, n_max):
+        vac = vacuum_state(HilbertConfig(n_max, 2))
+        for r in (0.05, 0.3, 1.0):
+            with pytest.raises(HeraldingImpossibleError):
+                nla_catalysis(vac, ChannelParams(r=r, eta_ancilla=0.0))
+            with pytest.raises(HeraldingImpossibleError):
+                three_mode_catalysis(vac, r, 0.0)
+
+    def test_kraus_family_shape_and_trace_nonincreasing(self):
+        for n_max in (3, 6):
+            d = n_max + 1
+            ops = catalysis_kraus_operators(n_max, 0.3, 0.65)
+            assert ops.shape == (2 * n_max, d, d)
+            heralded = np.einsum("ikb,ikc->bc", ops.conj(), ops)
+            assert np.linalg.eigvalsh(np.eye(d) - heralded).min() >= -1e-14
+        with pytest.raises(ValueError):
+            catalysis_kraus_operators(3, 0.3, 1.5)
+
     def test_vacuum_signal_heralds_at_eta_r_squared(self):
         for eta in (0.5, 0.65, 1.0):
             for r in (0.05, 0.1, 0.3):

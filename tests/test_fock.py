@@ -8,6 +8,7 @@ from eprdistill import (
     InvalidStateError,
     OperatorMatrix,
     annihilation_operator,
+    apply_mode_kraus,
     apply_unitary,
     basis_vector,
     beamsplitter_unitary,
@@ -23,7 +24,7 @@ from eprdistill import (
 )
 from eprdistill.fock import identity_operator
 
-from conftest import random_density_matrix
+from conftest import kron_kraus_sum, random_density_matrix
 
 
 class TestHilbertConfig:
@@ -161,6 +162,38 @@ class TestPartialTrace:
         cfg = HilbertConfig(n_max=2, mode_count=1)
         with pytest.raises(ValueError):
             partial_trace(vacuum_state(cfg), 0)
+
+
+class TestApplyModeKraus:
+    @pytest.mark.parametrize("mode_count", [1, 2, 3])
+    def test_matches_kron_sum_on_every_mode(self, rng, mode_count):
+        cfg = HilbertConfig(n_max=2, mode_count=mode_count)
+        d = cfg.dim_per_mode
+        rho = random_density_matrix(cfg, rng)
+        ops = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        for mode in range(mode_count):
+            np.testing.assert_allclose(
+                apply_mode_kraus(rho, mode, ops), kron_kraus_sum(rho, mode, ops),
+                rtol=0.0, atol=1e-13,
+            )
+
+    def test_complete_family_preserves_trace(self, rng):
+        cfg = HilbertConfig(n_max=3, mode_count=2)
+        d = cfg.dim_per_mode
+        # the d-column isometry V splits into complete blocks: sum K^dag K = V^dag V = 1
+        iso, _ = np.linalg.qr(rng.normal(size=(4 * d, d)) + 1j * rng.normal(size=(4 * d, d)))
+        ops = iso.reshape(4, d, d)
+        rho = random_density_matrix(cfg, rng)
+        for mode in (0, 1):
+            out = DensityMatrix(cfg, apply_mode_kraus(rho, mode, ops))
+            assert out.trace == pytest.approx(rho.trace, abs=1e-13)
+
+    def test_rejects_wrong_operator_shape(self):
+        cfg = HilbertConfig(n_max=2, mode_count=2)
+        with pytest.raises(ValueError):
+            apply_mode_kraus(vacuum_state(cfg), 0, [np.eye(4)])
+        with pytest.raises(ValueError):
+            apply_mode_kraus(vacuum_state(cfg), 2, [np.eye(3)])
 
 
 class TestExpectation:

@@ -17,13 +17,7 @@ from eprdistill import (
     tmsv_state,
     vacuum_state,
 )
-from eprdistill._kernels import (
-    active_backend,
-    hermite_functions,
-    numba_enabled,
-    pdf_quadratic_form_numba,
-    pdf_quadratic_form_numpy,
-)
+from eprdistill._kernels import hermite_functions
 from eprdistill.fock import expectation
 
 from conftest import random_density_matrix
@@ -260,28 +254,6 @@ class TestHermiteFunctions:
         psi = hermite_functions(5, x)
         gram = psi @ psi.T * 0.01
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-8)
-
-
-class TestKernels:
-    def test_backends_agree(self, rng):
-        if pdf_quadratic_form_numba is None:
-            pytest.skip("numba unavailable")
-        state = random_density_matrix(CFG2, rng, zero_mean=True)
-        xs = rng.normal(size=300)
-        ys = rng.normal(size=300)
-        psi_a = hermite_functions(3, xs)
-        psi_b = hermite_functions(3, ys)
-        rho_real = np.real(state.elements).copy()
-        a = pdf_quadratic_form_numpy(rho_real, psi_a, psi_b)
-        b = pdf_quadratic_form_numba(rho_real, psi_a, psi_b)
-        np.testing.assert_allclose(a, b, atol=1e-13)
-
-    def test_env_flag_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv("EPRDISTILL_DISABLE_NUMBA", "1")
-        assert not numba_enabled()
-        assert active_backend() == "numpy"
-        vac = vacuum_state(CFG2)
-        assert joint_quadrature_pdf(vac, 0.0, 0.0) == pytest.approx(1.0 / np.pi)
 
 
 class TestSampleQuadratures:

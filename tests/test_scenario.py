@@ -57,6 +57,38 @@ class TestConfigValidation:
             loss_scenario(**overrides)
         assert err.value.field == field
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"gamma": "0.1"}, "gamma"),
+            ({"n_max": 2.5}, "n_max"),
+            ({"sample_count": True}, "sample_count"),
+            ({"eta_a": False}, "eta_a"),
+            ({"seed": None}, "seed"),
+            ({"model": 3}, "model"),
+            ({"degrade": {"mode": "loss", "tau2": "0.05"}}, "degrade.tau2"),
+            ({"gain": {"g_min": 2.0, "g_max": 5.0, "steps": 4.0}}, "gain.steps"),
+            ({"gain": {"g": True}}, "gain.g"),
+            ({"gain": {"g": float("nan")}}, "gain.g"),
+            ({"gain": {"g_min": 2.0, "g_max": float("inf")}}, "gain.g_max"),
+            ({"gain": {"g_min": 2.0, "g_max": 5.0, "log_spacing": 1}}, "gain.log_spacing"),
+        ],
+    )
+    def test_wrong_value_types_rejected(self, overrides, field):
+        with pytest.raises(ConfigError) as err:
+            loss_scenario(**overrides)
+        assert err.value.field == field
+
+    def test_non_object_config_rejected(self):
+        for data in ([1], "loss", None, 3.0):
+            with pytest.raises(ConfigError) as err:
+                ScenarioConfig.from_dict(data)
+            assert err.value.field == "config"
+
+    def test_integral_numbers_accepted_for_floats(self):
+        config = loss_scenario(gamma=0, eta_a=1, gain={"g": 3})
+        assert config.gamma == 0 and config.gain.g == 3
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"gamma": 0.1, "gian": {"g": 2.0}})
@@ -269,6 +301,37 @@ class TestCli:
         code = main(["sweep", "--preset", "losschannel", "--gamma", "1.5"])
         assert code == 2
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"gamma": "0.1"}, "gamma"),
+            ({"n_max": 2.5}, "n_max"),
+            ([1], "config"),
+            ({"sample_count": True}, "sample_count"),
+            ({"degrade": "loss"}, "degrade"),
+            ({"gain": [2.0, 30.0]}, "gain"),
+        ],
+        ids=["string-gamma", "fractional-n_max", "top-level-list", "bool-sample_count",
+             "string-degrade", "list-gain"],
+    )
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, document, field):
+        if isinstance(document, dict):
+            document = {**loss_scenario().to_dict(), **document}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+    def test_invalid_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"gamma": 0.1,')
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 2
+        assert capsys.readouterr().err.startswith("config error: config: cannot read")
 
     def test_strict_equiv_exit_code(self, capsys):
         code = main([
