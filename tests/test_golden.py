@@ -1,22 +1,23 @@
 """Golden outputs: today's numbers, pinned against fixed reference files.
 
 The files under tests/golden/ hold full-precision (repr) sweep rows for
-every bundled preset at n_max = 3, the losschannel grid at n_max = 6, and
-one small sampling report.  Sweep rows must agree to 1e-12 relative; the
-sampling report, whose floats carry 12 significant digits, must match
-exactly.  Regenerate only for a deliberate change of behaviour:
+every bundled preset at n_max = 3, the losschannel grid at n_max = 6, one
+small sampling report and two `equiv` reports as the CLI writes them.  Sweep
+rows must agree to 1e-12 relative; the reports, whose floats carry 12
+significant digits, must match exactly.  Regenerate only for a deliberate change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eprdistill import ScenarioConfig, run_sampling, run_scenario
-from eprdistill.cli import PRESET_NAMES, load_preset
+from eprdistill.cli import PRESET_NAMES, load_preset, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROW_FIELDS = ("g", "beta", "v_diff", "v_sum", "duan_i", "duan_a_star", "herald_p")
@@ -25,6 +26,13 @@ RTOL = 1e-12
 # (file stem, preset, n_max) of every pinned sweep
 SWEEPS = [(f"sweep_{name}_n3", name, 3) for name in PRESET_NAMES]
 SWEEPS.append(("sweep_losschannel_n6", "losschannel", 6))
+
+# (file stem, CLI arguments) of every pinned equiv report
+EQUIVS = [
+    ("equiv_losschannel", ("--preset", "losschannel")),
+    ("equiv_losschannel_sp40",
+     ("--preset", "losschannel", "--model", "single_photon", "--gain.steps", "40")),
+]
 
 
 def sweep_record(preset: str, n_max: int) -> dict:
@@ -50,6 +58,13 @@ def sampling_report() -> dict:
     return json.loads(json.dumps(run_sampling(sampling_config())))
 
 
+def equiv_report(args) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "equiv.json"
+        assert main(["equiv", *args, "--output", str(path)]) == 0
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("stem, preset, n_max", SWEEPS)
 def test_sweep_rows_match_golden(stem, preset, n_max):
     golden = json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
@@ -68,6 +83,12 @@ def test_sampling_report_matches_golden():
     assert sampling_report() == golden
 
 
+@pytest.mark.parametrize("stem, args", EQUIVS)
+def test_equiv_report_matches_golden(stem, args):
+    golden = json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
+    assert equiv_report(args) == golden
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for stem, preset, n_max in SWEEPS:
@@ -75,3 +96,6 @@ if __name__ == "__main__":
         (GOLDEN / f"{stem}.json").write_text(text + "\n", encoding="utf-8")
     text = json.dumps(sampling_report(), indent=1)
     (GOLDEN / "sample_losschannel_g14.json").write_text(text + "\n", encoding="utf-8")
+    for stem, args in EQUIVS:
+        text = json.dumps(equiv_report(args), indent=1)
+        (GOLDEN / f"{stem}.json").write_text(text + "\n", encoding="utf-8")
