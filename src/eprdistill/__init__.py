@@ -61,6 +61,7 @@ from .quadratures import (
 )
 from .scenario import (
     ConfigError,
+    DegradeSpec,
     GainSpec,
     ScenarioConfig,
     SweepResult,

@@ -49,20 +49,16 @@ class HeraldingImpossibleError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Physical knobs of one distillation run.
+    """Physical knobs of one catalysis step.
 
-    tau          amplitude transmissivity of the loss channel (intensity tau^2)
     r            beamsplitter amplitude reflectivity; the NLA gain is g = 1/r
     eta_ancilla  single-photon preparation efficiency of the ancilla source
     """
 
-    tau: float = 1.0
     r: float = 0.1
     eta_ancilla: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
         if not 0.0 < self.r <= 1.0:
             raise ValueError(f"r must be in (0, 1], got {self.r}")
         if not 0.0 <= self.eta_ancilla <= 1.0:

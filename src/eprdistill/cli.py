@@ -1,9 +1,13 @@
 """Command-line interface: sweep, sample, equiv, presets.
 
-Scenarios live in JSON files (or bundled presets); individual fields can be
-overridden with flags whose names mirror the field paths (--gamma, --tau2,
---gain.steps, ...).  Exit codes: 0 success, 2 configuration error, 3
-infeasible equivalent-state solve under --strict.
+Scenarios live in JSON files (or bundled presets); every field can be
+overridden by a flag generated from the ScenarioConfig schema.  A flag is
+--<field path> with "-" for "_" (--gamma, --eta-ancilla, --gain.g-min),
+except the three degradation flags --degrade (degrade.mode), --theta
+(degrade.theta_deg) and --tau2 (degrade.tau2).  --degrade and --gain.g start
+their section afresh; --gain.g-min and --gain.g-max drop a single gain g.
+Exit codes: 0 success, 2 configuration error, 3 infeasible equivalent-state
+solve under --strict.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from importlib import resources
 from .scenario import (
     ConfigError,
     ScenarioConfig,
+    leaf_fields,
     run_equivalence,
     run_sampling,
     run_scenario,
@@ -23,6 +28,11 @@ from .scenario import (
 )
 
 PRESET_NAMES = ("lowsqueeze", "losschannel", "figS2a", "figS2b")
+
+# The flags not spelled --<field path> with "-" for "_".
+FLAG_NAMES = {
+    "degrade.mode": "--degrade", "degrade.theta_deg": "--theta", "degrade.tau2": "--tau2",
+}
 
 
 def load_preset(name: str) -> dict:
@@ -36,28 +46,19 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="path to a scenario JSON file")
     source.add_argument("--preset", choices=PRESET_NAMES, help="bundled scenario")
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--degrade", choices=("none", "pump_rotation", "loss"))
-    parser.add_argument("--theta", type=float, help="pump rotation angle in degrees")
-    parser.add_argument("--tau2", type=float, help="intensity transmissivity of the loss")
-    parser.add_argument("--gain.g", dest="gain_g", type=float)
-    parser.add_argument("--gain.g-min", dest="gain_g_min", type=float)
-    parser.add_argument("--gain.g-max", dest="gain_g_max", type=float)
-    parser.add_argument("--gain.steps", dest="gain_steps", type=int)
-    parser.add_argument(
-        "--gain.log-spacing", dest="gain_log_spacing", choices=("true", "false")
-    )
-    parser.add_argument("--eta-ancilla", type=float)
-    parser.add_argument("--eta-a", type=float)
-    parser.add_argument("--eta-b", type=float)
-    parser.add_argument("--n-max", type=int)
-    parser.add_argument("--model", choices=("ideal", "single_photon", "full_numeric"))
-    parser.add_argument("--sample-count", type=int)
-    parser.add_argument("--seed", type=int)
+    for path, kind, fld in leaf_fields():
+        if kind is bool:
+            kwargs = {"choices": ("true", "false")}
+        elif kind is str:
+            kwargs = {"choices": fld.metadata["choices"]}
+        else:
+            kwargs = {"type": kind}
+        flag = FLAG_NAMES.get(path, "--" + path.replace("_", "-"))
+        parser.add_argument(flag, dest=path, help=f"sets {path}", **kwargs)
 
 
-def _section(data: dict, key: str, default: dict) -> dict:
-    value = data.get(key, default)
+def _section(data: dict, key: str) -> dict:
+    value = data.get(key, ScenarioConfig().to_dict()[key])
     if not isinstance(value, dict):
         raise ConfigError(key, f"expected an object, got {type(value).__name__}")
     return dict(value)
@@ -77,43 +78,22 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     else:
         data = load_preset(args.preset)
 
-    degrade = _section(data, "degrade", {"mode": "none"})
-    if args.degrade is not None:
-        degrade = {"mode": args.degrade}
-    if args.theta is not None:
-        degrade["theta_deg"] = args.theta
-    if args.tau2 is not None:
-        degrade["tau2"] = args.tau2
-    data["degrade"] = degrade
-
-    gain = _section(data, "gain", {})
-    if args.gain_g is not None:
-        gain = {"g": args.gain_g}
-    if args.gain_g_min is not None:
-        gain.pop("g", None)
-        gain["g_min"] = args.gain_g_min
-    if args.gain_g_max is not None:
-        gain.pop("g", None)
-        gain["g_max"] = args.gain_g_max
-    if args.gain_steps is not None:
-        gain["steps"] = args.gain_steps
-    if args.gain_log_spacing is not None:
-        gain["log_spacing"] = args.gain_log_spacing == "true"
-    data["gain"] = gain
-
-    for flag, key in (
-        ("gamma", "gamma"),
-        ("eta_ancilla", "eta_ancilla"),
-        ("eta_a", "eta_a"),
-        ("eta_b", "eta_b"),
-        ("n_max", "n_max"),
-        ("model", "model"),
-        ("sample_count", "sample_count"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            data[key] = value
+    # In field order, so a section's form selector (degrade.mode, gain.g)
+    # starts that section afresh before its other flags apply, and a sweep
+    # endpoint replaces a single gain g.
+    for path, kind, _ in leaf_fields():
+        value = getattr(args, path)
+        if value is None:
+            continue
+        section, _, key = path.rpartition(".")
+        target = data
+        if section:
+            target = data[section] = _section(data, section)
+            if path in ("degrade.mode", "gain.g"):
+                target.clear()
+            elif path in ("gain.g_min", "gain.g_max"):
+                target.pop("g", None)
+        target[key] = value == "true" if kind is bool else value
     return ScenarioConfig.from_dict(data)
 
 

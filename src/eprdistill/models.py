@@ -136,15 +136,6 @@ def degraded_variances(
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    cov = tmsv_covariance(gamma)
-    t2 = tau * tau
-    lossy = CovarianceSummary(
-        xx_a=cov.xx_a,
-        pp_a=cov.pp_a,
-        xx_b=t2 * cov.xx_b + 0.5 * (1.0 - t2),
-        pp_b=t2 * cov.pp_b + 0.5 * (1.0 - t2),
-        xa_xb=tau * cov.xa_xb,
-        pa_pb=tau * cov.pa_pb,
-    )
+    lossy = apply_detection_efficiency(tmsv_covariance(gamma), 1.0, tau * tau)
     detected = apply_detection_efficiency(lossy, eta_a, eta_b)
     return detected.v_diff, detected.v_sum

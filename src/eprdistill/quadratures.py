@@ -16,7 +16,13 @@ import numpy as np
 
 from . import tolerances
 from ._kernels import hermite_functions, pdf_quadratic_form
-from .fock import DensityMatrix, HilbertConfig, OperatorMatrix, annihilation_operator
+from .fock import (
+    DensityMatrix,
+    HilbertConfig,
+    OperatorMatrix,
+    _embed,
+    annihilation_operator,
+)
 
 
 @dataclass(frozen=True)
@@ -50,14 +56,6 @@ class CovarianceSummary:
     @property
     def v_sum(self) -> float:
         return self.xx_a + self.xx_b + 2.0 * self.xa_xb
-
-    @property
-    def p_sum_var(self) -> float:
-        return self.pp_a + self.pp_b + 2.0 * self.pa_pb
-
-    @property
-    def p_diff_var(self) -> float:
-        return self.pp_a + self.pp_b - 2.0 * self.pa_pb
 
 
 @dataclass(frozen=True)
@@ -96,13 +94,6 @@ def _single_mode_second_moments(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return (x_big @ x_big)[:d, :d], (p_big @ p_big)[:d, :d]
 
 
-def _embed_pair(single: np.ndarray, mode: int, d: int) -> np.ndarray:
-    eye = np.eye(d)
-    if mode == 0:
-        return np.kron(single, eye)
-    return np.kron(eye, single)
-
-
 def covariance_summary(state: DensityMatrix) -> CovarianceSummary:
     """Extract the quadrature second moments of a two-mode state.
 
@@ -113,7 +104,6 @@ def covariance_summary(state: DensityMatrix) -> CovarianceSummary:
     cfg = state.config
     if cfg.mode_count != 2:
         raise ValueError("covariance extraction expects a 2-mode state")
-    d = cfg.dim_per_mode
     rho = state.elements / state.trace
 
     x_a, p_a = (op.elements for op in quadrature_operators(cfg, 0))
@@ -129,10 +119,10 @@ def covariance_summary(state: DensityMatrix) -> CovarianceSummary:
         return float(np.real(np.trace(rho @ op)))
 
     return CovarianceSummary(
-        xx_a=moment(_embed_pair(xsq, 0, d)),
-        pp_a=moment(_embed_pair(psq, 0, d)),
-        xx_b=moment(_embed_pair(xsq, 1, d)),
-        pp_b=moment(_embed_pair(psq, 1, d)),
+        xx_a=moment(_embed(cfg, xsq, 0)),
+        pp_a=moment(_embed(cfg, psq, 0)),
+        xx_b=moment(_embed(cfg, xsq, 1)),
+        pp_b=moment(_embed(cfg, psq, 1)),
         xa_xb=moment(x_a @ x_b),
         pa_pb=moment(p_a @ p_b),
     )

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -56,16 +57,6 @@ class ConfigError(ValueError):
         super().__init__(f"{fld}: {message}")
 
 
-# JSON value type of every config field.  bool is an int subclass in
-# Python, so it is rejected explicitly wherever a number is due; Python's
-# JSON reader accepts NaN and Infinity, which no field may take.
-_FIELD_TYPES = {
-    "gamma": float, "eta_ancilla": float, "eta_a": float, "eta_b": float,
-    "n_max": int, "model": str, "sample_count": int, "seed": int,
-}
-_DEGRADE_TYPES = {"mode": str, "theta_deg": float, "tau2": float}
-_GAIN_TYPES = {"g": float, "g_min": float, "g_max": float, "steps": int, "log_spacing": bool}
-_NULLABLE = {"theta_deg", "tau2", "g", "g_min", "g_max"}
 _KIND_NAMES = {
     float: "a finite number", int: "an integer", str: "a string", bool: "true or false",
 }
@@ -75,25 +66,91 @@ def _type_name(value) -> str:
     return "null" if value is None else type(value).__name__
 
 
-def _check_types(prefix: str, data: dict, types: dict) -> None:
-    """Raise ConfigError for the first value of `data` not of its field's type."""
-    for key, value in data.items():
-        kind = types.get(key)
-        if kind is None or (value is None and key in _NULLABLE):
+def _value_type(hint) -> tuple[type, bool]:
+    """The value type of a field annotation, and whether it admits null."""
+    args = typing.get_args(hint)  # the only unions are `X | None`
+    return (args[0], True) if args else (hint, False)
+
+
+def _is_kind(value, kind: type) -> bool:
+    # bool is an int subclass in Python, so it is rejected explicitly wherever
+    # a number is due; Python's JSON reader accepts NaN and Infinity, which
+    # no field may take.
+    if kind in (int, float):
+        return (
+            isinstance(value, (int, kind))
+            and not isinstance(value, bool)
+            and -math.inf < value < math.inf
+        )
+    return isinstance(value, kind)
+
+
+def _from_json(cls, data, path: str):
+    """Build the dataclass `cls` from the JSON object at `path`.
+
+    Raises ConfigError for a non-object, an unknown or missing key, and a
+    value not of its field's type, at every level.  null is accepted only
+    where the annotation is `X | None`.
+    """
+    where = path or "config"
+    if not isinstance(data, dict):
+        raise ConfigError(where, f"expected an object, got {_type_name(data)}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
+    if unknown:
+        raise ConfigError(where, f"unknown keys {sorted(unknown)}")
+    values = {}
+    for f in fields(cls):
+        if f.name not in data:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(where, f"missing key {f.name!r}")
             continue
-        if kind in (int, float):
-            ok = (
-                isinstance(value, (int, kind))
-                and not isinstance(value, bool)
-                and -math.inf < value < math.inf
-            )
-        else:
-            ok = isinstance(value, kind)
-        if not ok:
+        name = f"{path}.{f.name}" if path else f.name
+        value = data[f.name]
+        kind, nullable = _value_type(hints[f.name])
+        if is_dataclass(kind):
+            value = _from_json(kind, value, name)
+        elif not (value is None and nullable or _is_kind(value, kind)):
             raise ConfigError(
-                prefix + key,
-                f"expected {_KIND_NAMES[kind]}, got {_type_name(value)} {value!r}",
+                name, f"expected {_KIND_NAMES[kind]}, got {_type_name(value)} {value!r}"
             )
+        values[f.name] = value
+    return cls(**values)
+
+
+def _reject_ignored(spec, section: str, form: str) -> None:
+    """Raise ConfigError for a field that `form` ignores but that is set."""
+    for f in fields(spec):
+        if f.name in spec.ignored() and getattr(spec, f.name) != f.default:
+            raise ConfigError(f"{section}.{f.name}", f"not used with {form}")
+
+
+@dataclass(frozen=True)
+class DegradeSpec:
+    """No degradation, a pump rotation by theta_deg degrees, or a loss of
+    intensity transmissivity tau2 on mode B."""
+
+    mode: str = field(metadata={"choices": DEGRADE_MODES})
+    theta_deg: float | None = None
+    tau2: float | None = None
+
+    def ignored(self) -> tuple[str, ...]:
+        """The fields the chosen mode does not use."""
+        used = {"pump_rotation": "theta_deg", "loss": "tau2"}.get(self.mode)
+        return tuple(name for name in ("theta_deg", "tau2") if name != used)
+
+    def validate(self) -> None:
+        if self.mode not in DEGRADE_MODES:
+            raise ConfigError("degrade.mode", f"must be one of {DEGRADE_MODES}")
+        if self.mode == "pump_rotation":
+            if self.theta_deg is None or not 0.0 <= self.theta_deg <= 90.0:
+                raise ConfigError(
+                    "degrade.theta_deg", f"must be in [0, 90], got {self.theta_deg}"
+                )
+        if self.mode == "loss":
+            if self.tau2 is None or not 0.0 < self.tau2 <= 1.0:
+                raise ConfigError("degrade.tau2", f"must be in (0, 1], got {self.tau2}")
+        _reject_ignored(self, "degrade", f"mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -106,10 +163,15 @@ class GainSpec:
     steps: int = 2
     log_spacing: bool = False
 
+    def ignored(self) -> tuple[str, ...]:
+        """The fields the chosen form does not use."""
+        return ("g",) if self.is_sweep else ("g_min", "g_max", "steps", "log_spacing")
+
     def validate(self) -> None:
         if self.g is not None:
             if self.g < 1.0:
                 raise ConfigError("gain.g", f"gain must be >= 1, got {self.g}")
+            _reject_ignored(self, "gain", "a single gain g")
             return
         if self.g_min is None or self.g_max is None:
             raise ConfigError("gain", "provide either g or both g_min and g_max")
@@ -136,31 +198,20 @@ class GainSpec:
 @dataclass(frozen=True)
 class ScenarioConfig:
     gamma: float = 0.135
-    degrade_mode: str = "none"
-    theta_deg: float | None = None
-    tau2: float | None = None
+    degrade: DegradeSpec = field(default_factory=lambda: DegradeSpec("none"))
     gain: GainSpec = field(default_factory=GainSpec)
     eta_ancilla: float = 1.0
     eta_a: float = 1.0
     eta_b: float = 1.0
     n_max: int = 3
-    model: str = "full_numeric"
+    model: str = field(default="full_numeric", metadata={"choices": MODELS})
     sample_count: int = 10000
     seed: int = 0
 
     def validate(self) -> None:
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma", f"must be in [0, 1), got {self.gamma}")
-        if self.degrade_mode not in DEGRADE_MODES:
-            raise ConfigError("degrade.mode", f"must be one of {DEGRADE_MODES}")
-        if self.degrade_mode == "pump_rotation":
-            if self.theta_deg is None or not 0.0 <= self.theta_deg <= 90.0:
-                raise ConfigError(
-                    "degrade.theta_deg", f"must be in [0, 90], got {self.theta_deg}"
-                )
-        if self.degrade_mode == "loss":
-            if self.tau2 is None or not 0.0 < self.tau2 <= 1.0:
-                raise ConfigError("degrade.tau2", f"must be in (0, 1], got {self.tau2}")
+        self.degrade.validate()
         self.gain.validate()
         for name in ("eta_ancilla", "eta_a", "eta_b"):
             value = getattr(self, name)
@@ -177,69 +228,43 @@ class ScenarioConfig:
 
     @property
     def effective_gamma(self) -> float:
-        if self.degrade_mode == "pump_rotation":
-            return pump_rotation_degrade(self.gamma, self.theta_deg)
+        if self.degrade.mode == "pump_rotation":
+            return pump_rotation_degrade(self.gamma, self.degrade.theta_deg)
         return self.gamma
 
     @property
     def tau(self) -> float:
         """Amplitude transmissivity of the degradation channel (1 if none)."""
-        if self.degrade_mode == "loss":
-            return float(np.sqrt(self.tau2))
+        if self.degrade.mode == "loss":
+            return float(np.sqrt(self.degrade.tau2))
         return 1.0
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config", f"expected an object, got {_type_name(data)}")
-        data = dict(data)
-        degrade = data.pop("degrade", {"mode": "none"})
-        if not isinstance(degrade, dict) or "mode" not in degrade:
-            raise ConfigError("degrade", "expected an object with a 'mode' key")
-        _check_types("degrade.", degrade, _DEGRADE_TYPES)
-        gain_data = data.pop("gain", {})
-        if not isinstance(gain_data, dict):
-            raise ConfigError("gain", "expected an object")
-        unknown = set(gain_data) - set(_GAIN_TYPES)
-        if unknown:
-            raise ConfigError("gain", f"unknown keys {sorted(unknown)}")
-        _check_types("gain.", gain_data, _GAIN_TYPES)
-        gain = GainSpec(**gain_data)
-        unknown = set(data) - set(_FIELD_TYPES)
-        if unknown:
-            raise ConfigError("config", f"unknown keys {sorted(unknown)}")
-        _check_types("", data, _FIELD_TYPES)
-        config = cls(
-            degrade_mode=degrade.get("mode", "none"),
-            theta_deg=degrade.get("theta_deg"),
-            tau2=degrade.get("tau2"),
-            gain=gain,
-            **data,
-        )
+        config = _from_json(cls, data, "")
         config.validate()
         return config
 
     def to_dict(self) -> dict:
-        degrade: dict = {"mode": self.degrade_mode}
-        if self.degrade_mode == "pump_rotation":
-            degrade["theta_deg"] = self.theta_deg
-        if self.degrade_mode == "loss":
-            degrade["tau2"] = self.tau2
-        gain = {k: v for k, v in asdict(self.gain).items() if v is not None}
-        if self.gain.g is not None:
-            gain = {"g": self.gain.g}
-        return {
-            "gamma": self.gamma,
-            "degrade": degrade,
-            "gain": gain,
-            "eta_ancilla": self.eta_ancilla,
-            "eta_a": self.eta_a,
-            "eta_b": self.eta_b,
-            "n_max": self.n_max,
-            "model": self.model,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
+        """The JSON form: every field except those the chosen forms ignore."""
+        data = asdict(self)
+        for f in fields(self):
+            spec = getattr(self, f.name)
+            if is_dataclass(spec):
+                for name in spec.ignored():
+                    del data[f.name][name]
+        return data
+
+
+def leaf_fields(cls: type = ScenarioConfig, path: str = "") -> list[tuple[str, type, Field]]:
+    """(dotted path, value type, field) of every scalar of the schema, in order."""
+    hints = typing.get_type_hints(cls)
+    leaves = []
+    for f in fields(cls):
+        name = f"{path}.{f.name}" if path else f.name
+        kind, _ = _value_type(hints[f.name])
+        leaves += leaf_fields(kind, name) if is_dataclass(kind) else [(name, kind, f)]
+    return leaves
 
 
 @dataclass(frozen=True)
@@ -293,12 +318,9 @@ def build_distilled_state(config: ScenarioConfig, g: float) -> tuple[DensityMatr
     """Source -> degrade -> catalysis; returns the distilled state and p."""
     space = HilbertConfig(config.n_max, 2)
     state = tmsv_state(config.effective_gamma, space)
-    if config.degrade_mode == "loss":
+    if config.degrade.mode == "loss":
         state = loss_channel(state, 1, config.tau)
-    params = ChannelParams(
-        tau=config.tau, r=1.0 / g, eta_ancilla=config.eta_ancilla
-    )
-    return nla_catalysis(state, params)
+    return nla_catalysis(state, ChannelParams(r=1.0 / g, eta_ancilla=config.eta_ancilla))
 
 
 def evaluate_gain_point(config: ScenarioConfig, g: float) -> SweepRow:

@@ -17,9 +17,6 @@ TRACE_UPPER_SLACK = 1e-12
 # Unitaries must satisfy max |U^dag U - I| <= UNITARITY_ATOL.
 UNITARITY_ATOL = 1e-10
 
-# Trace preservation required from unitary conjugation.
-TRACE_PRESERVATION_ATOL = 1e-12
-
 # Heralding branches with probability at or below this are treated as
 # impossible (conditioning on them is meaningless).
 HERALD_MIN_PROBABILITY = 1e-14
@@ -27,9 +24,6 @@ HERALD_MIN_PROBABILITY = 1e-14
 # First moments <X>, <P> must vanish to this level before second moments are
 # trusted; a violation signals a circuit bug upstream.
 FIRST_MOMENT_ATOL = 1e-9
-
-# Internal consistency of derived sum/difference variances.
-VARIANCE_CONSISTENCY_ATOL = 1e-12
 
 # Cauchy-Schwarz slack allowed on cross moments.
 CROSS_MOMENT_SLACK = 1e-9

@@ -90,7 +90,7 @@ def test_criterion_3_weak_coupling_limit():
     gamma, r = 0.01, 0.01
     cfg = HilbertConfig(3, 2)
     distilled, _ = nla_catalysis(
-        tmsv_state(gamma, cfg), ChannelParams(tau=1.0, r=r, eta_ancilla=1.0)
+        tmsv_state(gamma, cfg), ChannelParams(r=r, eta_ancilla=1.0)
     )
     # two-term target with the relative sign the positive-correlation
     # convention produces
@@ -269,7 +269,7 @@ def test_criterion_7_heralding_probability_oracle():
     ok = True
     for eta in (0.0, 0.5, 0.65, 1.0):
         for r in (0.05, 0.1, 0.3):
-            params = ChannelParams(tau=1.0, r=r, eta_ancilla=eta)
+            params = ChannelParams(r=r, eta_ancilla=eta)
             if eta == 0.0:
                 # no photon anywhere: the click branch is impossible
                 try:

@@ -308,7 +308,7 @@ class TestNlaCatalysis:
         for eta in (0.5, 0.65, 1.0):
             for r in (0.05, 0.1, 0.3):
                 out, prob = nla_catalysis(
-                    tmsv_state(0.0, CFG2), ChannelParams(tau=1.0, r=r, eta_ancilla=eta)
+                    tmsv_state(0.0, CFG2), ChannelParams(r=r, eta_ancilla=eta)
                 )
                 assert abs(prob - eta * r * r) < 1e-10
                 np.testing.assert_allclose(
@@ -325,7 +325,7 @@ class TestNlaCatalysis:
         # the relative sign follows the positive-correlation convention
         gamma, r = 0.01, 0.01
         out, _ = nla_catalysis(
-            tmsv_state(gamma, CFG2), ChannelParams(tau=1.0, r=r, eta_ancilla=1.0)
+            tmsv_state(gamma, CFG2), ChannelParams(r=r, eta_ancilla=1.0)
         )
         target = r * basis_vector(CFG2, (0, 0)) + gamma * basis_vector(CFG2, (1, 1))
         assert fidelity_with_pure(out, target) >= 0.999
@@ -335,7 +335,7 @@ class TestNlaCatalysis:
         # a photon in mode A and vacuum in mode B
         gamma, r = 0.01, 0.1
         out, prob = nla_catalysis(
-            tmsv_state(gamma, CFG2), ChannelParams(tau=1.0, r=r, eta_ancilla=0.0)
+            tmsv_state(gamma, CFG2), ChannelParams(r=r, eta_ancilla=0.0)
         )
         i10 = CFG2.index_of((1, 0))
         assert np.real(out.elements[i10, i10]) > 0.999
@@ -350,7 +350,7 @@ class TestNlaCatalysis:
         # artifact because signal + ancilla can exceed n_max photons
         gamma = 0.1
         epr = tmsv_state(gamma, CFG2)
-        out, prob = nla_catalysis(epr, ChannelParams(tau=1.0, r=1.0, eta_ancilla=1.0))
+        out, prob = nla_catalysis(epr, ChannelParams(r=1.0, eta_ancilla=1.0))
         assert prob == pytest.approx(1.0, abs=1e-12)
         below = (CFG2.mode_occupations(0) <= 2) & (CFG2.mode_occupations(1) <= 2)
         np.testing.assert_allclose(
@@ -361,16 +361,16 @@ class TestNlaCatalysis:
         assert np.max(np.abs(np.abs(out.elements) - np.abs(epr.elements))) < 5e-3
         # the click heralds exactly the ancilla photon at full reflectivity,
         # so its probability equals the preparation efficiency
-        _, prob_eta = nla_catalysis(epr, ChannelParams(tau=1.0, r=1.0, eta_ancilla=0.65))
+        _, prob_eta = nla_catalysis(epr, ChannelParams(r=1.0, eta_ancilla=0.65))
         assert prob_eta == pytest.approx(0.65, abs=1e-12)
         with pytest.raises(HeraldingImpossibleError):
-            nla_catalysis(epr, ChannelParams(tau=1.0, r=1.0, eta_ancilla=0.0))
+            nla_catalysis(epr, ChannelParams(r=1.0, eta_ancilla=0.0))
 
     def test_herald_probability_monotone_in_eta(self):
         epr = tmsv_state(0.1, CFG2)
         for r in (0.1, 0.3):
             probs = [
-                nla_catalysis(epr, ChannelParams(tau=1.0, r=r, eta_ancilla=eta))[1]
+                nla_catalysis(epr, ChannelParams(r=r, eta_ancilla=eta))[1]
                 for eta in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
             ]
             assert all(b >= a for a, b in zip(probs, probs[1:]))

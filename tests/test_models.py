@@ -105,7 +105,7 @@ class TestSinglePhotonModel:
         cfg = HilbertConfig(3, 2)
         state = loss_channel(tmsv_state(gamma, cfg), 1, tau)
         distilled, _ = nla_catalysis(
-            state, ChannelParams(tau=tau, r=1.0 / gain, eta_ancilla=0.65)
+            state, ChannelParams(r=1.0 / gain, eta_ancilla=0.65)
         )
         numeric = covariance_summary(distilled)
         model = sp_model_covariance(gamma, tau, gain, eta=0.65)
@@ -240,7 +240,7 @@ class TestModelAgreementOrdering:
             gain = 1.0 / (beta * gamma * tau)
             state = loss_channel(tmsv_state(gamma, cfg), 1, tau)
             distilled, _ = nla_catalysis(
-                state, ChannelParams(tau=tau, r=1.0 / gain, eta_ancilla=0.65)
+                state, ChannelParams(r=1.0 / gain, eta_ancilla=0.65)
             )
             numeric = covariance_summary(distilled)
             model = sp_model_covariance(gamma, tau, gain, eta=0.65)

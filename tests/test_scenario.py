@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprdistill import (
     ConfigError,
@@ -11,8 +13,14 @@ from eprdistill import (
     run_sampling,
     run_scenario,
 )
-from eprdistill.cli import load_preset, main
-from eprdistill.scenario import CSV_HEADER, write_json_report
+from eprdistill.cli import build_parser, load_preset, main
+from eprdistill.scenario import CSV_HEADER, leaf_fields, write_json_report
+
+SCENARIO_FLAGS = (
+    "--gamma --degrade --theta --tau2 --gain.g --gain.g-min --gain.g-max --gain.steps "
+    "--gain.log-spacing --eta-ancilla --eta-a --eta-b --n-max --model --sample-count --seed"
+).split()
+COMMAND_FLAGS = {"-h", "--config", "--preset", "--output", "--v-diff", "--v-sum", "--strict"}
 
 
 def loss_scenario(**overrides) -> ScenarioConfig:
@@ -50,6 +58,15 @@ class TestConfigValidation:
             ({"n_max": 9}, "n_max"),
             ({"model": "exact"}, "model"),
             ({"sample_count": 0}, "sample_count"),
+            ({"degrade": {"tau2": 0.05}}, "degrade"),
+            ({"degrade": {"mode": "loss", "tau2": 0.05, "tua2": 1}}, "degrade"),
+            ({"degrade": {"mode": "none", "tau2": 0.05}}, "degrade.tau2"),
+            ({"degrade": {"mode": "loss", "tau2": 0.05, "theta_deg": 10}}, "degrade.theta_deg"),
+            ({"degrade": {"mode": "none", "theta_deg": 10}}, "degrade.theta_deg"),
+            ({"gain": {"g": 5.0, "g_min": 2.0, "g_max": 9.0, "steps": 4}}, "gain.g_min"),
+            ({"gain": {"g": 5.0, "g_max": 9.0}}, "gain.g_max"),
+            ({"gain": {"g": 5.0, "steps": 4}}, "gain.steps"),
+            ({"gain": {"g": 5.0, "log_spacing": True}}, "gain.log_spacing"),
         ],
     )
     def test_field_level_errors(self, overrides, field):
@@ -110,6 +127,65 @@ class TestConfigValidation:
         assert pump.tau == 1.0
         loss = loss_scenario()
         assert loss.tau == pytest.approx(np.sqrt(0.05))
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def one_spoiled(valid, keys: tuple[str, ...]):
+    """Valid objects, and valid objects with one key, known or not, set to junk."""
+    spoiled = st.builds(lambda obj, key, value: {**obj, key: value},
+                        valid, st.sampled_from(keys), JUNK)
+    return valid | spoiled
+
+
+UNIT = st.floats(0.0, 1.0)
+DEGRADE = one_spoiled(
+    st.just({"mode": "none"})
+    | st.fixed_dictionaries({"mode": st.just("pump_rotation"), "theta_deg": st.floats(0.0, 90.0)})
+    | st.fixed_dictionaries({"mode": st.just("loss"), "tau2": st.floats(0.01, 1.0)}),
+    ("mode", "theta_deg", "tau2", "tua2"),
+)
+GAIN = one_spoiled(
+    st.fixed_dictionaries({"g": st.floats(1.0, 50.0)})
+    | st.fixed_dictionaries(
+        {"g_min": st.floats(1.0, 10.0), "g_max": st.floats(10.0, 50.0)},
+        optional={"steps": st.integers(2, 60), "log_spacing": st.booleans()},
+    ),
+    ("g", "g_min", "g_max", "steps", "log_spacing", "gmin"),
+)
+CONFIG = one_spoiled(
+    st.fixed_dictionaries(
+        {"gain": GAIN},
+        optional={
+            "gamma": st.floats(0.0, 0.99), "degrade": DEGRADE, "eta_ancilla": UNIT,
+            "eta_a": UNIT, "eta_b": UNIT, "n_max": st.integers(1, 6),
+            "model": st.sampled_from(("ideal", "single_photon", "full_numeric")),
+            "sample_count": st.integers(1, 10**6), "seed": st.integers(0, 2**63),
+        },
+    ),
+    ("gamma", "degrade", "gain", "eta_ancilla", "eta_a", "eta_b", "n_max", "model",
+     "sample_count", "seed", "gian"),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(CONFIG, JUNK))
+def test_any_document_validates_or_raises_config_error(document):
+    try:
+        config = ScenarioConfig.from_dict(document)
+    except ConfigError as err:
+        assert isinstance(err.field, str)
+        return
+    assert ScenarioConfig.from_dict(config.to_dict()) == config
 
 
 class TestRunScenario:
@@ -311,9 +387,13 @@ class TestCli:
             ({"sample_count": True}, "sample_count"),
             ({"degrade": "loss"}, "degrade"),
             ({"gain": [2.0, 30.0]}, "gain"),
+            ({"degrade": {"mode": "loss", "tau2": 0.05, "tua2": 1}}, "degrade"),
+            ({"degrade": {"mode": "none", "tau2": 0.05}}, "degrade.tau2"),
+            ({"gain": {"g": 5.0, "g_min": 2.0, "g_max": 9.0, "steps": 4}}, "gain.g_min"),
         ],
         ids=["string-gamma", "fractional-n_max", "top-level-list", "bool-sample_count",
-             "string-degrade", "list-gain"],
+             "string-degrade", "list-gain", "unknown-degrade-key", "tau2-without-loss",
+             "g-with-sweep-fields"],
     )
     def test_malformed_config_file_exits_2(self, tmp_path, capsys, document, field):
         if isinstance(document, dict):
@@ -322,6 +402,21 @@ class TestCli:
         path.write_text(json.dumps(document))
         assert main(["sweep", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+    def test_flag_ignored_by_the_chosen_form_exits_2(self, capsys):
+        # lowsqueeze has no degradation, so --tau2 would otherwise be dropped
+        argv = ["sweep", "--preset", "lowsqueeze", "--tau2", "0.1", "--gain.g", "5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: degrade.tau2:")
+
+    def test_flags_mirror_schema_leaves(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        leaves = [path for path, _, _ in leaf_fields()]
+        for name in ("sweep", "sample", "equiv"):
+            actions = [a for a in commands[name]._actions
+                       if not set(a.option_strings) & COMMAND_FLAGS]
+            assert [s for a in actions for s in a.option_strings] == SCENARIO_FLAGS
+            assert [a.dest for a in actions] == leaves
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
