@@ -8,15 +8,14 @@ mode B benchmarks how much loss the distillation effectively undid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import tolerances
 
 GAMMA_EQ_MAX = 5.0
-_SCAN_POINTS = 20001
 
 
 @dataclass(frozen=True)
@@ -47,11 +46,13 @@ class EquivalentSolve:
     lot.
 
     `branches` lists every physical solution in ascending gamma_eq and
-    `state` is the first of them.  The variance pair pins the parameters
-    uniquely whenever (v_sum - v_diff)/2 <= 2 eta_a_eq, which covers all
-    experimentally relevant inputs; outside that regime a second branch
-    with larger squeezing and lower efficiency can reproduce the same
-    variances, and both are reported.
+    `state` is the first of them.  Each branch is a root of one quadratic in
+    cosh 2 gamma_eq (see solve_equivalent), so there are at most two.  The
+    variance pair pins the parameters uniquely whenever
+    (v_sum - v_diff)/2 <= 2 eta_a_eq, which covers all experimentally
+    relevant inputs; outside that regime the second root, with larger
+    squeezing and lower efficiency, can reproduce the same variances, and
+    both are reported.
     """
 
     status: str
@@ -77,25 +78,19 @@ def equivalent_variances(eq: EquivalentState) -> tuple[float, float]:
     return 1.0 + mean_eta * c - root * s, 1.0 + mean_eta * c + root * s
 
 
-def _sum_residual(gamma, k: float, d: float, eta_a: float):
-    """Residual of the variance-sum equation after eliminating eta_b.
-
-    The difference of the two forward equations gives
-    eta_b = d^2 / (eta_a sinh^2 2g); substituting into their sum yields
-    k = eta_a (cosh 2g - 1) + d^2 / (eta_a (cosh 2g + 1)), regular at g = 0.
-    """
-    c = np.cosh(2.0 * gamma)
-    return k - eta_a * (c - 1.0) - d * d / (eta_a * (c + 1.0))
-
-
 def solve_equivalent(v_diff: float, v_sum: float, eta_a_eq: float) -> EquivalentSolve:
     """Invert the forward map for (gamma_eq, eta_b_eq) at fixed eta_a_eq.
 
-    Strategy: closed-form elimination of eta_b_eq from the difference of the
-    two variance equations, then bracketed root solves in gamma_eq on
-    (0, 5].  Brackets come from a dense sign scan, so the solve needs no
-    initial guess.  Every returned branch round-trips through
-    equivalent_variances to 1e-9.
+    With k = v_sum + v_diff - 2, d = (v_sum - v_diff)/2 and
+    u = cosh 2 gamma_eq - 1, the difference of the two variance equations
+    gives eta_b_eq = d^2 / (eta_a u (u + 2)).  Substituting it into their sum
+    leaves k = eta_a u + d^2 / (eta_a (u + 2)), the quadratic
+    eta_a u^2 + (2 eta_a - k) u + (d^2/eta_a - 2 k) = 0 with discriminant
+    (2 eta_a + k)^2 - 4 d^2, evaluated as a product of two factors.  Both
+    roots are taken in cancellation-free form; those with gamma_eq in
+    (0, GAMMA_EQ_MAX] become branches through gamma_eq = asinh(sqrt(u/2)),
+    which keeps full precision near gamma_eq = 0.  Every returned branch
+    round-trips through equivalent_variances to 1e-9.
     """
     if not 0.0 < eta_a_eq <= 1.0:
         return EquivalentSolve("infeasible", reason=f"eta_a_eq {eta_a_eq} outside (0, 1]")
@@ -118,10 +113,14 @@ def solve_equivalent(v_diff: float, v_sum: float, eta_a_eq: float) -> Equivalent
             reason=f"need v_sum + v_diff > 2, got {v_sum + v_diff:.6g}",
         )
 
-    grid = np.linspace(1e-9, GAMMA_EQ_MAX, _SCAN_POINTS)
-    values = _sum_residual(grid, k, d, eta_a_eq)
-    flips = np.nonzero(np.diff(np.sign(values)) != 0)[0]
-    if flips.size == 0:
+    b = 2.0 * eta_a_eq - k
+    c = d * d / eta_a_eq - 2.0 * k
+    disc = (2.0 * eta_a_eq + k - 2.0 * d) * (2.0 * eta_a_eq + k + 2.0 * d)
+    q = -0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
+    u_max = math.cosh(2.0 * GAMMA_EQ_MAX) - 1.0
+    roots = sorted({q / eta_a_eq, c / q}) if disc >= 0.0 and q != 0.0 else []
+    roots = [u for u in roots if 0.0 < u <= u_max]
+    if not roots:
         return EquivalentSolve(
             "infeasible",
             reason=f"variance-sum equation has no root in (0, {GAMMA_EQ_MAX}]",
@@ -129,16 +128,12 @@ def solve_equivalent(v_diff: float, v_sum: float, eta_a_eq: float) -> Equivalent
 
     branches = []
     rejected_eta = []
-    for i in flips:
-        gamma_eq = brentq(
-            _sum_residual, grid[i], grid[i + 1],
-            args=(k, d, eta_a_eq), xtol=1e-15, rtol=8.9e-16,
-        )
-        eta_b = d * d / (eta_a_eq * np.sinh(2.0 * gamma_eq) ** 2)
+    for u in roots:
+        eta_b = d * d / (eta_a_eq * u * (u + 2.0))
         if not 0.0 < eta_b <= 1.0 + tolerances.CROSS_MOMENT_SLACK:
             rejected_eta.append(eta_b)
             continue
-        state = EquivalentState(gamma_eq, eta_a_eq, min(eta_b, 1.0))
+        state = EquivalentState(math.asinh(math.sqrt(0.5 * u)), eta_a_eq, min(eta_b, 1.0))
         back_diff, back_sum = equivalent_variances(state)
         if (
             abs(back_diff - v_diff) <= tolerances.EQUIV_SOLVER_ATOL
@@ -152,5 +147,4 @@ def solve_equivalent(v_diff: float, v_sum: float, eta_a_eq: float) -> Equivalent
                 reason=f"required eta_b_eq = {rejected_eta[0]:.6g} outside (0, 1]",
             )
         return EquivalentSolve("infeasible", reason="no root survives the round trip")
-    branches.sort(key=lambda s: s.gamma_eq)
     return EquivalentSolve("ok", state=branches[0], branches=tuple(branches))

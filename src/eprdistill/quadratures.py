@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tolerances
-from ._kernels import hermite_functions, pdf_quadratic_form
 from .fock import (
     DensityMatrix,
     HilbertConfig,
@@ -175,6 +174,23 @@ def duan_inseparability(cov: CovarianceSummary) -> DuanResult:
     return DuanResult(value, (n_a - value) / k)
 
 
+def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
+    """Harmonic-oscillator eigenfunctions psi_0..psi_n_max at the points x.
+
+    Convention matches X = (a + a^dag)/sqrt(2): psi_n(x) =
+    pi^(-1/4) (2^n n!)^(-1/2) H_n(x) exp(-x^2/2), so the vacuum density
+    |psi_0|^2 has variance 1/2.  Uses the stable two-term recurrence.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((n_max + 1, x.size))
+    out[0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
+    if n_max >= 1:
+        out[1] = np.sqrt(2.0) * x * out[0]
+    for n in range(1, n_max):
+        out[n + 1] = np.sqrt(2.0 / (n + 1)) * x * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
+    return out
+
+
 def joint_quadrature_pdf(state: DensityMatrix, x_a, x_b) -> np.ndarray | float:
     """Joint position-quadrature density P(x_a, x_b) of a two-mode state.
 
@@ -190,7 +206,9 @@ def joint_quadrature_pdf(state: DensityMatrix, x_a, x_b) -> np.ndarray | float:
     shape = xa_arr.shape
     psi_a = hermite_functions(cfg.n_max, xa_arr.ravel())
     psi_b = hermite_functions(cfg.n_max, xb_arr.ravel())
-    values = pdf_quadratic_form(np.real(state.elements).copy(), psi_a, psi_b)
+    # t_j(i) = psi_a (x) psi_b per point; P_i = t(i)^T rho t(i)
+    t = (psi_a[:, None, :] * psi_b[None, :, :]).reshape(-1, psi_a.shape[1])
+    values = np.einsum("ji,ji->i", t, np.real(state.elements).copy() @ t)
     if shape == ():
         return float(values[0])
     return values.reshape(shape)

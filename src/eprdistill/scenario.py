@@ -44,6 +44,11 @@ DEGRADE_MODES = ("none", "pump_rotation", "loss")
 
 CSV_HEADER = "g,beta,v_diff,v_sum,duan_I,duan_a_star,herald_p,model"
 
+# Largest sweep and sample sizes accepted; larger requests are refused as
+# config errors before any array is sized from them.
+MAX_GAIN_STEPS = 100_000
+MAX_SAMPLE_COUNT = 1_000_000
+
 # Radius of the shot-noise reference circle for scatter plots: one vacuum
 # standard deviation, sqrt(1/2), in these units.
 SHOT_NOISE_RADIUS = float(np.sqrt(0.5))
@@ -179,8 +184,10 @@ class GainSpec:
             raise ConfigError("gain.g_min", f"must be >= 1, got {self.g_min}")
         if self.g_max < self.g_min:
             raise ConfigError("gain.g_max", f"must be >= g_min, got {self.g_max}")
-        if self.steps < 2:
-            raise ConfigError("gain.steps", f"sweep needs >= 2 steps, got {self.steps}")
+        if not 2 <= self.steps <= MAX_GAIN_STEPS:
+            raise ConfigError(
+                "gain.steps", f"sweep needs 2..{MAX_GAIN_STEPS} steps, got {self.steps}"
+            )
 
     @property
     def is_sweep(self) -> bool:
@@ -221,8 +228,10 @@ class ScenarioConfig:
             raise ConfigError("n_max", f"must be in 1..6, got {self.n_max}")
         if self.model not in MODELS:
             raise ConfigError("model", f"must be one of {MODELS}")
-        if self.sample_count < 1:
-            raise ConfigError("sample_count", f"must be >= 1, got {self.sample_count}")
+        if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
+            raise ConfigError(
+                "sample_count", f"must be in 1..{MAX_SAMPLE_COUNT}, got {self.sample_count}"
+            )
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
 

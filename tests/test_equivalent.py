@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eprdistill
 from eprdistill import (
     EquivalentSolve,
     EquivalentState,
@@ -133,3 +139,39 @@ class TestSolveEquivalent:
             assert moved.ok
             assert abs(moved.state.gamma_eq - base.state.gamma_eq) < 1e-3
             assert abs(moved.state.eta_b_eq - base.state.eta_b_eq) < 1e-3
+
+    def test_two_roots_closer_than_a_scan_step(self):
+        # at eta_a = 0.3 and k = 2, d = eta_a + k/2 = 1.3 is exact tangency;
+        # 1e-9 inside it the two branches lie 5e-5 apart in gamma_eq
+        v_diff, v_sum = 0.7 + 1e-9, 3.3 - 1e-9
+        solved = solve_equivalent(v_diff, v_sum, 0.3)
+        assert solved.status == "ok"
+        assert len(solved.branches) == 2
+        low, high = solved.branches
+        assert low.gamma_eq < high.gamma_eq < low.gamma_eq + 1e-4
+        assert low.gamma_eq == pytest.approx(0.936883, abs=1e-6)
+        assert high.gamma_eq == pytest.approx(0.936937, abs=1e-6)
+        for branch in solved.branches:
+            assert branch.eta_b_eq == pytest.approx(0.557, abs=1e-3)
+            back = equivalent_variances(branch)
+            assert back[0] == pytest.approx(v_diff, abs=1e-9)
+            assert back[1] == pytest.approx(v_sum, abs=1e-9)
+
+    def test_double_root_at_zero_squeezing_is_no_root(self):
+        # k = 2 eta_a and d = 2 eta_a make u = 0 a double root: q = 0 in the
+        # cancellation-free form, and no branch has gamma_eq > 0
+        solved = solve_equivalent(0.5, 2.5, 0.5)
+        assert solved.status == "infeasible"
+        assert "no root" in solved.reason
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the closed-form solve needs no root finder; loading scipy.optimize
+    # would slow every CLI start and raise its memory
+    code = "import eprdistill.cli, sys; print('scipy.optimize' in sys.modules)"
+    src = str(Path(eprdistill.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

@@ -17,8 +17,8 @@ from eprdistill import (
     tmsv_state,
     vacuum_state,
 )
-from eprdistill._kernels import hermite_functions
 from eprdistill.fock import expectation
+from eprdistill.quadratures import hermite_functions
 
 from conftest import random_density_matrix
 

@@ -14,7 +14,13 @@ from eprdistill import (
     run_scenario,
 )
 from eprdistill.cli import build_parser, load_preset, main
-from eprdistill.scenario import CSV_HEADER, leaf_fields, write_json_report
+from eprdistill.scenario import (
+    CSV_HEADER,
+    MAX_GAIN_STEPS,
+    MAX_SAMPLE_COUNT,
+    leaf_fields,
+    write_json_report,
+)
 
 SCENARIO_FLAGS = (
     "--gamma --degrade --theta --tau2 --gain.g --gain.g-min --gain.g-max --gain.steps "
@@ -67,6 +73,10 @@ class TestConfigValidation:
             ({"gain": {"g": 5.0, "g_max": 9.0}}, "gain.g_max"),
             ({"gain": {"g": 5.0, "steps": 4}}, "gain.steps"),
             ({"gain": {"g": 5.0, "log_spacing": True}}, "gain.log_spacing"),
+            ({"gain": {"g_min": 2.0, "g_max": 5.0, "steps": MAX_GAIN_STEPS + 1}}, "gain.steps"),
+            ({"gain": {"g_min": 2.0, "g_max": 5.0, "steps": 10**15}}, "gain.steps"),
+            ({"sample_count": MAX_SAMPLE_COUNT + 1}, "sample_count"),
+            ({"sample_count": 10**15}, "sample_count"),
         ],
     )
     def test_field_level_errors(self, overrides, field):
@@ -158,7 +168,7 @@ GAIN = one_spoiled(
     st.fixed_dictionaries({"g": st.floats(1.0, 50.0)})
     | st.fixed_dictionaries(
         {"g_min": st.floats(1.0, 10.0), "g_max": st.floats(10.0, 50.0)},
-        optional={"steps": st.integers(2, 60), "log_spacing": st.booleans()},
+        optional={"steps": st.integers(2, 2 * MAX_GAIN_STEPS), "log_spacing": st.booleans()},
     ),
     ("g", "g_min", "g_max", "steps", "log_spacing", "gmin"),
 )
@@ -169,7 +179,7 @@ CONFIG = one_spoiled(
             "gamma": st.floats(0.0, 0.99), "degrade": DEGRADE, "eta_ancilla": UNIT,
             "eta_a": UNIT, "eta_b": UNIT, "n_max": st.integers(1, 6),
             "model": st.sampled_from(("ideal", "single_photon", "full_numeric")),
-            "sample_count": st.integers(1, 10**6), "seed": st.integers(0, 2**63),
+            "sample_count": st.integers(1, 2 * MAX_SAMPLE_COUNT), "seed": st.integers(0, 2**63),
         },
     ),
     ("gamma", "degrade", "gain", "eta_ancilla", "eta_a", "eta_b", "n_max", "model",
@@ -401,6 +411,21 @@ class TestCli:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(document))
         assert main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["sweep", "--preset", "losschannel", "--gain.steps", "1000000000000000"],
+             "gain.steps"),
+            (["sample", "--preset", "losschannel", "--gain.g", "14",
+              "--sample-count", "1000000000000000"], "sample_count"),
+        ],
+        ids=["huge-gain-steps", "huge-sample-count"],
+    )
+    def test_oversized_request_exits_2(self, capsys, argv, field):
+        # refused before an array of that size is allocated
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
 
     def test_flag_ignored_by_the_chosen_form_exits_2(self, capsys):
