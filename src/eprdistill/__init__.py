@@ -56,7 +56,6 @@ from .quadratures import (
     covariance_summary,
     duan_inseparability,
     joint_quadrature_pdf,
-    quadrature_operators,
     sample_quadratures,
 )
 from .scenario import (

@@ -15,13 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tolerances
-from .fock import (
-    DensityMatrix,
-    HilbertConfig,
-    OperatorMatrix,
-    _embed,
-    annihilation_operator,
-)
+from .fock import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -69,61 +63,58 @@ class DuanResult:
     a_star: float
 
 
-def quadrature_operators(
-    config: HilbertConfig, mode: int
-) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Hermitian X and P for one mode; [X, P] = i below the cutoff level."""
-    a = annihilation_operator(config, mode).elements
+def _one_mode_quadratures(n_max: int) -> tuple[np.ndarray, ...]:
+    """One-mode X, P, X^2 and P^2 on levels 0..n_max, built one level above
+    the cutoff and cropped: X and P equal the plain truncations ([X, P] = i
+    below the cutoff level), X^2 and P^2 the infinite-dimensional elements,
+    so operator moments match the quadrature distribution."""
+    d = n_max + 1
+    a = np.diag(np.sqrt(np.arange(1, d + 1)), k=1).astype(complex)
     x = (a + a.conj().T) / np.sqrt(2.0)
     p = (a - a.conj().T) / (1j * np.sqrt(2.0))
-    return OperatorMatrix(config, x), OperatorMatrix(config, p)
-
-
-def _single_mode_second_moments(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact x^2 and p^2 Fock matrices on the truncated space.
-
-    Built one level above the cutoff and cropped, so the elements equal the
-    infinite-dimensional ones (x^2 only couples n to n, n+-2).  This keeps
-    operator moments consistent with the quadrature distribution.
-    """
-    d = n_max + 1
-    a_big = np.diag(np.sqrt(np.arange(1, d + 1)), k=1).astype(complex)
-    x_big = (a_big + a_big.conj().T) / np.sqrt(2.0)
-    p_big = (a_big - a_big.conj().T) / (1j * np.sqrt(2.0))
-    return (x_big @ x_big)[:d, :d], (p_big @ p_big)[:d, :d]
+    return x[:d, :d], p[:d, :d], (x @ x)[:d, :d], (p @ p)[:d, :d]
 
 
 def covariance_summary(state: DensityMatrix) -> CovarianceSummary:
     """Extract the quadrature second moments of a two-mode state.
 
-    Accepts sub-normalized states (moments are taken relative to the trace).
+    Single-mode moments are read from the two reduced states, the cross
+    moments from one contraction of the (d, d, d, d) state tensor with the
+    one-mode matrices; no two-mode operator is formed.  Accepts
+    sub-normalized states (moments are taken relative to the trace).
     Raises if the first moments do not vanish, which signals a circuit bug:
     every state produced by this library is phase-symmetric.
     """
     cfg = state.config
     if cfg.mode_count != 2:
         raise ValueError("covariance extraction expects a 2-mode state")
-    rho = state.elements / state.trace
+    d = cfg.dim_per_mode
+    rho = (state.elements / state.trace).reshape(d, d, d, d)
+    rho_a = np.trace(rho, axis1=1, axis2=3)
+    rho_b = np.trace(rho, axis1=0, axis2=2)
+    x, p, xsq, psq = _one_mode_quadratures(cfg.n_max)
 
-    x_a, p_a = (op.elements for op in quadrature_operators(cfg, 0))
-    x_b, p_b = (op.elements for op in quadrature_operators(cfg, 1))
-    for name, op in (("X_A", x_a), ("P_A", p_a), ("X_B", x_b), ("P_B", p_b)):
-        first = np.trace(rho @ op)
+    for name, reduced, op in (
+        ("X_A", rho_a, x), ("P_A", rho_a, p), ("X_B", rho_b, x), ("P_B", rho_b, p)
+    ):
+        first = np.trace(reduced @ op)
         if abs(first) > tolerances.FIRST_MOMENT_ATOL:
             raise ValueError(f"first moment <{name}> = {first:.3e} does not vanish")
 
-    xsq, psq = _single_mode_second_moments(cfg.n_max)
+    def moment(reduced: np.ndarray, op: np.ndarray) -> float:
+        return float(np.real(np.trace(reduced @ op)))
 
-    def moment(op: np.ndarray) -> float:
-        return float(np.real(np.trace(rho @ op)))
+    def cross(op: np.ndarray) -> float:
+        # Tr(rho (O x O)) = sum rho[i, j, k, l] O[k, i] O[l, j]
+        return float(np.real(np.einsum("ijkl,ki,lj->", rho, op, op)))
 
     return CovarianceSummary(
-        xx_a=moment(_embed(cfg, xsq, 0)),
-        pp_a=moment(_embed(cfg, psq, 0)),
-        xx_b=moment(_embed(cfg, xsq, 1)),
-        pp_b=moment(_embed(cfg, psq, 1)),
-        xa_xb=moment(x_a @ x_b),
-        pa_pb=moment(p_a @ p_b),
+        xx_a=moment(rho_a, xsq),
+        pp_a=moment(rho_a, psq),
+        xx_b=moment(rho_b, xsq),
+        pp_b=moment(rho_b, psq),
+        xa_xb=cross(x),
+        pa_pb=cross(p),
     )
 
 

@@ -216,8 +216,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError("gamma", f"must be in [0, 1), got {self.gamma}")
+        if not 0.0 < self.gamma < 1.0:
+            raise ConfigError("gamma", f"must be in (0, 1), got {self.gamma}")
         self.degrade.validate()
         self.gain.validate()
         for name in ("eta_ancilla", "eta_a", "eta_b"):
@@ -428,6 +428,8 @@ def run_equivalence(
     entries = []
     if variances is not None:
         v_diff, v_sum = variances
+        if not (math.isfinite(v_diff) and math.isfinite(v_sum)):
+            raise ConfigError("variances", f"must be finite, got ({v_diff}, {v_sum})")
         entries.append({"g": None, "beta": None, "v_diff": v_diff, "v_sum": v_sum})
     else:
         sweep = run_scenario(config)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eprdistill import (
+    ChannelParams,
     CovarianceSummary,
     HilbertConfig,
     apply_detection_efficiency,
@@ -10,15 +11,15 @@ from eprdistill import (
     duan_inseparability,
     joint_quadrature_pdf,
     loss_channel,
+    nla_catalysis,
     pure_state,
-    quadrature_operators,
     sample_quadratures,
     tensor_product,
     tmsv_state,
     vacuum_state,
 )
-from eprdistill.fock import expectation
-from eprdistill.quadratures import hermite_functions
+from eprdistill.fock import annihilation_operator
+from eprdistill.quadratures import _one_mode_quadratures, hermite_functions
 
 from conftest import random_density_matrix
 
@@ -59,29 +60,55 @@ def random_covariance(rng, positive_k=True):
     return cov
 
 
+def kron_reference_moments(state):
+    """The six second moments from full-space operator products.
+
+    The state is zero-padded one level above its cutoff, where the embedded
+    X^2 and P^2 carry their exact top-level elements.
+    """
+    cfg = state.config
+    d = cfg.dim_per_mode
+    big = HilbertConfig(cfg.n_max + 1, 2)
+    tensor = state.elements.reshape(d, d, d, d) / state.trace
+    rho = np.pad(tensor, [(0, 1)] * 4).reshape(big.dim, big.dim)
+    ops = {}
+    for mode, name in ((0, "a"), (1, "b")):
+        a = annihilation_operator(big, mode).elements
+        ops["x" + name] = (a + a.conj().T) / np.sqrt(2.0)
+        ops["p" + name] = (a - a.conj().T) / (1j * np.sqrt(2.0))
+
+    def moment(left, right):
+        return float(np.real(np.trace(rho @ ops[left] @ ops[right])))
+
+    return {
+        "xx_a": moment("xa", "xa"), "pp_a": moment("pa", "pa"),
+        "xx_b": moment("xb", "xb"), "pp_b": moment("pb", "pb"),
+        "xa_xb": moment("xa", "xb"), "pa_pb": moment("pa", "pb"),
+    }
+
+
 class TestQuadratureOperators:
+    """The one-mode X, P, X^2 and P^2 behind covariance_summary."""
+
     def test_vacuum_variance_one_half(self):
-        cfg = HilbertConfig(3, 1)
-        x, p = quadrature_operators(cfg, 0)
-        vac = vacuum_state(cfg)
-        assert expectation(vac, x @ x).real == pytest.approx(0.5)
-        assert expectation(vac, p @ p).real == pytest.approx(0.5)
+        x, p, xsq, psq = _one_mode_quadratures(3)
+        assert (x @ x)[0, 0].real == pytest.approx(0.5)
+        assert (p @ p)[0, 0].real == pytest.approx(0.5)
+        assert xsq[0, 0].real == pytest.approx(0.5)
+        assert psq[0, 0].real == pytest.approx(0.5)
 
     def test_one_photon_x_squared_three_halves(self):
-        cfg = HilbertConfig(3, 1)
-        x, _ = quadrature_operators(cfg, 0)
-        one = pure_state(cfg, basis_vector(cfg, (1,)))
-        assert expectation(one, x @ x).real == pytest.approx(1.5)
+        x, _, xsq, _ = _one_mode_quadratures(3)
+        assert (x @ x)[1, 1].real == pytest.approx(1.5)
+        assert xsq[1, 1].real == pytest.approx(1.5)
 
     def test_hermitian(self):
-        x, p = quadrature_operators(CFG2, 1)
-        assert np.max(np.abs(x.elements - x.elements.conj().T)) < 1e-14
-        assert np.max(np.abs(p.elements - p.elements.conj().T)) < 1e-14
+        for op in _one_mode_quadratures(3):
+            assert np.max(np.abs(op - op.conj().T)) < 1e-14
 
     def test_canonical_commutator_below_cutoff(self):
-        cfg = HilbertConfig(4, 1)
-        x, p = quadrature_operators(cfg, 0)
-        comm = x.elements @ p.elements - p.elements @ x.elements
+        x, p, _, _ = _one_mode_quadratures(4)
+        comm = x @ p - p @ x
         np.testing.assert_allclose(comm[:4, :4], 1j * np.eye(4), atol=1e-12)
 
 
@@ -117,11 +144,35 @@ class TestCovarianceSummary:
         assert cov.v_diff == pytest.approx(cov.xx_a + cov.xx_b - 2 * cov.xa_xb, abs=1e-12)
         assert cov.v_sum == pytest.approx(cov.xx_a + cov.xx_b + 2 * cov.xa_xb, abs=1e-12)
 
-    def test_nonzero_first_moment_rejected(self):
-        plus = basis_vector(CFG2, (0, 0)) + basis_vector(CFG2, (1, 0))
-        state = pure_state(CFG2, plus)
-        with pytest.raises(ValueError, match="first moment"):
-            covariance_summary(state)
+    @pytest.mark.parametrize(
+        "name, occupations, phase",
+        [("X_A", (1, 0), 1.0), ("P_A", (1, 0), 1j), ("X_B", (0, 1), 1.0), ("P_B", (0, 1), 1j)],
+        ids=["X_A", "P_A", "X_B", "P_B"],
+    )
+    def test_nonzero_first_moment_rejected(self, name, occupations, phase):
+        # |00> + phase |one photon>: only the named quadrature has a mean
+        vec = basis_vector(CFG2, (0, 0)) + phase * basis_vector(CFG2, occupations)
+        with pytest.raises(ValueError, match=f"first moment <{name}>"):
+            covariance_summary(pure_state(CFG2, vec))
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_matches_kron_reference_on_random_states(self, rng, n_max):
+        cfg = HilbertConfig(n_max, 2)
+        for _ in range(5):
+            state = random_density_matrix(cfg, rng, zero_mean=True)
+            cov = covariance_summary(state)
+            for attr, value in kron_reference_moments(state).items():
+                assert getattr(cov, attr) == pytest.approx(value, abs=1e-13), attr
+
+    @pytest.mark.parametrize("n_max", [3, 6])
+    def test_matches_kron_reference_on_pipeline_states(self, n_max):
+        source = tmsv_state(0.135, HilbertConfig(n_max, 2))
+        lossy = loss_channel(source, 1, np.sqrt(0.05))
+        for g in (2.0, 14.0, 30.0):
+            state, _ = nla_catalysis(lossy, ChannelParams(r=1.0 / g, eta_ancilla=0.65))
+            cov = covariance_summary(state)
+            for attr, value in kron_reference_moments(state).items():
+                assert getattr(cov, attr) == pytest.approx(value, abs=1e-13), attr
 
     def test_cauchy_schwarz_enforced(self):
         with pytest.raises(ValueError, match="Cauchy-Schwarz"):

@@ -77,6 +77,8 @@ class TestConfigValidation:
             ({"gain": {"g_min": 2.0, "g_max": 5.0, "steps": 10**15}}, "gain.steps"),
             ({"sample_count": MAX_SAMPLE_COUNT + 1}, "sample_count"),
             ({"sample_count": 10**15}, "sample_count"),
+            ({"gamma": 0.0}, "gamma"),
+            ({"gamma": -0.1}, "gamma"),
         ],
     )
     def test_field_level_errors(self, overrides, field):
@@ -113,8 +115,8 @@ class TestConfigValidation:
             assert err.value.field == "config"
 
     def test_integral_numbers_accepted_for_floats(self):
-        config = loss_scenario(gamma=0, eta_a=1, gain={"g": 3})
-        assert config.gamma == 0 and config.gain.g == 3
+        config = loss_scenario(eta_a=1, gain={"g": 3})
+        assert config.eta_a == 1 and config.gain.g == 3
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -241,8 +243,9 @@ class TestRunScenario:
         assert abs(sp.v_sum - full.v_sum) / full.v_sum < 0.02
 
     def test_impossible_rows_skipped_not_fatal(self):
+        # herald probabilities 7.5e-19 and 9.4e-19, below the impossible-branch floor
         config = ScenarioConfig.from_dict(
-            {"gamma": 0.0, "degrade": {"mode": "none"},
+            {"gamma": 1e-9, "degrade": {"mode": "none"},
              "gain": {"g_min": 2.0, "g_max": 4.0, "steps": 2},
              "eta_ancilla": 0.0, "model": "full_numeric"}
         )
@@ -452,6 +455,24 @@ class TestCli:
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 2
         assert capsys.readouterr().err.startswith("config error: config: cannot read")
+
+    @pytest.mark.parametrize("command", ["sweep", "sample", "equiv"])
+    def test_zero_gamma_exits_2(self, capsys, command):
+        # gamma = 0 has no gain-to-beta map; refused before any runner starts
+        argv = [command, "--preset", "losschannel", "--gamma", "0", "--gain.g", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: gamma:")
+
+    @pytest.mark.parametrize(
+        "variances",
+        [("--v-diff=nan", "--v-sum=1.2"), ("--v-diff=inf", "--v-sum=1.2"),
+         ("--v-diff=-inf", "--v-sum=1.2"), ("--v-diff=0.9", "--v-sum=nan")],
+        ids=["nan-v_diff", "inf-v_diff", "minus-inf-v_diff", "nan-v_sum"],
+    )
+    def test_non_finite_variances_exit_2(self, capsys, variances):
+        # a NaN or infinity would reach the report as a token JSON does not allow
+        assert main(["equiv", "--preset", "losschannel", *variances]) == 2
+        assert capsys.readouterr().err.startswith("config error: variances:")
 
     def test_strict_equiv_exit_code(self, capsys):
         code = main([
