@@ -3,10 +3,7 @@ squeezed light by noiseless linear amplification, with analytic reference
 models, entanglement measures, and an equivalent-state solver."""
 
 from .channels import (
-    ChannelParams,
     HeraldingImpossibleError,
-    ancilla_photon,
-    beamsplitter,
     beamsplitter_unitary,
     catalysis_kraus_operators,
     herald_click,
@@ -21,20 +18,14 @@ from .fock import (
     DensityMatrix,
     HilbertConfig,
     InvalidStateError,
-    OperatorMatrix,
     annihilation_operator,
     apply_mode_kraus,
     apply_unitary,
     basis_vector,
-    creation_operator,
-    expectation,
-    fidelity_with_pure,
     normalize,
-    number_operator,
     partial_trace,
     pure_state,
     tensor_product,
-    total_number_operator,
     vacuum_state,
 )
 from .models import (

@@ -1,9 +1,9 @@
 """State preparation and physical channels for the distillation circuit.
 
-Provides the two-mode squeezed vacuum source, photon loss, the heralded
-single-photon ancilla, the mixing beamsplitter, click heralding, and the
-noiseless-amplification step (quantum catalysis), which composes the last
-three into one heralded Kraus map on the signal mode.
+Provides the two-mode squeezed vacuum source, photon loss, the mixing
+beamsplitter, click heralding, and the noiseless-amplification step (quantum
+catalysis), which composes a heralded single-photon ancilla, the
+beamsplitter and the click into one heralded Kraus map on the signal mode.
 
 Sign conventions, pinned once so every downstream number is reproducible:
 
@@ -19,7 +19,6 @@ cross-correlation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, cos, radians
 
 import numpy as np
@@ -29,10 +28,8 @@ from . import tolerances
 from .fock import (
     DensityMatrix,
     HilbertConfig,
-    OperatorMatrix,
     annihilation_operator,
     apply_mode_kraus,
-    apply_unitary,
     normalize,
     partial_trace,
     pure_state,
@@ -45,28 +42,6 @@ class HeraldingImpossibleError(ValueError):
     def __init__(self, probability: float):
         self.probability = probability
         super().__init__(f"heralding probability {probability:.3e} is vanishing")
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Physical knobs of one catalysis step.
-
-    r            beamsplitter amplitude reflectivity; the NLA gain is g = 1/r
-    eta_ancilla  single-photon preparation efficiency of the ancilla source
-    """
-
-    r: float = 0.1
-    eta_ancilla: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.r <= 1.0:
-            raise ValueError(f"r must be in (0, 1], got {self.r}")
-        if not 0.0 <= self.eta_ancilla <= 1.0:
-            raise ValueError(f"eta_ancilla must be in [0, 1], got {self.eta_ancilla}")
-
-    @property
-    def gain(self) -> float:
-        return 1.0 / self.r
 
 
 def _check_gamma(gamma: float) -> None:
@@ -127,21 +102,9 @@ def loss_channel(state: DensityMatrix, mode: int, tau: float) -> DensityMatrix:
     return DensityMatrix(state.config, apply_mode_kraus(state, mode, ops))
 
 
-def ancilla_photon(eta: float, config: HilbertConfig) -> DensityMatrix:
-    """Heralded ancilla: single photon with probability eta, else vacuum."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    if config.mode_count != 1:
-        raise ValueError("ancilla lives in a single mode")
-    diag = np.zeros(config.dim)
-    diag[0] = 1.0 - eta
-    diag[1] = eta
-    return DensityMatrix(config, np.diag(diag).astype(complex))
-
-
 def beamsplitter_unitary(
     config: HilbertConfig, mode_a: int, mode_b: int, r: float
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Beamsplitter unitary exp(theta (a^dag b - a b^dag)), sin(theta) = r.
 
     In the single-photon sector this is [[t, r], [-r, t]] on (|1 0>, |0 1>):
@@ -155,18 +118,11 @@ def beamsplitter_unitary(
         raise ValueError("beamsplitter needs two distinct modes")
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"reflectivity must be in [0, 1], got {r}")
-    a = annihilation_operator(config, mode_a).elements
-    b = annihilation_operator(config, mode_b).elements
+    a = annihilation_operator(config, mode_a)
+    b = annihilation_operator(config, mode_b)
     generator = a.conj().T @ b - a @ b.conj().T
     theta = np.arcsin(r)
-    return OperatorMatrix(config, expm(theta * generator))
-
-
-def beamsplitter(
-    state: DensityMatrix, mode_a: int, mode_b: int, r: float
-) -> DensityMatrix:
-    """Mix two modes on a beamsplitter of amplitude reflectivity r."""
-    return apply_unitary(state, beamsplitter_unitary(state.config, mode_a, mode_b, r))
+    return expm(theta * generator)
 
 
 def herald_click(state: DensityMatrix, mode: int) -> tuple[DensityMatrix, float]:
@@ -206,7 +162,7 @@ def catalysis_kraus_operators(n_max: int, r: float, eta: float) -> np.ndarray:
     # the ancilla enters port 1 and reaches port 0 with amplitude +r, so
     # port 0 is the detector: u[n, k, b, j] = <n, k| U |b, j> with detector
     # n, surviving output k, signal b and ancilla j
-    u = beamsplitter_unitary(HilbertConfig(n_max, 2), 0, 1, r).elements
+    u = beamsplitter_unitary(HilbertConfig(n_max, 2), 0, 1, r)
     u = u.reshape(d, d, d, d)[..., :2]
     gram = np.einsum("nkbj,nkcj->jbc", u.conj(), u)
     defect = np.max(np.abs(gram - np.eye(d)))
@@ -217,26 +173,28 @@ def catalysis_kraus_operators(n_max: int, r: float, eta: float) -> np.ndarray:
 
 
 def nla_catalysis(
-    epr: DensityMatrix, params: ChannelParams
+    epr: DensityMatrix, r: float, eta_ancilla: float
 ) -> tuple[DensityMatrix, float]:
     """One noiseless-amplification step on mode B of a two-mode state.
 
-    The signal mode interferes with a heralded single-photon ancilla on a
-    beamsplitter of reflectivity r; a click of the detector watching the
-    port into which the ancilla is reflected heralds success.  The surviving
+    The signal mode interferes with a single-photon ancilla, prepared with
+    efficiency eta_ancilla, on a beamsplitter of amplitude reflectivity r
+    (the NLA gain is g = 1/r); a click of the detector watching the port
+    into which the ancilla is reflected heralds success.  The surviving
     output port (carrying the transmitted ancilla plus the reflected signal)
     replaces mode B of the returned two-mode state.
 
     The step runs as the heralded Kraus map of `catalysis_kraus_operators`
-    on mode B; the three-mode circuit (tensor_product, beamsplitter,
-    herald_click) gives the same state without ever being built.
+    on mode B.  The three-mode circuit (ancilla, beamsplitter, click) is
+    never built here; the tests keep it as an oracle and check that it gives
+    the same state.
 
     Returns the distilled state and the heralding probability.  For a
     vacuum-signal input the probability is exactly eta_ancilla * r^2.
     """
     if epr.config.mode_count != 2:
         raise ValueError("catalysis expects a 2-mode input state")
-    kraus = catalysis_kraus_operators(epr.config.n_max, params.r, params.eta_ancilla)
+    kraus = catalysis_kraus_operators(epr.config.n_max, r, eta_ancilla)
     branch = apply_mode_kraus(epr, 1, kraus)
     prob = float(np.real(np.trace(branch)))
     if prob <= tolerances.HERALD_MIN_PROBABILITY:

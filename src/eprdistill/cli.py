@@ -109,14 +109,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
-    config = _scenario_from_args(args)
-    report = run_sampling(config)
-    if args.output:
-        write_json_report(report, args.output)
+def _write_report(report: dict, output) -> None:
+    """Write a JSON report to `output`, or to stdout when no path is given."""
+    if output:
+        write_json_report(report, output)
     else:
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
+
+
+def _cmd_sample(args: argparse.Namespace) -> int:
+    config = _scenario_from_args(args)
+    report = run_sampling(config)
+    _write_report(report, args.output)
     return 0
 
 
@@ -128,11 +133,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     if args.v_diff is not None:
         variances = (args.v_diff, args.v_sum)
     report = run_equivalence(config, variances)
-    if args.output:
-        write_json_report(report, args.output)
-    else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    _write_report(report, args.output)
     if args.strict and any(row["status"] == "infeasible" for row in report["rows"]):
         print("error: infeasible equivalent-state solve (--strict)", file=sys.stderr)
         return 3

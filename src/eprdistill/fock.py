@@ -1,8 +1,8 @@
 """Dense linear algebra over truncated multimode Fock spaces.
 
-States and operators are immutable value objects: every operation returns a
-new instance and the backing arrays are marked read-only, so independent
-scenarios can safely be evaluated concurrently.
+States are immutable value objects: every operation returns a new instance
+and the backing arrays are marked read-only, so independent scenarios can
+safely be evaluated concurrently.  Operators are plain numpy arrays.
 
 Mode ordering is little-endian: mode 0 is the slowest (leftmost) tensor
 factor, i.e. the flat index of |n_0, n_1, ..> is n_0 * d^(M-1) + n_1 * d^(M-2)
@@ -85,30 +85,6 @@ class HilbertConfig:
 
 
 @dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense operator on the full truncated space."""
-
-    config: HilbertConfig
-    elements: np.ndarray
-
-    def __post_init__(self):
-        elems = _frozen(self.elements)
-        if elems.shape != (self.config.dim, self.config.dim):
-            raise ValueError(
-                f"operator shape {elems.shape} does not match dimension {self.config.dim}"
-            )
-        object.__setattr__(self, "elements", elems)
-
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.config, self.elements.conj().T)
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.config != other.config:
-            raise ValueError("operator dimension mismatch")
-        return OperatorMatrix(self.config, self.elements @ other.elements)
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian PSD matrix over the multimode Fock basis, trace in (0, 1].
 
@@ -141,46 +117,19 @@ class DensityMatrix:
         return float(np.real(np.trace(self.elements)))
 
 
-def identity_operator(config: HilbertConfig) -> OperatorMatrix:
-    return OperatorMatrix(config, np.eye(config.dim))
-
-
-def _embed(config: HilbertConfig, single: np.ndarray, mode: int) -> np.ndarray:
-    """Tensor a per-mode matrix with identities on the other modes."""
-    config.check_mode(mode)
-    d = config.dim_per_mode
-    out = np.array([[1.0 + 0.0j]])
-    for m in range(config.mode_count):
-        factor = single if m == mode else np.eye(d)
-        out = np.kron(out, factor)
-    return out
-
-
-def annihilation_operator(config: HilbertConfig, mode: int) -> OperatorMatrix:
+def annihilation_operator(config: HilbertConfig, mode: int) -> np.ndarray:
     """Ladder operator a acting on one mode: a|n> = sqrt(n) |n-1>.
 
     The cutoff row n_max maps down like any other; nothing maps up past the
     cutoff, so a a^dag deviates from a^dag a + 1 only in the top level.
     """
+    config.check_mode(mode)
     d = config.dim_per_mode
     single = np.diag(np.sqrt(np.arange(1, d)), k=1).astype(complex)
-    return OperatorMatrix(config, _embed(config, single, mode))
-
-
-def creation_operator(config: HilbertConfig, mode: int) -> OperatorMatrix:
-    return annihilation_operator(config, mode).dag()
-
-
-def number_operator(config: HilbertConfig, mode: int) -> OperatorMatrix:
-    a = annihilation_operator(config, mode)
-    return a.dag() @ a
-
-
-def total_number_operator(config: HilbertConfig) -> OperatorMatrix:
-    total = np.zeros((config.dim, config.dim), dtype=complex)
-    for mode in range(config.mode_count):
-        total += number_operator(config, mode).elements
-    return OperatorMatrix(config, total)
+    out = np.array([[1.0 + 0.0j]])
+    for m in range(config.mode_count):
+        out = np.kron(out, single if m == mode else np.eye(d))
+    return out
 
 
 def basis_vector(config: HilbertConfig, occupations) -> np.ndarray:
@@ -212,15 +161,15 @@ def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(joint, np.kron(a.elements, b.elements))
 
 
-def apply_unitary(state: DensityMatrix, u: OperatorMatrix) -> DensityMatrix:
+def apply_unitary(state: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     """Conjugate the state: rho -> U rho U^dag.  Trace is preserved."""
-    if u.config != state.config:
-        raise ValueError("unitary dimension mismatch")
-    um = u.elements
-    defect = np.max(np.abs(um.conj().T @ um - np.eye(state.config.dim)))
+    dim = state.config.dim
+    if u.shape != (dim, dim):
+        raise ValueError(f"unitary shape {u.shape} does not match dimension {dim}")
+    defect = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
     if defect > tolerances.UNITARITY_ATOL:
         raise ValueError(f"operator is not unitary: max defect {defect:.3e}")
-    return DensityMatrix(state.config, um @ state.elements @ um.conj().T)
+    return DensityMatrix(state.config, u @ state.elements @ u.conj().T)
 
 
 def partial_trace(state: DensityMatrix, mode: int) -> DensityMatrix:
@@ -259,13 +208,6 @@ def apply_mode_kraus(state: DensityMatrix, mode: int, ops) -> np.ndarray:
     return out.transpose(2, 0, 3, 4, 1, 5).reshape(cfg.dim, cfg.dim)
 
 
-def expectation(state: DensityMatrix, op: OperatorMatrix) -> complex:
-    """Tr(rho O).  Real up to rounding when O is Hermitian."""
-    if op.config != state.config:
-        raise ValueError("operator dimension mismatch")
-    return complex(np.trace(state.elements @ op.elements))
-
-
 def normalize(state: DensityMatrix) -> tuple[DensityMatrix, float]:
     """Split a sub-normalized branch into (trace-one state, probability)."""
     prob = state.trace
@@ -275,9 +217,3 @@ def normalize(state: DensityMatrix) -> tuple[DensityMatrix, float]:
         )
     return DensityMatrix(state.config, state.elements / prob), prob
 
-
-def fidelity_with_pure(state: DensityMatrix, amplitudes: np.ndarray) -> float:
-    """Fidelity <psi|rho|psi> against a pure target (normalized internally)."""
-    vec = np.asarray(amplitudes, dtype=complex)
-    vec = vec / np.linalg.norm(vec)
-    return float(np.real(vec.conj() @ state.elements @ vec))

@@ -148,9 +148,12 @@ def duan_inseparability(cov: CovarianceSummary) -> DuanResult:
     I(a) is the Rayleigh quotient of the 2x2 matrix [[n_A, -k], [-k, n_B]]
     with n_i = xx_i + pp_i and k = xa_xb - pa_pb, evaluated at (1, a), so the
     minimum is its smaller eigenvalue and a* follows from the eigenvector
-    (the stationarity condition k a^2 + a (n_B - n_A) - k = 0).  Physical
-    states here have k > 0 and hence a* > 0.  When both k vanishes and
-    n_A = n_B every a is optimal and a* = 1 is returned by convention.
+    (the stationarity condition k a^2 + a (n_B - n_A) - k = 0).  a* has the
+    sign of k, since n_A - I >= 0.  k is negative at low gain, where the
+    catalysis output is dominated by the signal reflected with amplitude -r
+    (losschannel at n_max = 3 gives a* < 0 for g = 1 and 1.25, a* > 0 for
+    g = 1.5).  When both k vanishes and n_A = n_B
+    every a is optimal and a* = 1 is returned by convention.
     """
     n_a = cov.xx_a + cov.pp_a
     n_b = cov.xx_b + cov.pp_b

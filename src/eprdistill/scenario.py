@@ -18,7 +18,6 @@ from dataclasses import MISSING, Field, asdict, dataclass, field, fields, is_dat
 import numpy as np
 
 from .channels import (
-    ChannelParams,
     HeraldingImpossibleError,
     loss_channel,
     nla_catalysis,
@@ -329,7 +328,7 @@ def build_distilled_state(config: ScenarioConfig, g: float) -> tuple[DensityMatr
     state = tmsv_state(config.effective_gamma, space)
     if config.degrade.mode == "loss":
         state = loss_channel(state, 1, config.tau)
-    return nla_catalysis(state, ChannelParams(r=1.0 / g, eta_ancilla=config.eta_ancilla))
+    return nla_catalysis(state, 1.0 / g, config.eta_ancilla)
 
 
 def evaluate_gain_point(config: ScenarioConfig, g: float) -> SweepRow:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eprdistill import DensityMatrix, HilbertConfig
+from eprdistill import DensityMatrix, HilbertConfig, apply_unitary, beamsplitter_unitary
 
 
 def parity_vector(config: HilbertConfig) -> np.ndarray:
@@ -38,6 +38,35 @@ def kron_kraus_sum(state, mode, ops):
             full = np.kron(full, op if m == mode else eye)
         out += full @ state.elements @ full.conj().T
     return out
+
+
+def fidelity(state: DensityMatrix, amplitudes: np.ndarray) -> float:
+    """Fidelity <psi|rho|psi> against a pure target (normalized here)."""
+    v = np.asarray(amplitudes, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return float(np.real(v.conj() @ state.elements @ v))
+
+
+# Three-mode oracle of the catalysis circuit: the heralded ancilla and the
+# full-space beamsplitter, which the library replaces by one Kraus map on
+# the signal mode.
+
+
+def ancilla_photon(eta: float, config: HilbertConfig) -> DensityMatrix:
+    """Heralded ancilla: single photon with probability eta, else vacuum."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    if config.mode_count != 1:
+        raise ValueError("ancilla lives in a single mode")
+    diag = np.zeros(config.dim)
+    diag[0] = 1.0 - eta
+    diag[1] = eta
+    return DensityMatrix(config, np.diag(diag).astype(complex))
+
+
+def beamsplitter(state: DensityMatrix, mode_a: int, mode_b: int, r: float) -> DensityMatrix:
+    """Mix two modes on a beamsplitter of amplitude reflectivity r."""
+    return apply_unitary(state, beamsplitter_unitary(state.config, mode_a, mode_b, r))
 
 
 @pytest.fixture

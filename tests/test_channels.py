@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from eprdistill import (
-    ChannelParams,
+    DensityMatrix,
     HeraldingImpossibleError,
     HilbertConfig,
-    ancilla_photon,
+    apply_mode_kraus,
     basis_vector,
-    beamsplitter,
     beamsplitter_unitary,
     catalysis_kraus_operators,
     covariance_summary,
-    expectation,
-    fidelity_with_pure,
     herald_click,
     loss_channel,
     loss_kraus_operators,
@@ -21,11 +18,16 @@ from eprdistill import (
     pure_state,
     tensor_product,
     tmsv_state,
-    total_number_operator,
     vacuum_state,
 )
 
-from conftest import kron_kraus_sum, random_density_matrix
+from conftest import (
+    ancilla_photon,
+    beamsplitter,
+    fidelity,
+    kron_kraus_sum,
+    random_density_matrix,
+)
 
 CFG2 = HilbertConfig(n_max=3, mode_count=2)
 CFG1 = HilbertConfig(n_max=3, mode_count=1)
@@ -185,7 +187,7 @@ class TestBeamsplitter:
         # photon in mode_a goes to (t, -r) on {|1 0>, |0 1>}
         r = 0.3
         t = np.sqrt(1 - r * r)
-        u = beamsplitter_unitary(CFG2, 0, 1, r).elements
+        u = beamsplitter_unitary(CFG2, 0, 1, r)
         out = u @ basis_vector(CFG2, (1, 0))
         assert out[CFG2.index_of((1, 0))] == pytest.approx(t)
         assert out[CFG2.index_of((0, 1))] == pytest.approx(-r)
@@ -209,16 +211,16 @@ class TestBeamsplitter:
 
     def test_unitarity_on_reflectivity_grid(self):
         for r in (0.0, 0.1, 0.5, 1.0 / np.sqrt(2.0), 0.99, 1.0):
-            u = beamsplitter_unitary(CFG2, 0, 1, r).elements
+            u = beamsplitter_unitary(CFG2, 0, 1, r)
             assert np.max(np.abs(u.conj().T @ u - np.eye(CFG2.dim))) < 1e-10
 
     def test_total_photon_number_conserved(self, rng):
-        n_op = total_number_operator(CFG2)
+        n_op = np.diag(CFG2.mode_occupations(0) + CFG2.mode_occupations(1))
         for r in (0.2, 0.7):
             rho = random_density_matrix(CFG2, rng)
             out = beamsplitter(rho, 0, 1, r)
-            before = expectation(rho, n_op).real
-            after = expectation(out, n_op).real
+            before = np.trace(rho.elements @ n_op).real
+            after = np.trace(out.elements @ n_op).real
             assert after == pytest.approx(before, abs=1e-10)
 
     def test_same_mode_rejected(self):
@@ -270,16 +272,15 @@ class TestNlaCatalysis:
         epr = random_density_matrix(cfg, rng)
         for r in (0.05, 0.3, 1.0):
             for eta in (0.0, 0.65, 1.0):
-                params = ChannelParams(r=r, eta_ancilla=eta)
                 if r == 1.0 and eta == 0.0:
                     # full reflection sends only the (absent) ancilla photon
                     # to the detector: no click on either path
                     with pytest.raises(HeraldingImpossibleError):
                         three_mode_catalysis(epr, r, eta)
                     with pytest.raises(HeraldingImpossibleError):
-                        nla_catalysis(epr, params)
+                        nla_catalysis(epr, r, eta)
                     continue
-                out, prob = nla_catalysis(epr, params)
+                out, prob = nla_catalysis(epr, r, eta)
                 ref, ref_prob = three_mode_catalysis(epr, r, eta)
                 assert out.config == ref.config
                 np.testing.assert_allclose(out.elements, ref.elements, rtol=0.0, atol=1e-12)
@@ -290,7 +291,7 @@ class TestNlaCatalysis:
         vac = vacuum_state(HilbertConfig(n_max, 2))
         for r in (0.05, 0.3, 1.0):
             with pytest.raises(HeraldingImpossibleError):
-                nla_catalysis(vac, ChannelParams(r=r, eta_ancilla=0.0))
+                nla_catalysis(vac, r, 0.0)
             with pytest.raises(HeraldingImpossibleError):
                 three_mode_catalysis(vac, r, 0.0)
 
@@ -307,9 +308,7 @@ class TestNlaCatalysis:
     def test_vacuum_signal_heralds_at_eta_r_squared(self):
         for eta in (0.5, 0.65, 1.0):
             for r in (0.05, 0.1, 0.3):
-                out, prob = nla_catalysis(
-                    tmsv_state(0.0, CFG2), ChannelParams(r=r, eta_ancilla=eta)
-                )
+                out, prob = nla_catalysis(tmsv_state(0.0, CFG2), r, eta)
                 assert abs(prob - eta * r * r) < 1e-10
                 np.testing.assert_allclose(
                     out.elements, vacuum_state(CFG2).elements, atol=1e-12
@@ -317,26 +316,22 @@ class TestNlaCatalysis:
 
     def test_impossible_at_zero_eta_and_zero_gamma(self):
         with pytest.raises(HeraldingImpossibleError):
-            nla_catalysis(tmsv_state(0.0, CFG2), ChannelParams(r=0.1, eta_ancilla=0.0))
+            nla_catalysis(tmsv_state(0.0, CFG2), 0.1, 0.0)
 
     def test_approaches_two_term_superposition(self):
         # weak squeezing, weak reflectivity: the heralded state approaches
         # the superposition of |00> and |11> with weights (r, gamma*tau);
         # the relative sign follows the positive-correlation convention
         gamma, r = 0.01, 0.01
-        out, _ = nla_catalysis(
-            tmsv_state(gamma, CFG2), ChannelParams(r=r, eta_ancilla=1.0)
-        )
+        out, _ = nla_catalysis(tmsv_state(gamma, CFG2), r, 1.0)
         target = r * basis_vector(CFG2, (0, 0)) + gamma * basis_vector(CFG2, (1, 1))
-        assert fidelity_with_pure(out, target) >= 0.999
+        assert fidelity(out, target) >= 0.999
 
     def test_vacuum_ancilla_leaves_lone_photon_branch(self):
         # eta = 0: the only click path transmits the signal photon, leaving
         # a photon in mode A and vacuum in mode B
         gamma, r = 0.01, 0.1
-        out, prob = nla_catalysis(
-            tmsv_state(gamma, CFG2), ChannelParams(r=r, eta_ancilla=0.0)
-        )
+        out, prob = nla_catalysis(tmsv_state(gamma, CFG2), r, 0.0)
         i10 = CFG2.index_of((1, 0))
         assert np.real(out.elements[i10, i10]) > 0.999
         t_sq = 1.0 - r * r
@@ -350,7 +345,7 @@ class TestNlaCatalysis:
         # artifact because signal + ancilla can exceed n_max photons
         gamma = 0.1
         epr = tmsv_state(gamma, CFG2)
-        out, prob = nla_catalysis(epr, ChannelParams(r=1.0, eta_ancilla=1.0))
+        out, prob = nla_catalysis(epr, 1.0, 1.0)
         assert prob == pytest.approx(1.0, abs=1e-12)
         below = (CFG2.mode_occupations(0) <= 2) & (CFG2.mode_occupations(1) <= 2)
         np.testing.assert_allclose(
@@ -361,16 +356,16 @@ class TestNlaCatalysis:
         assert np.max(np.abs(np.abs(out.elements) - np.abs(epr.elements))) < 5e-3
         # the click heralds exactly the ancilla photon at full reflectivity,
         # so its probability equals the preparation efficiency
-        _, prob_eta = nla_catalysis(epr, ChannelParams(r=1.0, eta_ancilla=0.65))
+        _, prob_eta = nla_catalysis(epr, 1.0, 0.65)
         assert prob_eta == pytest.approx(0.65, abs=1e-12)
         with pytest.raises(HeraldingImpossibleError):
-            nla_catalysis(epr, ChannelParams(r=1.0, eta_ancilla=0.0))
+            nla_catalysis(epr, 1.0, 0.0)
 
     def test_herald_probability_monotone_in_eta(self):
         epr = tmsv_state(0.1, CFG2)
         for r in (0.1, 0.3):
             probs = [
-                nla_catalysis(epr, ChannelParams(r=r, eta_ancilla=eta))[1]
+                nla_catalysis(epr, r, eta)[1]
                 for eta in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
             ]
             assert all(b >= a for a, b in zip(probs, probs[1:]))
@@ -387,3 +382,36 @@ class TestNlaCatalysis:
         )
         _, prob = herald_click(mixed, 1)
         assert prob == pytest.approx(masked_trace, abs=1e-12)
+
+
+class TestDeltaBlockStructure:
+    """States block-diagonal in Delta = n_A - n_B stay so through the channels.
+
+    Every single-mode Kraus operator here shifts the photon number by a fixed
+    amount, so an element whose row and column Delta differ can only be fed
+    by elements that are already zero.
+    """
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_loss_and_catalysis_keep_off_block_elements_zero(self, rng, n_max):
+        cfg = HilbertConfig(n_max, 2)
+        delta = cfg.mode_occupations(0) - cfg.mode_occupations(1)
+        off_block = delta[:, None] != delta[None, :]
+
+        def check(elements):
+            assert np.all(elements[off_block] == 0.0)
+            assert np.real(np.trace(elements)) <= 1.0 + 1e-12
+
+        for _ in range(20):
+            # zeroing the off-block elements leaves the PSD diagonal blocks
+            rho = random_density_matrix(cfg, rng).elements * ~off_block
+            state = DensityMatrix(cfg, rho)
+            tau_a, tau_b = rng.uniform(0.0, 1.0, size=2)
+            r, eta = rng.uniform(0.05, 1.0, size=2)
+            state = loss_channel(loss_channel(state, 0, tau_a), 1, tau_b)
+            check(state.elements)
+            branch = apply_mode_kraus(state, 1, catalysis_kraus_operators(n_max, r, eta))
+            check(branch)
+            out, prob = nla_catalysis(state, r, eta)
+            check(out.elements)
+            assert prob == pytest.approx(np.real(np.trace(branch)), rel=1e-14, abs=0.0)

@@ -6,23 +6,18 @@ from eprdistill import (
     DensityMatrix,
     HilbertConfig,
     InvalidStateError,
-    OperatorMatrix,
     annihilation_operator,
     apply_mode_kraus,
     apply_unitary,
     basis_vector,
     beamsplitter_unitary,
-    creation_operator,
-    expectation,
     loss_channel,
     normalize,
-    number_operator,
     partial_trace,
     pure_state,
     tensor_product,
     vacuum_state,
 )
-from eprdistill.fock import identity_operator
 
 from conftest import kron_kraus_sum, random_density_matrix
 
@@ -58,21 +53,21 @@ class TestHilbertConfig:
 class TestAnnihilation:
     def test_minimal_ladder(self):
         cfg = HilbertConfig(n_max=1, mode_count=1)
-        a = annihilation_operator(cfg, 0).elements
+        a = annihilation_operator(cfg, 0)
         expected = np.zeros((2, 2))
         expected[0, 1] = 1.0
         np.testing.assert_allclose(a, expected)
 
     def test_lowers_two_photon_state(self):
         cfg = HilbertConfig(n_max=3, mode_count=1)
-        a = annihilation_operator(cfg, 0).elements
+        a = annihilation_operator(cfg, 0)
         lowered = a @ basis_vector(cfg, (2,))
         np.testing.assert_allclose(lowered, np.sqrt(2.0) * basis_vector(cfg, (1,)))
 
     def test_commutator_below_cutoff(self):
         # a a^dag - a^dag a equals 1 on n < n_max; the cutoff level deviates
         cfg = HilbertConfig(n_max=3, mode_count=1)
-        a = annihilation_operator(cfg, 0).elements
+        a = annihilation_operator(cfg, 0)
         delta = a @ a.conj().T - a.conj().T @ a
         np.testing.assert_allclose(delta[:3, :3], np.eye(3), atol=1e-12)
         assert delta[3, 3] == pytest.approx(-3.0)
@@ -84,7 +79,7 @@ class TestAnnihilation:
 
     def test_embedding_acts_on_addressed_mode_only(self):
         cfg = HilbertConfig(n_max=2, mode_count=2)
-        a1 = annihilation_operator(cfg, 1).elements
+        a1 = annihilation_operator(cfg, 1)
         out = a1 @ basis_vector(cfg, (2, 1))
         np.testing.assert_allclose(out, basis_vector(cfg, (2, 0)))
 
@@ -93,7 +88,7 @@ class TestApplyUnitary:
     def test_identity(self, rng):
         cfg = HilbertConfig(n_max=2, mode_count=2)
         rho = random_density_matrix(cfg, rng)
-        out = apply_unitary(rho, identity_operator(cfg))
+        out = apply_unitary(rho, np.eye(cfg.dim))
         np.testing.assert_allclose(out.elements, rho.elements, atol=1e-14)
 
     def test_vacuum_preserving_unitary_fixes_vacuum(self):
@@ -107,7 +102,7 @@ class TestApplyUnitary:
         for _ in range(5):
             h = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
             h = 0.5 * (h + h.conj().T)
-            u = OperatorMatrix(cfg, expm(1j * h))
+            u = expm(1j * h)
             rho = random_density_matrix(cfg, rng)
             out = apply_unitary(rho, u)
             assert out.trace == pytest.approx(rho.trace, abs=1e-12)
@@ -116,13 +111,13 @@ class TestApplyUnitary:
         cfg = HilbertConfig(n_max=1, mode_count=1)
         rho = vacuum_state(cfg)
         with pytest.raises(ValueError, match="unitary"):
-            apply_unitary(rho, OperatorMatrix(cfg, np.diag([1.0, 2.0])))
+            apply_unitary(rho, np.diag([1.0, 2.0]))
 
     def test_rejects_dimension_mismatch(self):
         small = HilbertConfig(n_max=1, mode_count=1)
         big = HilbertConfig(n_max=2, mode_count=1)
         with pytest.raises(ValueError):
-            apply_unitary(vacuum_state(big), identity_operator(small))
+            apply_unitary(vacuum_state(big), np.eye(small.dim))
 
 
 class TestPartialTrace:
@@ -196,27 +191,6 @@ class TestApplyModeKraus:
             apply_mode_kraus(vacuum_state(cfg), 2, [np.eye(3)])
 
 
-class TestExpectation:
-    def test_vacuum_photon_number_is_zero(self):
-        cfg = HilbertConfig(n_max=3, mode_count=1)
-        assert expectation(vacuum_state(cfg), number_operator(cfg, 0)) == pytest.approx(0.0)
-
-    def test_single_photon_number_is_one(self):
-        cfg = HilbertConfig(n_max=3, mode_count=1)
-        rho = pure_state(cfg, basis_vector(cfg, (1,)))
-        value = expectation(rho, number_operator(cfg, 0))
-        assert value.real == pytest.approx(1.0)
-        assert abs(value.imag) < 1e-12
-
-    def test_identity_gives_trace(self, rng):
-        cfg = HilbertConfig(n_max=2, mode_count=2)
-        rho = random_density_matrix(cfg, rng)
-        scaled = DensityMatrix(cfg, 0.61 * rho.elements)
-        assert expectation(scaled, identity_operator(cfg)).real == pytest.approx(
-            0.61, abs=1e-13
-        )
-
-
 class TestNormalize:
     def test_unit_trace_unchanged(self, rng):
         cfg = HilbertConfig(n_max=2, mode_count=1)
@@ -278,9 +252,3 @@ class TestStateInvariants:
         two = apply_unitary(loss_channel(rho, 2, 0.7), u)
         assert np.max(np.abs(one.elements - two.elements)) < 1e-12
 
-
-def test_creation_is_adjoint_of_annihilation():
-    cfg = HilbertConfig(n_max=3, mode_count=2)
-    a = annihilation_operator(cfg, 1).elements
-    adag = creation_operator(cfg, 1).elements
-    np.testing.assert_allclose(adag, a.conj().T)

@@ -96,7 +96,7 @@ class TestSinglePhotonModel:
     def test_matches_full_numeric_deep_in_weak_regime(self):
         # tiny gamma*tau: the numeric circuit and the analytic model must
         # agree to a fraction of a percent
-        from eprdistill import ChannelParams, nla_catalysis
+        from eprdistill import nla_catalysis
 
         gamma, tau2 = 0.0135, 0.0005
         tau = np.sqrt(tau2)
@@ -104,9 +104,7 @@ class TestSinglePhotonModel:
         gain = 1.0 / (beta * gamma * tau)
         cfg = HilbertConfig(3, 2)
         state = loss_channel(tmsv_state(gamma, cfg), 1, tau)
-        distilled, _ = nla_catalysis(
-            state, ChannelParams(r=1.0 / gain, eta_ancilla=0.65)
-        )
+        distilled, _ = nla_catalysis(state, 1.0 / gain, 0.65)
         numeric = covariance_summary(distilled)
         model = sp_model_covariance(gamma, tau, gain, eta=0.65)
         assert numeric.v_diff == pytest.approx(model.v_diff, rel=2e-3)
@@ -231,7 +229,7 @@ class TestModelAgreementOrdering:
     def test_discrepancy_shrinks_with_weaker_coupling(self):
         # |v_diff(analytic) - v_diff(numeric)| must fall monotonically as
         # gamma*tau drops through 3e-2, 3e-3, 3e-4 at fixed beta
-        from eprdistill import ChannelParams, nla_catalysis
+        from eprdistill import nla_catalysis
 
         tau = np.sqrt(0.05)
         cfg = HilbertConfig(3, 2)
@@ -239,9 +237,7 @@ class TestModelAgreementOrdering:
         def discrepancy(gamma, beta):
             gain = 1.0 / (beta * gamma * tau)
             state = loss_channel(tmsv_state(gamma, cfg), 1, tau)
-            distilled, _ = nla_catalysis(
-                state, ChannelParams(r=1.0 / gain, eta_ancilla=0.65)
-            )
+            distilled, _ = nla_catalysis(state, 1.0 / gain, 0.65)
             numeric = covariance_summary(distilled)
             model = sp_model_covariance(gamma, tau, gain, eta=0.65)
             return abs(numeric.v_diff - model.v_diff)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from eprdistill import (
-    ChannelParams,
     CovarianceSummary,
     HilbertConfig,
+    ScenarioConfig,
     apply_detection_efficiency,
     basis_vector,
     covariance_summary,
@@ -18,8 +18,10 @@ from eprdistill import (
     tmsv_state,
     vacuum_state,
 )
+from eprdistill.cli import load_preset
 from eprdistill.fock import annihilation_operator
 from eprdistill.quadratures import _one_mode_quadratures, hermite_functions
+from eprdistill.scenario import build_distilled_state
 
 from conftest import random_density_matrix
 
@@ -73,7 +75,7 @@ def kron_reference_moments(state):
     rho = np.pad(tensor, [(0, 1)] * 4).reshape(big.dim, big.dim)
     ops = {}
     for mode, name in ((0, "a"), (1, "b")):
-        a = annihilation_operator(big, mode).elements
+        a = annihilation_operator(big, mode)
         ops["x" + name] = (a + a.conj().T) / np.sqrt(2.0)
         ops["p" + name] = (a - a.conj().T) / (1j * np.sqrt(2.0))
 
@@ -169,7 +171,7 @@ class TestCovarianceSummary:
         source = tmsv_state(0.135, HilbertConfig(n_max, 2))
         lossy = loss_channel(source, 1, np.sqrt(0.05))
         for g in (2.0, 14.0, 30.0):
-            state, _ = nla_catalysis(lossy, ChannelParams(r=1.0 / g, eta_ancilla=0.65))
+            state, _ = nla_catalysis(lossy, 1.0 / g, 0.65)
             cov = covariance_summary(state)
             for attr, value in kron_reference_moments(state).items():
                 assert getattr(cov, attr) == pytest.approx(value, abs=1e-13), attr
@@ -242,6 +244,26 @@ class TestDuanInseparability:
             a_scan = golden_section_min(objective, 1e-6, 1e3)
             assert result.value == pytest.approx(objective(a_scan), abs=1e-8)
             assert objective(result.a_star) == pytest.approx(result.value, abs=1e-12)
+
+    @pytest.mark.parametrize("g, sign", [(1.0, -1.0), (1.25, -1.0), (1.5, 1.0)])
+    def test_a_star_takes_the_sign_of_k_at_low_gain(self, g, sign):
+        # at low gain the catalysis output is dominated by the signal that the
+        # beamsplitter reflects with amplitude -r, which makes k < 0
+        config = ScenarioConfig.from_dict(
+            {**load_preset("losschannel"), "n_max": 3, "gain": {"g": g}}
+        )
+        distilled, _ = build_distilled_state(config, g)
+        cov = apply_detection_efficiency(
+            covariance_summary(distilled), config.eta_a, config.eta_b
+        )
+        result = duan_inseparability(cov)
+        n_a, n_b = cov.xx_a + cov.pp_a, cov.xx_b + cov.pp_b
+        k = cov.xa_xb - cov.pa_pb
+        assert np.sign(k) == np.sign(result.a_star) == sign
+        smaller = np.linalg.eigvalsh([[n_a, -k], [-k, n_b]])[0]
+        assert result.value == pytest.approx(smaller, rel=1e-14)
+        if sign < 0:
+            assert result.value < 1.0
 
     def test_degenerate_uncorrelated_symmetric(self):
         cov = CovarianceSummary(0.7, 0.7, 0.7, 0.7, 0.0, 0.0)
