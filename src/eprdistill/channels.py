@@ -22,7 +22,6 @@ from __future__ import annotations
 from math import comb, cos, radians
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import tolerances
 from .fock import (
@@ -111,6 +110,12 @@ def beamsplitter_unitary(
     a photon entering mode_b reaches mode_a with amplitude +r, one entering
     mode_a reaches mode_b with amplitude -r.  Total photon number is
     conserved exactly, including at the cutoff.
+
+    The generator G moves photons only between mode_a and mode_b, so it is
+    block diagonal in n_a + n_b and the other modes' occupations.  Each
+    block is exponentiated on its own, U = V exp(-i theta lambda) V^dag from
+    the eigenpairs of the Hermitian i G, and every element between blocks
+    is exactly 0.0.  U is real.
     """
     config.check_mode(mode_a)
     config.check_mode(mode_b)
@@ -122,7 +127,16 @@ def beamsplitter_unitary(
     b = annihilation_operator(config, mode_b)
     generator = a.conj().T @ b - a @ b.conj().T
     theta = np.arcsin(r)
-    return expm(theta * generator)
+    occ = np.stack([config.mode_occupations(m) for m in range(config.mode_count)])
+    occ[mode_a] += occ[mode_b]
+    occ[mode_b] = 0
+    _, block = np.unique(occ, axis=1, return_inverse=True)
+    u = np.zeros((config.dim, config.dim))
+    for k in range(block.max() + 1):
+        idx = np.ix_(block == k, block == k)
+        lam, vec = np.linalg.eigh(1j * generator[idx])
+        u[idx] = ((vec * np.exp(-1j * theta * lam)) @ vec.conj().T).real
+    return u
 
 
 def herald_click(state: DensityMatrix, mode: int) -> tuple[DensityMatrix, float]:

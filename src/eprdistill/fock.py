@@ -78,11 +78,6 @@ class HilbertConfig:
         stride = d ** (self.mode_count - 1 - mode)
         return (np.arange(self.dim) // stride) % d
 
-    def drop_mode(self) -> "HilbertConfig":
-        if self.mode_count < 2:
-            raise ValueError("cannot drop a mode from a single-mode space")
-        return HilbertConfig(self.n_max, self.mode_count - 1)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -181,7 +176,7 @@ def partial_trace(state: DensityMatrix, mode: int) -> DensityMatrix:
     d, m = cfg.dim_per_mode, cfg.mode_count
     tensor = state.elements.reshape((d,) * (2 * m))
     reduced = np.trace(tensor, axis1=mode, axis2=m + mode)
-    new_cfg = cfg.drop_mode()
+    new_cfg = HilbertConfig(cfg.n_max, m - 1)
     return DensityMatrix(new_cfg, reduced.reshape(new_cfg.dim, new_cfg.dim))
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from eprdistill import (
     DensityMatrix,
     HeraldingImpossibleError,
     HilbertConfig,
+    annihilation_operator,
     apply_mode_kraus,
     basis_vector,
     beamsplitter_unitary,
@@ -230,6 +232,30 @@ class TestBeamsplitter:
     def test_reflectivity_out_of_range(self):
         with pytest.raises(ValueError):
             beamsplitter_unitary(CFG2, 0, 1, 1.2)
+
+    @pytest.mark.parametrize(
+        "mode_count, n_max", [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)]
+    )
+    def test_matches_expm_with_exact_zeros_between_blocks(self, mode_count, n_max):
+        cfg = HilbertConfig(n_max, mode_count)
+        occ = [cfg.mode_occupations(m) for m in range(mode_count)]
+        for mode_a in range(mode_count):
+            for mode_b in range(mode_count):
+                if mode_a == mode_b:
+                    continue
+                a = annihilation_operator(cfg, mode_a)
+                b = annihilation_operator(cfg, mode_b)
+                generator = a.conj().T @ b - a @ b.conj().T
+                # a block is fixed by n_a + n_b and every other occupation
+                labels = [occ[mode_a] + occ[mode_b]] + [
+                    occ[m] for m in range(mode_count) if m not in (mode_a, mode_b)
+                ]
+                same_block = np.all([x[:, None] == x[None, :] for x in labels], axis=0)
+                for r in (0.0, 0.03, 0.3, 1.0 / np.sqrt(2.0), 1.0):
+                    u = beamsplitter_unitary(cfg, mode_a, mode_b, r)
+                    reference = expm(np.arcsin(r) * generator)
+                    assert np.max(np.abs(u - reference)) <= 1e-13
+                    assert np.all(u[~same_block] == 0.0)
 
 
 class TestHeraldClick:

@@ -165,13 +165,21 @@ class TestSolveEquivalent:
         assert "no root" in solved.reason
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the closed-form solve needs no root finder; loading scipy.optimize
-    # would slow every CLI start and raise its memory
-    code = "import eprdistill.cli, sys; print('scipy.optimize' in sys.modules)"
+def test_cli_sweep_and_sample_load_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: importing the CLI and running a
+    # sweep and a sample must load no scipy module at all
+    code = (
+        "import sys, eprdistill.cli as cli\n"
+        "assert cli.main(['sweep', '--preset', 'losschannel', '--gain.g', '8', '--n-max', '4']) == 0\n"
+        "assert cli.main(['sample', '--preset', 'losschannel', '--gain.g', '14',\n"
+        "                 '--sample-count', '20', '--output', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     src = str(Path(eprdistill.__file__).parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code, str(tmp_path / "sample.json")],
+        capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "sample.json").exists()
