@@ -19,7 +19,7 @@ cross-correlation.
 
 from __future__ import annotations
 
-from math import comb, cos, radians
+from math import comb, cos, frexp, radians
 
 import numpy as np
 
@@ -111,11 +111,11 @@ def beamsplitter_unitary(
     mode_a reaches mode_b with amplitude -r.  Total photon number is
     conserved exactly, including at the cutoff.
 
-    The generator G moves photons only between mode_a and mode_b, so it is
-    block diagonal in n_a + n_b and the other modes' occupations.  Each
-    block is exponentiated on its own, U = V exp(-i theta lambda) V^dag from
-    the eigenpairs of the Hermitian i G, and every element between blocks
-    is exactly 0.0.  U is real.
+    The exponential is a Taylor series with scaling and squaring (Moler &
+    Van Loan, SIAM Review 45, 3 (2003)): 14 terms at 1-norm <= 1/2 leave an
+    error below 0.5^15 / 15! < 3e-17.  G conserves n_a + n_b and the other
+    modes' occupations, so it is block diagonal, and every product keeps the
+    elements between blocks exactly 0.0.  U is real.
     """
     config.check_mode(mode_a)
     config.check_mode(mode_b)
@@ -125,18 +125,15 @@ def beamsplitter_unitary(
         raise ValueError(f"reflectivity must be in [0, 1], got {r}")
     a = annihilation_operator(config, mode_a)
     b = annihilation_operator(config, mode_b)
-    generator = a.conj().T @ b - a @ b.conj().T
-    theta = np.arcsin(r)
-    occ = np.stack([config.mode_occupations(m) for m in range(config.mode_count)])
-    occ[mode_a] += occ[mode_b]
-    occ[mode_b] = 0
-    _, block = np.unique(occ, axis=1, return_inverse=True)
-    u = np.zeros((config.dim, config.dim))
-    for k in range(block.max() + 1):
-        idx = np.ix_(block == k, block == k)
-        lam, vec = np.linalg.eigh(1j * generator[idx])
-        u[idx] = ((vec * np.exp(-1j * theta * lam)) @ vec.conj().T).real
-    return u
+    generator = np.arcsin(r) * (a.T @ b - a @ b.T)
+    # the 1-norm is m 2^e with 1/2 <= m < 1, so e + 1 halvings bring it below 1/2
+    squarings = max(0, frexp(np.abs(generator).sum(axis=0).max())[1] + 1)
+    x = generator / 2**squarings
+    term = u = np.eye(config.dim)
+    for k in range(1, 15):
+        term = term @ x / k
+        u = u + term
+    return np.linalg.matrix_power(u, 2**squarings)
 
 
 def herald_click(state: DensityMatrix, mode: int) -> tuple[DensityMatrix, float]:
@@ -178,7 +175,7 @@ def catalysis_kraus_operators(n_max: int, r: float, eta: float) -> np.ndarray:
     # n, surviving output k, signal b and ancilla j
     u = beamsplitter_unitary(HilbertConfig(n_max, 2), 0, 1, r)
     u = u.reshape(d, d, d, d)[..., :2]
-    gram = np.einsum("nkbj,nkcj->jbc", u.conj(), u)
+    gram = np.einsum("nkbj,nkcj->jbc", u, u)
     defect = np.max(np.abs(gram - np.eye(d)))
     if defect > 1e-12:
         raise AssertionError(f"Kraus completeness defect {defect:.3e}")

@@ -97,13 +97,20 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
+def _write_output(write, path) -> None:
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigError("output", f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _scenario_from_args(args)
     result = run_scenario(config)
     for g, reason in result.skipped:
         print(f"warning: skipped g={g:g}: {reason}", file=sys.stderr)
     if args.output:
-        result.write_csv(args.output)
+        _write_output(result.write_csv, args.output)
     else:
         sys.stdout.write(result.to_csv_text())
     return 0
@@ -112,7 +119,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _write_report(report: dict, output) -> None:
     """Write a JSON report to `output`, or to stdout when no path is given."""
     if output:
-        write_json_report(report, output)
+        _write_output(lambda path: write_json_report(report, path), output)
     else:
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -133,6 +140,8 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     if args.v_diff is not None:
         variances = (args.v_diff, args.v_sum)
     report = run_equivalence(config, variances)
+    for entry in report.get("skipped", ()):
+        print(f"warning: skipped g={entry['g']:g}: {entry['reason']}", file=sys.stderr)
     _write_report(report, args.output)
     if args.strict and any(row["status"] == "infeasible" for row in report["rows"]):
         print("error: infeasible equivalent-state solve (--strict)", file=sys.stderr)

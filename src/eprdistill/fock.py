@@ -117,14 +117,12 @@ def annihilation_operator(config: HilbertConfig, mode: int) -> np.ndarray:
 
     The cutoff row n_max maps down like any other; nothing maps up past the
     cutoff, so a a^dag deviates from a^dag a + 1 only in the top level.
+    The real (float64) matrix has sqrt(n) on the diagonal k = stride of
+    `mode`, n the occupation of `mode` at the column index.
     """
     config.check_mode(mode)
-    d = config.dim_per_mode
-    single = np.diag(np.sqrt(np.arange(1, d)), k=1).astype(complex)
-    out = np.array([[1.0 + 0.0j]])
-    for m in range(config.mode_count):
-        out = np.kron(out, single if m == mode else np.eye(d))
-    return out
+    stride = config.dim_per_mode ** (config.mode_count - 1 - mode)
+    return np.diag(np.sqrt(config.mode_occupations(mode)[stride:]), k=stride)
 
 
 def basis_vector(config: HilbertConfig, occupations) -> np.ndarray:

@@ -394,7 +394,10 @@ def run_sampling(config: ScenarioConfig) -> dict:
     if config.gain.is_sweep:
         raise ConfigError("gain", "sampling requires a single gain g, not a sweep")
     g = config.gain.g
-    distilled, herald_p = build_distilled_state(config, g)
+    try:
+        distilled, herald_p = build_distilled_state(config, g)
+    except HeraldingImpossibleError as exc:
+        raise ConfigError("gain.g", f"cannot sample at g={g:g}: {exc}") from exc
     detected = loss_channel(distilled, 0, float(np.sqrt(config.eta_a)))
     detected = loss_channel(detected, 1, float(np.sqrt(config.eta_b)))
     cov = covariance_summary(detected)
@@ -421,10 +424,12 @@ def run_equivalence(
     The equivalent source efficiency of mode A is fixed to the configured
     detector efficiency eta_a.  With explicit `variances` = (v_diff, v_sum)
     a single externally supplied point is solved instead of running the
-    sweep.  Infeasible rows are flagged, never NaN-filled.
+    sweep.  Infeasible rows are flagged, never NaN-filled.  Gains the sweep
+    skips are listed under "skipped", a key present only when there are any.
     """
     config.validate()
     entries = []
+    skipped = []
     if variances is not None:
         v_diff, v_sum = variances
         if not (math.isfinite(v_diff) and math.isfinite(v_sum)):
@@ -436,6 +441,7 @@ def run_equivalence(
             entries.append(
                 {"g": row.g, "beta": row.beta, "v_diff": row.v_diff, "v_sum": row.v_sum}
             )
+        skipped = [{"g": _round12(g), "reason": reason} for g, reason in sweep.skipped]
     table = []
     for entry in entries:
         solved = solve_equivalent(entry["v_diff"], entry["v_sum"], config.eta_a)
@@ -458,6 +464,7 @@ def run_equivalence(
         "config": config.to_dict(),
         "eta_a_eq": _round12(config.eta_a),
         "rows": table,
+        **({"skipped": skipped} if skipped else {}),
     }
 
 

@@ -234,7 +234,8 @@ class TestBeamsplitter:
             beamsplitter_unitary(CFG2, 0, 1, 1.2)
 
     @pytest.mark.parametrize(
-        "mode_count, n_max", [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)]
+        "mode_count, n_max",
+        [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)] + [(2, 10)],
     )
     def test_matches_expm_with_exact_zeros_between_blocks(self, mode_count, n_max):
         cfg = HilbertConfig(n_max, mode_count)
@@ -253,6 +254,7 @@ class TestBeamsplitter:
                 same_block = np.all([x[:, None] == x[None, :] for x in labels], axis=0)
                 for r in (0.0, 0.03, 0.3, 1.0 / np.sqrt(2.0), 1.0):
                     u = beamsplitter_unitary(cfg, mode_a, mode_b, r)
+                    assert u.dtype == np.float64
                     reference = expm(np.arcsin(r) * generator)
                     assert np.max(np.abs(u - reference)) <= 1e-13
                     assert np.all(u[~same_block] == 0.0)

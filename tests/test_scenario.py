@@ -481,6 +481,35 @@ class TestCli:
         ])
         assert code == 3
 
+    # gamma 1e-9 with no ancilla photon heralds with probability 9.989e-19 at g = 30
+    IMPOSSIBLE = ["--preset", "lowsqueeze", "--gamma", "1e-9", "--eta-ancilla", "0",
+                  "--gain.g", "30"]
+
+    def test_sample_with_impossible_herald_exits_2(self, capsys):
+        assert main(["sample", *self.IMPOSSIBLE, "--sample-count", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: gain.g: cannot sample at g=30:")
+        assert "heralding probability 9.989e-19 is vanishing" in err
+
+    def test_equiv_reports_skipped_gains(self, capsys):
+        assert main(["equiv", *self.IMPOSSIBLE]) == 0
+        captured = capsys.readouterr()
+        reason = "heralding probability 9.989e-19 is vanishing"
+        assert captured.err == f"warning: skipped g=30: {reason}\n"
+        report = json.loads(captured.out)
+        assert report["rows"] == []
+        assert report["skipped"] == [{"g": 30.0, "reason": reason}]
+
+    @pytest.mark.parametrize("command", ["sweep", "sample", "equiv"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, target):
+        path = tmp_path / "absent" / "out" if target == "missing-dir" else tmp_path
+        argv = [command, "--preset", "losschannel", "--gain.g", "5", "--output", str(path)]
+        if command == "sample":
+            argv += ["--sample-count", "5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: output: cannot write {path}: ")
+
     def test_sample_subcommand(self, tmp_path):
         out = tmp_path / "samples.json"
         code = main([
