@@ -10,7 +10,7 @@ Sign conventions, pinned once so every downstream number is reproducible:
 * The two-mode squeezed source uses +gamma^n coefficients on |nn>, which
   makes <X_A X_B> positive and the X-difference the squeezed combination.
 * The beamsplitter acts as the real rotation [[t, r], [-r, t]] on the
-  annihilation operators of (mode_a, mode_b), t = sqrt(1 - r^2).
+  annihilation operators of modes (0, 1), t = sqrt(1 - r^2).
 
 With these choices the heralded output of the catalysis step approaches the
 superposition of |00> and |11> with weights (r, gamma*tau) and a positive
@@ -26,6 +26,7 @@ import numpy as np
 from . import tolerances
 from .fock import (
     DensityMatrix,
+    HeraldingImpossibleError,  # raised by normalize; importable from here too
     HilbertConfig,
     annihilation_operator,
     apply_mode_kraus,
@@ -33,14 +34,6 @@ from .fock import (
     partial_trace,
     pure_state,
 )
-
-
-class HeraldingImpossibleError(ValueError):
-    """A click was conditioned on but carries (numerically) zero probability."""
-
-    def __init__(self, probability: float):
-        self.probability = probability
-        super().__init__(f"heralding probability {probability:.3e} is vanishing")
 
 
 def _check_gamma(gamma: float) -> None:
@@ -58,9 +51,9 @@ def tmsv_state(gamma: float, config: HilbertConfig) -> DensityMatrix:
     _check_gamma(gamma)
     if config.mode_count != 2:
         raise ValueError("two-mode squeezed vacuum needs a 2-mode space")
+    d = config.dim_per_mode
     vec = np.zeros(config.dim, dtype=complex)
-    for n in range(config.dim_per_mode):
-        vec[config.index_of((n, n))] = gamma**n
+    vec[:: d + 1] = [gamma**n for n in range(d)]
     return pure_state(config, vec)
 
 
@@ -90,7 +83,7 @@ def loss_kraus_operators(n_max: int, tau: float) -> list[np.ndarray]:
         ops.append(mat)
     completeness = sum(op.conj().T @ op for op in ops)
     defect = np.max(np.abs(completeness - np.eye(d)))
-    if defect > 1e-12:
+    if defect > tolerances.KRAUS_COMPLETENESS_ATOL:
         raise AssertionError(f"Kraus completeness defect {defect:.3e}")
     return ops
 
@@ -101,35 +94,28 @@ def loss_channel(state: DensityMatrix, mode: int, tau: float) -> DensityMatrix:
     return DensityMatrix(state.config, apply_mode_kraus(state, mode, ops))
 
 
-def beamsplitter_unitary(
-    config: HilbertConfig, mode_a: int, mode_b: int, r: float
-) -> np.ndarray:
-    """Beamsplitter unitary exp(theta (a^dag b - a b^dag)), sin(theta) = r.
+def beamsplitter_unitary(n_max: int, r: float) -> np.ndarray:
+    """Two-mode beamsplitter exp(theta (a^dag b - a b^dag)), sin(theta) = r.
 
     In the single-photon sector this is [[t, r], [-r, t]] on (|1 0>, |0 1>):
-    a photon entering mode_b reaches mode_a with amplitude +r, one entering
-    mode_a reaches mode_b with amplitude -r.  Total photon number is
+    a photon entering mode 1 reaches mode 0 with amplitude +r, one entering
+    mode 0 reaches mode 1 with amplitude -r.  Total photon number is
     conserved exactly, including at the cutoff.
 
     The exponential is a Taylor series with scaling and squaring (Moler &
     Van Loan, SIAM Review 45, 3 (2003)): 14 terms at 1-norm <= 1/2 leave an
-    error below 0.5^15 / 15! < 3e-17.  G conserves n_a + n_b and the other
-    modes' occupations, so it is block diagonal, and every product keeps the
-    elements between blocks exactly 0.0.  U is real.
+    error below 0.5^15 / 15! < 3e-17.  G conserves n_a + n_b, so it is block
+    diagonal, and every product keeps the elements between blocks exactly
+    0.0.  U is real.
     """
-    config.check_mode(mode_a)
-    config.check_mode(mode_b)
-    if mode_a == mode_b:
-        raise ValueError("beamsplitter needs two distinct modes")
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"reflectivity must be in [0, 1], got {r}")
-    a = annihilation_operator(config, mode_a)
-    b = annihilation_operator(config, mode_b)
-    generator = np.arcsin(r) * (a.T @ b - a @ b.T)
+    a = annihilation_operator(n_max)
+    generator = np.arcsin(r) * (np.kron(a.T, a) - np.kron(a, a.T))
     # the 1-norm is m 2^e with 1/2 <= m < 1, so e + 1 halvings bring it below 1/2
     squarings = max(0, frexp(np.abs(generator).sum(axis=0).max())[1] + 1)
     x = generator / 2**squarings
-    term = u = np.eye(config.dim)
+    term = u = np.eye(len(generator))
     for k in range(1, 15):
         term = term @ x / k
         u = u + term
@@ -140,20 +126,14 @@ def herald_click(state: DensityMatrix, mode: int) -> tuple[DensityMatrix, float]
     """Condition on a click of a non-number-resolving detector on one mode.
 
     Applies the click POVM E = 1 - |0><0| (diagonal, so E^(1/2) rho E^(1/2)
-    reduces to masking the Fock-diagonal blocks), traces out the detected
-    mode, and returns the normalized conditional state together with the
-    click probability p = Tr[(1 (x) E) rho].
+    reduces to masking the Fock-diagonal blocks), normalizes the masked
+    branch, traces out the detected mode, and returns the conditional state
+    together with the click probability p = Tr[(1 (x) E) rho].
     """
     cfg = state.config
-    cfg.check_mode(mode)
     mask = (cfg.mode_occupations(mode) >= 1).astype(float)
-    masked = state.elements * np.outer(mask, mask)
-    prob = float(np.real(np.trace(masked)))
-    if prob <= tolerances.HERALD_MIN_PROBABILITY:
-        raise HeraldingImpossibleError(prob)
-    reduced = partial_trace(DensityMatrix(cfg, masked), mode)
-    conditional, traced_prob = normalize(reduced)
-    return conditional, traced_prob
+    clicked, prob = normalize(cfg, state.elements * np.outer(mask, mask))
+    return partial_trace(clicked, mode), prob
 
 
 def catalysis_kraus_operators(n_max: int, r: float, eta: float) -> np.ndarray:
@@ -173,11 +153,11 @@ def catalysis_kraus_operators(n_max: int, r: float, eta: float) -> np.ndarray:
     # the ancilla enters port 1 and reaches port 0 with amplitude +r, so
     # port 0 is the detector: u[n, k, b, j] = <n, k| U |b, j> with detector
     # n, surviving output k, signal b and ancilla j
-    u = beamsplitter_unitary(HilbertConfig(n_max, 2), 0, 1, r)
+    u = beamsplitter_unitary(n_max, r)
     u = u.reshape(d, d, d, d)[..., :2]
     gram = np.einsum("nkbj,nkcj->jbc", u, u)
     defect = np.max(np.abs(gram - np.eye(d)))
-    if defect > 1e-12:
+    if defect > tolerances.KRAUS_COMPLETENESS_ATOL:
         raise AssertionError(f"Kraus completeness defect {defect:.3e}")
     weighted = u[1:] * np.sqrt([1.0 - eta, eta])
     return weighted.transpose(0, 3, 1, 2).reshape(2 * n_max, d, d)
@@ -206,8 +186,4 @@ def nla_catalysis(
     if epr.config.mode_count != 2:
         raise ValueError("catalysis expects a 2-mode input state")
     kraus = catalysis_kraus_operators(epr.config.n_max, r, eta_ancilla)
-    branch = apply_mode_kraus(epr, 1, kraus)
-    prob = float(np.real(np.trace(branch)))
-    if prob <= tolerances.HERALD_MIN_PROBABILITY:
-        raise HeraldingImpossibleError(prob)
-    return normalize(DensityMatrix(epr.config, branch))
+    return normalize(epr.config, apply_mode_kraus(epr, 1, kraus))

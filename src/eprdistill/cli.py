@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 
@@ -102,6 +103,14 @@ def _write_output(write, path) -> None:
         write(path)
     except OSError as exc:
         raise ConfigError("output", f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _check_output(path) -> None:
+    """Fail on an unwritable --output before the run rather than after it."""
+    existed = os.path.exists(path)
+    _write_output(lambda p: open(p, "ab").close(), path)
+    if not existed:
+        os.remove(path)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -193,6 +202,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "output", None):
+            _check_output(args.output)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -26,6 +26,14 @@ class InvalidStateError(ValueError):
     """A density matrix violates Hermiticity, positivity or trace bounds."""
 
 
+class HeraldingImpossibleError(InvalidStateError):
+    """A click was conditioned on but carries (numerically) zero probability."""
+
+    def __init__(self, probability: float):
+        self.probability = probability
+        super().__init__(f"heralding probability {probability:.3e} is vanishing")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
@@ -83,8 +91,8 @@ class HilbertConfig:
 class DensityMatrix:
     """Hermitian PSD matrix over the multimode Fock basis, trace in (0, 1].
 
-    A trace below one encodes a heralded, sub-normalized branch; use
-    :func:`normalize` to split it into a conditional state plus probability.
+    A trace below one encodes a sub-normalized state; :func:`normalize` turns
+    a raw heralded branch into a conditional state plus probability.
     """
 
     config: HilbertConfig
@@ -112,17 +120,15 @@ class DensityMatrix:
         return float(np.real(np.trace(self.elements)))
 
 
-def annihilation_operator(config: HilbertConfig, mode: int) -> np.ndarray:
-    """Ladder operator a acting on one mode: a|n> = sqrt(n) |n-1>.
+def annihilation_operator(n_max: int) -> np.ndarray:
+    """One-mode ladder operator a|n> = sqrt(n) |n-1> on levels 0..n_max.
 
-    The cutoff row n_max maps down like any other; nothing maps up past the
-    cutoff, so a a^dag deviates from a^dag a + 1 only in the top level.
-    The real (float64) matrix has sqrt(n) on the diagonal k = stride of
-    `mode`, n the occupation of `mode` at the column index.
+    The real (float64) matrix has sqrt(1..n_max) on the first superdiagonal.
+    Nothing maps up past the cutoff, so a a^dag deviates from a^dag a + 1
+    only in the top level.  np.kron(a, I) and np.kron(I, a) act on mode 0
+    and mode 1 of a two-mode space.
     """
-    config.check_mode(mode)
-    stride = config.dim_per_mode ** (config.mode_count - 1 - mode)
-    return np.diag(np.sqrt(config.mode_occupations(mode)[stride:]), k=stride)
+    return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
 
 
 def basis_vector(config: HilbertConfig, occupations) -> np.ndarray:
@@ -201,12 +207,15 @@ def apply_mode_kraus(state: DensityMatrix, mode: int, ops) -> np.ndarray:
     return out.transpose(2, 0, 3, 4, 1, 5).reshape(cfg.dim, cfg.dim)
 
 
-def normalize(state: DensityMatrix) -> tuple[DensityMatrix, float]:
-    """Split a sub-normalized branch into (trace-one state, probability)."""
-    prob = state.trace
-    if prob <= tolerances.HERALD_MIN_PROBABILITY:
-        raise InvalidStateError(
-            f"trace {prob:.3e} too small to normalize (impossible branch)"
-        )
-    return DensityMatrix(state.config, state.elements / prob), prob
+def normalize(config: HilbertConfig, branch: np.ndarray) -> tuple[DensityMatrix, float]:
+    """Split a raw heralded branch into (conditional state, probability).
 
+    Reads p = Tr(branch) once and validates branch / p as one DensityMatrix;
+    for p <= 1 that is at least as strict as validating the branch itself.
+    """
+    prob = float(np.real(np.trace(branch)))
+    if prob <= tolerances.HERALD_MIN_PROBABILITY:
+        raise HeraldingImpossibleError(prob)
+    if prob > 1.0 + tolerances.TRACE_UPPER_SLACK:
+        raise InvalidStateError(f"trace {prob:.3e} outside (0, 1]")
+    return DensityMatrix(config, branch / prob), prob

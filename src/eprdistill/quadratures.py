@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tolerances
-from .fock import DensityMatrix
+from .fock import DensityMatrix, annihilation_operator
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def _one_mode_quadratures(n_max: int) -> tuple[np.ndarray, ...]:
     below the cutoff level), X^2 and P^2 the infinite-dimensional elements,
     so operator moments match the quadrature distribution."""
     d = n_max + 1
-    a = np.diag(np.sqrt(np.arange(1, d + 1)), k=1).astype(complex)
+    a = annihilation_operator(n_max + 1).astype(complex)
     x = (a + a.conj().T) / np.sqrt(2.0)
     p = (a - a.conj().T) / (1j * np.sqrt(2.0))
     return x[:d, :d], p[:d, :d], (x @ x)[:d, :d], (p @ p)[:d, :d]

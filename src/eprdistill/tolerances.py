@@ -14,6 +14,9 @@ EIGENVALUE_FLOOR = -1e-10
 # Trace of a density matrix must lie in (0, 1 + TRACE_UPPER_SLACK].
 TRACE_UPPER_SLACK = 1e-12
 
+# Kraus families must satisfy max |sum K^dag K - I| <= KRAUS_COMPLETENESS_ATOL.
+KRAUS_COMPLETENESS_ATOL = 1e-12
+
 # Unitaries must satisfy max |U^dag U - I| <= UNITARITY_ATOL.
 UNITARITY_ATOL = 1e-10
 

@@ -64,9 +64,11 @@ def ancilla_photon(eta: float, config: HilbertConfig) -> DensityMatrix:
     return DensityMatrix(config, np.diag(diag).astype(complex))
 
 
-def beamsplitter(state: DensityMatrix, mode_a: int, mode_b: int, r: float) -> DensityMatrix:
-    """Mix two modes on a beamsplitter of amplitude reflectivity r."""
-    return apply_unitary(state, beamsplitter_unitary(state.config, mode_a, mode_b, r))
+def beamsplitter(state: DensityMatrix, r: float) -> DensityMatrix:
+    """Mix the last two modes on a beamsplitter of amplitude reflectivity r."""
+    cfg = state.config
+    u = beamsplitter_unitary(cfg.n_max, r)
+    return apply_unitary(state, np.kron(np.eye(cfg.dim_per_mode ** (cfg.mode_count - 2)), u))
 
 
 @pytest.fixture

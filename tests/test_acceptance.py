@@ -224,15 +224,15 @@ def test_criterion_6_channel_algebra(rng):
     # beamsplitter unitarity
     unitary_ok = all(
         np.max(np.abs(
-            beamsplitter_unitary(cfg, 0, 1, r).conj().T
-            @ beamsplitter_unitary(cfg, 0, 1, r)
+            beamsplitter_unitary(cfg.n_max, r).conj().T
+            @ beamsplitter_unitary(cfg.n_max, r)
             - np.eye(cfg.dim)
         )) < 1e-10
         for r in (0.05, 0.3, 1 / np.sqrt(2), 0.95)
     )
     # Hong-Ou-Mandel null
     hom = beamsplitter(
-        pure_state(cfg, basis_vector(cfg, (1, 1))), 0, 1, 1 / np.sqrt(2)
+        pure_state(cfg, basis_vector(cfg, (1, 1))), 1 / np.sqrt(2)
     )
     i11 = cfg.index_of((1, 1))
     hom_ok = abs(hom.elements[i11, i11]) < 1e-12

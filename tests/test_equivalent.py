@@ -165,21 +165,27 @@ class TestSolveEquivalent:
         assert "no root" in solved.reason
 
 
-def test_cli_sweep_and_sample_load_no_scipy(tmp_path):
+def test_cli_runners_load_no_scipy(tmp_path):
     # numpy is the only runtime dependency: importing the CLI and running a
-    # sweep and a sample must load no scipy module at all
+    # sweep, a sample and both forms of equiv must load no scipy module at all
     code = (
         "import sys, eprdistill.cli as cli\n"
+        "sample, equiv, given = sys.argv[1:]\n"
         "assert cli.main(['sweep', '--preset', 'losschannel', '--gain.g', '8', '--n-max', '4']) == 0\n"
         "assert cli.main(['sample', '--preset', 'losschannel', '--gain.g', '14',\n"
-        "                 '--sample-count', '20', '--output', sys.argv[1]]) == 0\n"
+        "                 '--sample-count', '20', '--output', sample]) == 0\n"
+        "assert cli.main(['equiv', '--preset', 'losschannel', '--gain.steps', '3',\n"
+        "                 '--output', equiv]) == 0\n"
+        "assert cli.main(['equiv', '--preset', 'losschannel', '--gain.g', '8',\n"
+        "                 '--v-diff', '0.9', '--v-sum', '1.3', '--output', given]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
+    outputs = [tmp_path / name for name in ("sample.json", "equiv.json", "given.json")]
     src = str(Path(eprdistill.__file__).parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "sample.json")],
+        [sys.executable, "-c", code, *map(str, outputs)],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "sample.json").exists()
+    assert all(path.exists() for path in outputs)

@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from eprdistill import (
     DensityMatrix,
+    HeraldingImpossibleError,
     HilbertConfig,
     InvalidStateError,
     annihilation_operator,
@@ -52,34 +53,27 @@ class TestHilbertConfig:
 
 class TestAnnihilation:
     def test_minimal_ladder(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
-        a = annihilation_operator(cfg, 0)
+        a = annihilation_operator(1)
         expected = np.zeros((2, 2))
         expected[0, 1] = 1.0
         np.testing.assert_allclose(a, expected)
 
     def test_lowers_two_photon_state(self):
         cfg = HilbertConfig(n_max=3, mode_count=1)
-        a = annihilation_operator(cfg, 0)
+        a = annihilation_operator(cfg.n_max)
         lowered = a @ basis_vector(cfg, (2,))
         np.testing.assert_allclose(lowered, np.sqrt(2.0) * basis_vector(cfg, (1,)))
 
     def test_commutator_below_cutoff(self):
         # a a^dag - a^dag a equals 1 on n < n_max; the cutoff level deviates
-        cfg = HilbertConfig(n_max=3, mode_count=1)
-        a = annihilation_operator(cfg, 0)
+        a = annihilation_operator(3)
         delta = a @ a.conj().T - a.conj().T @ a
         np.testing.assert_allclose(delta[:3, :3], np.eye(3), atol=1e-12)
         assert delta[3, 3] == pytest.approx(-3.0)
 
-    def test_mode_out_of_range(self):
-        cfg = HilbertConfig(n_max=2, mode_count=2)
-        with pytest.raises(ValueError):
-            annihilation_operator(cfg, 2)
-
     def test_embedding_acts_on_addressed_mode_only(self):
         cfg = HilbertConfig(n_max=2, mode_count=2)
-        a1 = annihilation_operator(cfg, 1)
+        a1 = np.kron(np.eye(cfg.dim_per_mode), annihilation_operator(cfg.n_max))
         out = a1 @ basis_vector(cfg, (2, 1))
         np.testing.assert_allclose(out, basis_vector(cfg, (2, 0)))
 
@@ -93,7 +87,7 @@ class TestApplyUnitary:
 
     def test_vacuum_preserving_unitary_fixes_vacuum(self):
         cfg = HilbertConfig(n_max=3, mode_count=2)
-        u = beamsplitter_unitary(cfg, 0, 1, 0.6)
+        u = beamsplitter_unitary(cfg.n_max, 0.6)
         out = apply_unitary(vacuum_state(cfg), u)
         np.testing.assert_allclose(out.elements, vacuum_state(cfg).elements, atol=1e-12)
 
@@ -195,22 +189,27 @@ class TestNormalize:
     def test_unit_trace_unchanged(self, rng):
         cfg = HilbertConfig(n_max=2, mode_count=1)
         rho = random_density_matrix(cfg, rng)
-        out, prob = normalize(rho)
+        out, prob = normalize(cfg, rho.elements)
         assert prob == pytest.approx(1.0)
         np.testing.assert_allclose(out.elements, rho.elements, atol=1e-13)
 
     def test_subnormalized_branch(self):
         cfg = HilbertConfig(n_max=1, mode_count=1)
-        quarter = DensityMatrix(cfg, 0.25 * vacuum_state(cfg).elements)
-        out, prob = normalize(quarter)
+        out, prob = normalize(cfg, 0.25 * vacuum_state(cfg).elements)
         assert prob == pytest.approx(0.25)
         np.testing.assert_allclose(out.elements, vacuum_state(cfg).elements)
 
     def test_vanishing_trace_rejected(self):
         cfg = HilbertConfig(n_max=1, mode_count=1)
-        tiny = DensityMatrix(cfg, 1e-16 * vacuum_state(cfg).elements)
-        with pytest.raises(InvalidStateError):
-            normalize(tiny)
+        with pytest.raises(HeraldingImpossibleError, match="vanishing") as err:
+            normalize(cfg, 1e-16 * vacuum_state(cfg).elements)
+        assert isinstance(err.value, InvalidStateError)
+        assert err.value.probability == 1e-16
+
+    def test_trace_above_one_rejected(self):
+        cfg = HilbertConfig(n_max=1, mode_count=1)
+        with pytest.raises(InvalidStateError, match="trace"):
+            normalize(cfg, np.diag([1.0, 2e-12]).astype(complex))
 
 
 class TestStateInvariants:
@@ -247,7 +246,7 @@ class TestStateInvariants:
     def test_unitary_and_disjoint_loss_commute(self, rng):
         cfg = HilbertConfig(n_max=2, mode_count=3)
         rho = random_density_matrix(cfg, rng)
-        u = beamsplitter_unitary(cfg, 0, 1, 0.4)
+        u = np.kron(beamsplitter_unitary(cfg.n_max, 0.4), np.eye(cfg.dim_per_mode))
         one = loss_channel(apply_unitary(rho, u), 2, 0.7)
         two = apply_unitary(loss_channel(rho, 2, 0.7), u)
         assert np.max(np.abs(one.elements - two.elements)) < 1e-12

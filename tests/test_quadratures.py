@@ -74,8 +74,8 @@ def kron_reference_moments(state):
     tensor = state.elements.reshape(d, d, d, d) / state.trace
     rho = np.pad(tensor, [(0, 1)] * 4).reshape(big.dim, big.dim)
     ops = {}
-    for mode, name in ((0, "a"), (1, "b")):
-        a = annihilation_operator(big, mode)
+    one, eye = annihilation_operator(big.n_max), np.eye(big.dim_per_mode)
+    for name, a in (("a", np.kron(one, eye)), ("b", np.kron(eye, one))):
         ops["x" + name] = (a + a.conj().T) / np.sqrt(2.0)
         ops["p" + name] = (a - a.conj().T) / (1j * np.sqrt(2.0))
 

@@ -13,6 +13,7 @@ from eprdistill import (
     run_sampling,
     run_scenario,
 )
+from eprdistill import cli
 from eprdistill.cli import build_parser, load_preset, main
 from eprdistill.scenario import (
     CSV_HEADER,
@@ -509,6 +510,33 @@ class TestCli:
             argv += ["--sample-count", "5"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: output: cannot write {path}: ")
+
+    RUNNERS = [("sweep", "run_scenario"), ("sample", "run_sampling"), ("equiv", "run_equivalence")]
+
+    @pytest.mark.parametrize("command, runner", RUNNERS)
+    def test_output_checked_before_the_run(self, tmp_path, capsys, monkeypatch, command, runner):
+        def never(*args):
+            raise AssertionError(f"{runner} ran before --output was checked")
+
+        monkeypatch.setattr(cli, runner, never)
+        argv = [command, "--preset", "losschannel", "--gain.g", "5", "--output", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command, runner", RUNNERS)
+    def test_failed_run_leaves_no_output_file(self, tmp_path, monkeypatch, command, runner):
+        def fail(*args):
+            raise ConfigError("gain", "no run")
+
+        monkeypatch.setattr(cli, runner, fail)
+        fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+        kept.write_text("earlier output")
+        for path in (fresh, kept):
+            argv = [command, "--preset", "losschannel", "--gain.g", "5", "--output", str(path)]
+            assert main(argv) == 2
+        assert not fresh.exists()
+        assert kept.read_text() == "earlier output"
 
     def test_sample_subcommand(self, tmp_path):
         out = tmp_path / "samples.json"
