@@ -21,6 +21,7 @@ from importlib import resources
 from .scenario import (
     ConfigError,
     ScenarioConfig,
+    dump_json_report,
     leaf_fields,
     run_equivalence,
     run_sampling,
@@ -130,8 +131,7 @@ def _write_report(report: dict, output) -> None:
     if output:
         _write_output(lambda path: write_json_report(report, path), output)
     else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        dump_json_report(report, sys.stdout)
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:

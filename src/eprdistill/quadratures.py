@@ -224,7 +224,9 @@ def sample_quadratures(state: DensityMatrix, count: int, seed: int) -> np.ndarra
     Rejection sampling against an isotropic Gaussian envelope whose variance
     is 1.5x the largest diagonal moment; exact for the non-Gaussian heralded
     states produced here.  Deterministic for a fixed seed.  Raises if the
-    acceptance rate falls below 1e-3, which signals a pathological state.
+    acceptance rate falls below 1e-3, which signals a pathological state,
+    and if any proposal has P > M q, where the grid-estimated bound M is
+    too small and the samples would no longer follow P.
 
     Callers running shards in parallel should pass disjoint seeds; there is
     no global generator state.
@@ -248,6 +250,13 @@ def sample_quadratures(state: DensityMatrix, count: int, seed: int) -> np.ndarra
             2.0 * np.pi * env_var
         )
         pdf = joint_quadrature_pdf(state, xy[:, 0], xy[:, 1])
+        over = pdf > bound * envelope
+        if over.any():
+            worst = np.max(pdf[over] / (bound * envelope[over]))
+            raise ValueError(
+                f"{np.count_nonzero(over)} of {batch} proposals exceed the envelope "
+                f"bound M = {bound:.6g}; largest P/(M q) = {worst:.6g}"
+            )
         accepted = xy[u * bound * envelope <= pdf]
         proposed += batch
         take = min(count - filled, accepted.shape[0])

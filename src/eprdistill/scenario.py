@@ -10,6 +10,7 @@ produce byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import typing
@@ -51,6 +52,10 @@ MAX_SAMPLE_COUNT = 1_000_000
 # Radius of the shot-noise reference circle for scatter plots: one vacuum
 # standard deviation, sqrt(1/2), in these units.
 SHOT_NOISE_RADIUS = float(np.sqrt(0.5))
+
+# Sample pairs formatted per write of a sample report: large enough to
+# amortise the writes, small enough that no whole-document string is built.
+_SAMPLE_CHUNK = 4096
 
 
 class ConfigError(ValueError):
@@ -322,12 +327,22 @@ def _round12(value: float) -> float:
     return float(_fmt(value))
 
 
+@functools.lru_cache(maxsize=1)
+def _lossy_source(gamma: float, degrade_mode: str, tau: float, n_max: int) -> DensityMatrix:
+    """The squeezed source after its degradation, which does not depend on g.
+
+    Built once per sweep; sharing it is safe since a DensityMatrix's
+    elements are read-only.
+    """
+    state = tmsv_state(gamma, HilbertConfig(n_max, 2))
+    if degrade_mode == "loss":
+        state = loss_channel(state, 1, tau)
+    return state
+
+
 def build_distilled_state(config: ScenarioConfig, g: float) -> tuple[DensityMatrix, float]:
     """Source -> degrade -> catalysis; returns the distilled state and p."""
-    space = HilbertConfig(config.n_max, 2)
-    state = tmsv_state(config.effective_gamma, space)
-    if config.degrade.mode == "loss":
-        state = loss_channel(state, 1, config.tau)
+    state = _lossy_source(config.effective_gamma, config.degrade.mode, config.tau, config.n_max)
     return nla_catalysis(state, 1.0 / g, config.eta_ancilla)
 
 
@@ -402,6 +417,8 @@ def run_sampling(config: ScenarioConfig) -> dict:
     detected = loss_channel(detected, 1, float(np.sqrt(config.eta_b)))
     cov = covariance_summary(detected)
     samples = sample_quadratures(detected, config.sample_count, config.seed)
+    # _round12 of every coordinate, inlined: a report holds up to 2e6 of them
+    rounded = iter([float(f"{x:.12g}") for x in samples.ravel().tolist()])
     return {
         "config": config.to_dict(),
         "metadata": {
@@ -412,7 +429,7 @@ def run_sampling(config: ScenarioConfig) -> dict:
             "model_v_diff": _round12(cov.v_diff),
             "model_v_sum": _round12(cov.v_sum),
         },
-        "samples": [[_round12(xa), _round12(xb)] for xa, xb in samples],
+        "samples": [[xa, xb] for xa, xb in zip(rounded, rounded)],
     }
 
 
@@ -468,8 +485,29 @@ def run_equivalence(
     }
 
 
+def dump_json_report(report: dict, handle) -> None:
+    """Write `json.dumps(report, indent=2)` and a newline to a text handle.
+
+    A trailing "samples" array of [x_a, x_b] float pairs, the bulk of a
+    sample report, is written directly in chunks of _SAMPLE_CHUNK pairs:
+    `indent` forces json's pure-Python encoder, and `repr` of a float is
+    what that encoder writes for it.
+    """
+    samples = report.get("samples")
+    if not samples or next(reversed(report)) != "samples":
+        json.dump(report, handle, indent=2)
+        handle.write("\n")
+        return
+    head = json.dumps({**report, "samples": []}, indent=2)
+    handle.write(head[: -len("[]\n}")] + "[\n")
+    for start in range(0, len(samples), _SAMPLE_CHUNK):
+        chunk = samples[start : start + _SAMPLE_CHUNK]
+        text = ",\n".join([f"    [\n      {a!r},\n      {b!r}\n    ]" for a, b in chunk])
+        handle.write(",\n" + text if start else text)
+    handle.write("\n  ]\n}\n")
+
+
 def write_json_report(report: dict, path) -> None:
     """Write a report with LF endings; floats carry 12 significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+        dump_json_report(report, handle)

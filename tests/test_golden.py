@@ -83,6 +83,14 @@ def test_sampling_report_matches_golden():
     assert sampling_report() == golden
 
 
+def test_cli_sample_report_matches_golden(tmp_path):
+    path = tmp_path / "sample.json"
+    argv = ["sample", "--preset", "losschannel", "--gain.g", "14", "--sample-count", "300"]
+    assert main([*argv, "--output", str(path)]) == 0
+    golden = json.loads((GOLDEN / "sample_losschannel_g14.json").read_text(encoding="utf-8"))
+    assert json.loads(path.read_text(encoding="utf-8")) == golden
+
+
 @pytest.mark.parametrize("stem, args", EQUIVS)
 def test_equiv_report_matches_golden(stem, args):
     golden = json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))

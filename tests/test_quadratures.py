@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from eprdistill import (
     CovarianceSummary,
@@ -18,6 +19,7 @@ from eprdistill import (
     tmsv_state,
     vacuum_state,
 )
+from eprdistill import quadratures
 from eprdistill.cli import load_preset
 from eprdistill.fock import annihilation_operator
 from eprdistill.quadratures import _one_mode_quadratures, hermite_functions
@@ -358,3 +360,32 @@ class TestSampleQuadratures:
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_quadratures(vacuum_state(CFG2), 0, seed=0)
+
+    def test_too_small_envelope_bound_raises(self, monkeypatch):
+        bound = quadratures._envelope_bound
+        monkeypatch.setattr(quadratures, "_envelope_bound", lambda *args: bound(*args) / 2)
+        with pytest.raises(ValueError, match=r"exceed the envelope bound .* P/\(M q\) = 1\."):
+            sample_quadratures(tmsv_state(0.3, CFG2), 1000, seed=0)
+
+    @pytest.mark.parametrize("preset, g, n_max", [
+        ("losschannel", 14.0, 3), ("losschannel", 8.0, 6), ("losschannel", 30.0, 6),
+        ("lowsqueeze", 30.0, 3),
+    ])
+    def test_marginals_pass_chi_square(self, preset, g, n_max):
+        # 50 bins of equal exact probability per marginal (Devroye 1986, ch. II)
+        config = ScenarioConfig.from_dict({**load_preset(preset), "n_max": n_max})
+        state, _ = build_distilled_state(config, g)
+        count, bins = 20000, 50
+        samples = sample_quadratures(state, count, seed=5)
+        d = n_max + 1
+        rho = np.real(state.elements).reshape(d, d, d, d) / state.trace
+        grid = np.linspace(-12.0, 12.0, 24001)
+        psi = hermite_functions(n_max, grid)
+        for column, reduced in enumerate(
+            (np.trace(rho, axis1=1, axis2=3), np.trace(rho, axis1=0, axis2=2))
+        ):
+            density = np.einsum("mx,mn,nx->x", psi, reduced, psi)
+            cdf = np.concatenate([[0.0], np.cumsum((density[1:] + density[:-1]) / 2)])
+            edges = np.interp(np.arange(1, bins) / bins, cdf / cdf[-1], grid)
+            observed = np.bincount(np.searchsorted(edges, samples[:, column]), minlength=bins)
+            assert stats.chisquare(observed).pvalue >= 1e-9

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -13,12 +14,13 @@ from eprdistill import (
     run_sampling,
     run_scenario,
 )
-from eprdistill import cli
+from eprdistill import cli, scenario
 from eprdistill.cli import build_parser, load_preset, main
 from eprdistill.scenario import (
     CSV_HEADER,
     MAX_GAIN_STEPS,
     MAX_SAMPLE_COUNT,
+    dump_json_report,
     leaf_fields,
     write_json_report,
 )
@@ -254,6 +256,22 @@ class TestRunScenario:
         assert not result.rows
         assert len(result.skipped) == 2
 
+    def test_source_built_once_per_sweep(self, monkeypatch):
+        calls = {"tmsv_state": 0, "loss_channel": 0}
+        for name in calls:
+            original = getattr(scenario, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(scenario, name, counted)
+        scenario._lossy_source.cache_clear()
+        result = run_scenario(loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": 8}))
+        scenario._lossy_source.cache_clear()
+        assert len(result.rows) == 8
+        assert calls == {"tmsv_state": 1, "loss_channel": 1}
+
 
 class TestCsvOutput:
     def test_header_and_format(self, tmp_path):
@@ -317,6 +335,42 @@ class TestRunSampling:
         data = {**self.sampling_config().to_dict(), "model": "ideal"}
         with pytest.raises(ConfigError):
             run_sampling(ScenarioConfig.from_dict(data))
+
+
+# Floats where json's repr and the .12g rounding disagree on notation or
+# digits: signed zero, integral values (repr appends ".0"), the exponents
+# where repr (1e-05, 1e+16) and .12g (1e-05, 1e+12) switch to scientific
+# notation, and the smallest subnormal and normal numbers.
+EDGE_FLOATS = (
+    0.0, -0.0, 1.0, -3.0, 1e-5, 9.99999999999e-6, 1.00000000001e-4, 1e12, 999999999999.0,
+    1.5e12, 1e16, 9999999999999998.0, 1.2345678901234567e16, 5e-324, 2.2250738585072014e-308,
+    -1.7976931348623157e308,
+)
+SAMPLE_FLOAT = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: float(f"{x:.12g}")),
+    st.integers(-10**17, 10**17).map(float),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(SAMPLE_FLOAT, min_size=2, max_size=2), min_size=1, max_size=40),
+       st.integers(1, 4))
+def test_sample_report_text_matches_json_layout(samples, chunk):
+    report = {
+        "config": ScenarioConfig().to_dict(),
+        "metadata": {"gain": 14.0, "shot_noise_radius": 0.707106781187},
+        "samples": samples,
+    }
+    handle = io.StringIO()
+    original = scenario._SAMPLE_CHUNK
+    scenario._SAMPLE_CHUNK = chunk  # several chunks even for short arrays
+    try:
+        dump_json_report(report, handle)
+    finally:
+        scenario._SAMPLE_CHUNK = original
+    assert handle.getvalue() == json.dumps(report, indent=2) + "\n"
 
 
 class TestRunEquivalence:
@@ -537,6 +591,17 @@ class TestCli:
             assert main(argv) == 2
         assert not fresh.exists()
         assert kept.read_text() == "earlier output"
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--preset", "losschannel", "--gain.g", "14", "--sample-count", "5000"],
+        ["equiv", "--preset", "losschannel"],
+    ])
+    def test_stdout_bytes_equal_output_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "report.json"
+        assert main([*argv, "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
 
     def test_sample_subcommand(self, tmp_path):
         out = tmp_path / "samples.json"
