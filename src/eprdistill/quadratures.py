@@ -3,9 +3,9 @@ Monte-Carlo homodyne sampling.
 
 Conventions: X = (a + a^dag)/sqrt(2), P = (a - a^dag)/(i sqrt(2)), so the
 vacuum variance is 1/2 per quadrature and the shot-noise level of the
-sum/difference combinations equals 1.  All states handled here have
-vanishing first moments; measurements are evaluated at the canonical phase
-pair (no local-oscillator phase scanning).
+sum/difference combinations equals 1.  All states handled here are
+phase-symmetric (block diagonal in n_A - n_B), hence zero-mean; measurements
+are evaluated at the canonical phase pair (no local-oscillator phase scanning).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tolerances
-from .fock import DensityMatrix, annihilation_operator
+from .fock import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -63,59 +63,33 @@ class DuanResult:
     a_star: float
 
 
-def _one_mode_quadratures(n_max: int) -> tuple[np.ndarray, ...]:
-    """One-mode X, P, X^2 and P^2 on levels 0..n_max, built one level above
-    the cutoff and cropped: X and P equal the plain truncations ([X, P] = i
-    below the cutoff level), X^2 and P^2 the infinite-dimensional elements,
-    so operator moments match the quadrature distribution."""
-    d = n_max + 1
-    a = annihilation_operator(n_max + 1).astype(complex)
-    x = (a + a.conj().T) / np.sqrt(2.0)
-    p = (a - a.conj().T) / (1j * np.sqrt(2.0))
-    return x[:d, :d], p[:d, :d], (x @ x)[:d, :d], (p @ p)[:d, :d]
-
-
 def covariance_summary(state: DensityMatrix) -> CovarianceSummary:
-    """Extract the quadrature second moments of a two-mode state.
+    """Second moments of a phase-symmetric two-mode state.
 
-    Single-mode moments are read from the two reduced states, the cross
-    moments from one contraction of the (d, d, d, d) state tensor with the
-    one-mode matrices; no two-mode operator is formed.  Accepts
-    sub-normalized states (moments are taken relative to the trace).
-    Raises if the first moments do not vanish, which signals a circuit bug:
-    every state produced by this library is phase-symmetric.
+    Phase-symmetric means block diagonal in Delta = n_A - n_B, as every state
+    this library builds is.  Then the reduced states are diagonal and <ab> is
+    the one two-mode ladder moment left, so xx = pp = <n> + 1/2 per mode and
+    xa_xb = -pa_pb = Re<ab> (Weedbrook et al., RMP 84, 621 (2012)).  Moments
+    are taken relative to the trace.  Raises if an element between Delta
+    blocks exceeds OFF_BLOCK_ATOL, which signals a circuit bug.
     """
     cfg = state.config
     if cfg.mode_count != 2:
         raise ValueError("covariance extraction expects a 2-mode state")
     d = cfg.dim_per_mode
-    rho = (state.elements / state.trace).reshape(d, d, d, d)
-    rho_a = np.trace(rho, axis1=1, axis2=3)
-    rho_b = np.trace(rho, axis1=0, axis2=2)
-    x, p, xsq, psq = _one_mode_quadratures(cfg.n_max)
-
-    for name, reduced, op in (
-        ("X_A", rho_a, x), ("P_A", rho_a, p), ("X_B", rho_b, x), ("P_B", rho_b, p)
-    ):
-        first = np.trace(reduced @ op)
-        if abs(first) > tolerances.FIRST_MOMENT_ATOL:
-            raise ValueError(f"first moment <{name}> = {first:.3e} does not vanish")
-
-    def moment(reduced: np.ndarray, op: np.ndarray) -> float:
-        return float(np.real(np.trace(reduced @ op)))
-
-    def cross(op: np.ndarray) -> float:
-        # Tr(rho (O x O)) = sum rho[i, j, k, l] O[k, i] O[l, j]
-        return float(np.real(np.einsum("ijkl,ki,lj->", rho, op, op)))
-
-    return CovarianceSummary(
-        xx_a=moment(rho_a, xsq),
-        pp_a=moment(rho_a, psq),
-        xx_b=moment(rho_b, xsq),
-        pp_b=moment(rho_b, psq),
-        xa_xb=cross(x),
-        pa_pb=cross(p),
-    )
+    rho = state.elements / state.trace
+    delta = cfg.mode_occupations(0) - cfg.mode_occupations(1)
+    off_block = np.max(np.abs(rho[delta[:, None] != delta[None, :]]))
+    if off_block > tolerances.OFF_BLOCK_ATOL:
+        raise ValueError(f"state is not phase-symmetric: off-block element {off_block:.3e}")
+    levels = np.arange(d)
+    populations = np.real(np.diagonal(rho)).reshape(d, d)
+    n_a = float(populations.sum(axis=1) @ levels)
+    n_b = float(populations.sum(axis=0) @ levels)
+    # Re<ab> = sum over m, n >= 1 of sqrt(m n) Re rho[(m-1, n-1), (m, n)]
+    shifted = np.einsum("ijij->ij", rho.reshape(d, d, d, d)[:-1, :-1, 1:, 1:])
+    ab = float(np.sum(np.sqrt(np.outer(levels[1:], levels[1:])) * np.real(shifted)))
+    return CovarianceSummary(n_a + 0.5, n_a + 0.5, n_b + 0.5, n_b + 0.5, ab, -ab)
 
 
 def apply_detection_efficiency(

@@ -238,6 +238,11 @@ class ScenarioConfig:
             )
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
+        # beta = 1/(g gamma tau) peaks at the lowest gain; models take 2 beta^2
+        g = self.gain.g_min if self.gain.is_sweep else self.gain.g
+        scale = g * self.effective_gamma * self.tau
+        if scale == 0.0 or not math.isfinite(2.0 / scale / scale):
+            raise ConfigError("gamma", f"beta^2 overflows: g gamma tau = {scale:g}")
 
     @property
     def effective_gamma(self) -> float:
@@ -387,7 +392,7 @@ def run_scenario(config: ScenarioConfig) -> SweepResult:
     config.validate()
     rows: list[SweepRow] = []
     skipped: list[tuple[float, str]] = []
-    for g in sorted(config.gain.values()):
+    for g in config.gain.values():
         try:
             rows.append(evaluate_gain_point(config, float(g)))
         except HeraldingImpossibleError as exc:
@@ -445,36 +450,29 @@ def run_equivalence(
     skips are listed under "skipped", a key present only when there are any.
     """
     config.validate()
-    entries = []
     skipped = []
     if variances is not None:
         v_diff, v_sum = variances
         if not (math.isfinite(v_diff) and math.isfinite(v_sum)):
             raise ConfigError("variances", f"must be finite, got ({v_diff}, {v_sum})")
-        entries.append({"g": None, "beta": None, "v_diff": v_diff, "v_sum": v_sum})
+        points = [(None, None, v_diff, v_sum)]
     else:
         sweep = run_scenario(config)
-        for row in sweep.rows:
-            entries.append(
-                {"g": row.g, "beta": row.beta, "v_diff": row.v_diff, "v_sum": row.v_sum}
-            )
+        points = [(row.g, row.beta, row.v_diff, row.v_sum) for row in sweep.rows]
         skipped = [{"g": _round12(g), "reason": reason} for g, reason in sweep.skipped]
     table = []
-    for entry in entries:
-        solved = solve_equivalent(entry["v_diff"], entry["v_sum"], config.eta_a)
+    for g, beta, v_diff, v_sum in points:
+        solved = solve_equivalent(v_diff, v_sum, config.eta_a)
         record = {
-            "g": None if entry["g"] is None else _round12(entry["g"]),
-            "beta": None if entry["beta"] is None else _round12(entry["beta"]),
-            "v_diff": _round12(entry["v_diff"]),
-            "v_sum": _round12(entry["v_sum"]),
+            "g": None if g is None else _round12(g),
+            "beta": None if beta is None else _round12(beta),
+            "v_diff": _round12(v_diff),
+            "v_sum": _round12(v_sum),
             "status": solved.status,
-            "gamma_eq": None,
-            "eta_b_eq": None,
+            "gamma_eq": _round12(solved.state.gamma_eq) if solved.ok else None,
+            "eta_b_eq": _round12(solved.state.eta_b_eq) if solved.ok else None,
         }
-        if solved.ok:
-            record["gamma_eq"] = _round12(solved.state.gamma_eq)
-            record["eta_b_eq"] = _round12(solved.state.eta_b_eq)
-        else:
+        if not solved.ok:
             record["reason"] = solved.reason
         table.append(record)
     return {

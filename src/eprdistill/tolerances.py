@@ -24,9 +24,10 @@ UNITARITY_ATOL = 1e-10
 # impossible (conditioning on them is meaningless).
 HERALD_MIN_PROBABILITY = 1e-14
 
-# First moments <X>, <P> must vanish to this level before second moments are
-# trusted; a violation signals a circuit bug upstream.
-FIRST_MOMENT_ATOL = 1e-9
+# Elements between n_A - n_B blocks of a trace-normalized two-mode state must
+# stay below this before its moments are read from phase symmetry; a
+# violation signals a circuit bug upstream.
+OFF_BLOCK_ATOL = 1e-9
 
 # Cauchy-Schwarz slack allowed on cross moments.
 CROSS_MOMENT_SLACK = 1e-9

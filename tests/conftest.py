@@ -4,27 +4,25 @@ import pytest
 from eprdistill import DensityMatrix, HilbertConfig, apply_unitary, beamsplitter_unitary
 
 
-def parity_vector(config: HilbertConfig) -> np.ndarray:
-    """(-1)^(total photon number) per flat basis index."""
-    total = np.zeros(config.dim, dtype=int)
-    for mode in range(config.mode_count):
-        total += config.mode_occupations(mode)
-    return np.where(total % 2 == 0, 1.0, -1.0)
-
-
 def random_density_matrix(
     config: HilbertConfig, rng: np.random.Generator, zero_mean: bool = False
 ) -> DensityMatrix:
-    """Random full-rank state; zero_mean symmetrizes under photon parity so
-    all first quadrature moments vanish."""
+    """Random full-rank state; zero_mean keeps only the blocks of a two-mode
+    state that are diagonal in n_A - n_B, so it is phase-symmetric and all
+    first quadrature moments vanish."""
     dim = config.dim
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = m @ m.conj().T
     rho /= np.real(np.trace(rho))
     if zero_mean:
-        par = parity_vector(config)
-        rho = 0.5 * (rho + np.outer(par, par) * rho)
+        rho = rho * ~off_block_mask(config)
     return DensityMatrix(config, rho)
+
+
+def off_block_mask(config: HilbertConfig) -> np.ndarray:
+    """True where the row and column n_A - n_B of a two-mode state differ."""
+    delta = config.mode_occupations(0) - config.mode_occupations(1)
+    return delta[:, None] != delta[None, :]
 
 
 def kron_kraus_sum(state, mode, ops):

@@ -3,7 +3,6 @@ import pytest
 from scipy.linalg import expm
 
 from eprdistill import (
-    DensityMatrix,
     HeraldingImpossibleError,
     HilbertConfig,
     annihilation_operator,
@@ -28,6 +27,7 @@ from conftest import (
     beamsplitter,
     fidelity,
     kron_kraus_sum,
+    off_block_mask,
     random_density_matrix,
 )
 
@@ -419,8 +419,7 @@ class TestDeltaBlockStructure:
     @pytest.mark.parametrize("n_max", range(1, 7))
     def test_loss_and_catalysis_keep_off_block_elements_zero(self, rng, n_max):
         cfg = HilbertConfig(n_max, 2)
-        delta = cfg.mode_occupations(0) - cfg.mode_occupations(1)
-        off_block = delta[:, None] != delta[None, :]
+        off_block = off_block_mask(cfg)
 
         def check(elements):
             assert np.all(elements[off_block] == 0.0)
@@ -428,8 +427,7 @@ class TestDeltaBlockStructure:
 
         for _ in range(20):
             # zeroing the off-block elements leaves the PSD diagonal blocks
-            rho = random_density_matrix(cfg, rng).elements * ~off_block
-            state = DensityMatrix(cfg, rho)
+            state = random_density_matrix(cfg, rng, zero_mean=True)
             tau_a, tau_b = rng.uniform(0.0, 1.0, size=2)
             r, eta = rng.uniform(0.05, 1.0, size=2)
             state = loss_channel(loss_channel(state, 0, tau_a), 1, tau_b)
@@ -438,4 +436,7 @@ class TestDeltaBlockStructure:
             check(branch)
             out, prob = nla_catalysis(state, r, eta)
             check(out.elements)
+            # covariance_summary accepts both as phase-symmetric
+            covariance_summary(state)
+            covariance_summary(out)
             assert prob == pytest.approx(np.real(np.trace(branch)), rel=1e-14, abs=0.0)

@@ -22,7 +22,7 @@ from eprdistill import (
 from eprdistill import quadratures
 from eprdistill.cli import load_preset
 from eprdistill.fock import annihilation_operator
-from eprdistill.quadratures import _one_mode_quadratures, hermite_functions
+from eprdistill.quadratures import hermite_functions
 from eprdistill.scenario import build_distilled_state
 
 from conftest import random_density_matrix
@@ -91,31 +91,6 @@ def kron_reference_moments(state):
     }
 
 
-class TestQuadratureOperators:
-    """The one-mode X, P, X^2 and P^2 behind covariance_summary."""
-
-    def test_vacuum_variance_one_half(self):
-        x, p, xsq, psq = _one_mode_quadratures(3)
-        assert (x @ x)[0, 0].real == pytest.approx(0.5)
-        assert (p @ p)[0, 0].real == pytest.approx(0.5)
-        assert xsq[0, 0].real == pytest.approx(0.5)
-        assert psq[0, 0].real == pytest.approx(0.5)
-
-    def test_one_photon_x_squared_three_halves(self):
-        x, _, xsq, _ = _one_mode_quadratures(3)
-        assert (x @ x)[1, 1].real == pytest.approx(1.5)
-        assert xsq[1, 1].real == pytest.approx(1.5)
-
-    def test_hermitian(self):
-        for op in _one_mode_quadratures(3):
-            assert np.max(np.abs(op - op.conj().T)) < 1e-14
-
-    def test_canonical_commutator_below_cutoff(self):
-        x, p, _, _ = _one_mode_quadratures(4)
-        comm = x @ p - p @ x
-        np.testing.assert_allclose(comm[:4, :4], 1j * np.eye(4), atol=1e-12)
-
-
 class TestCovarianceSummary:
     def test_two_mode_vacuum(self):
         cov = covariance_summary(vacuum_state(CFG2))
@@ -124,6 +99,14 @@ class TestCovarianceSummary:
         assert cov.xa_xb == pytest.approx(0.0, abs=1e-12)
         assert cov.v_diff == pytest.approx(1.0, abs=1e-12)
         assert cov.v_sum == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_a, n_b", [(1, 0), (0, 1), (2, 3)])
+    def test_fock_state_variances_are_n_plus_half(self, n_a, n_b):
+        # one photon gives 3/2; a product of Fock states has no cross moment
+        cov = covariance_summary(pure_state(CFG2, basis_vector(CFG2, (n_a, n_b))))
+        assert (cov.xx_a, cov.pp_a) == (n_a + 0.5, n_a + 0.5)
+        assert (cov.xx_b, cov.pp_b) == (n_b + 0.5, n_b + 0.5)
+        assert cov.xa_xb == cov.pa_pb == 0.0
 
     def test_tmsv_oracle(self):
         cfg = HilbertConfig(6, 2)
@@ -149,15 +132,26 @@ class TestCovarianceSummary:
         assert cov.v_sum == pytest.approx(cov.xx_a + cov.xx_b + 2 * cov.xa_xb, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "name, occupations, phase",
-        [("X_A", (1, 0), 1.0), ("P_A", (1, 0), 1j), ("X_B", (0, 1), 1.0), ("P_B", (0, 1), 1j)],
+        "occupations, phase",
+        [((1, 0), 1.0), ((1, 0), 1j), ((0, 1), 1.0), ((0, 1), 1j)],
         ids=["X_A", "P_A", "X_B", "P_B"],
     )
-    def test_nonzero_first_moment_rejected(self, name, occupations, phase):
-        # |00> + phase |one photon>: only the named quadrature has a mean
+    def test_nonzero_first_moment_rejected(self, occupations, phase):
+        # |00> + phase |one photon>: only the named quadrature has a mean, and
+        # the coherence between n_A - n_B = 0 and +-1 is 1/2
         vec = basis_vector(CFG2, (0, 0)) + phase * basis_vector(CFG2, occupations)
-        with pytest.raises(ValueError, match=f"first moment <{name}>"):
+        with pytest.raises(ValueError, match=r"not phase-symmetric: off-block element 5\.000e-01"):
             covariance_summary(pure_state(CFG2, vec))
+
+    def test_zero_mean_state_without_phase_symmetry_rejected(self):
+        # (|00> + |20>)/sqrt(2) is parity-even, so every first moment vanishes,
+        # but its coherence between n_A - n_B = 0 and 2 gives xx_a != pp_a
+        vec = basis_vector(CFG2, (0, 0)) + basis_vector(CFG2, (2, 0))
+        state = pure_state(CFG2, vec)
+        moments = kron_reference_moments(state)
+        assert moments["xx_a"] != pytest.approx(moments["pp_a"])
+        with pytest.raises(ValueError, match=r"not phase-symmetric: off-block element 5\.000e-01"):
+            covariance_summary(state)
 
     @pytest.mark.parametrize("n_max", range(1, 7))
     def test_matches_kron_reference_on_random_states(self, rng, n_max):

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -517,6 +518,35 @@ class TestCli:
         argv = [command, "--preset", "losschannel", "--gamma", "0", "--gain.g", "3"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: gamma:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equiv", "--gamma", "1e-320", "--gain.g", "2"],
+            ["sample", "--gamma", "1e-320", "--gain.g", "2"],
+            ["equiv", "--gamma", "1e-320", "--gain.g", "2", "--model", "single_photon"],
+            ["sweep", "--gamma", "1e-320", "--gain.g", "2", "--model", "single_photon"],
+            ["sweep", "--gamma", "1e-160", "--gain.g", "2", "--model", "single_photon"],
+            ["sweep", "--gamma", "5e-324", "--gain.g-min", "2", "--gain.g-max", "3"],
+        ],
+        ids=["equiv-beta-inf", "sample-beta-inf", "equiv-sp-beta-inf", "sweep-sp-beta-inf",
+             "sweep-sp-beta-squared-inf", "sweep-g-gamma-tau-zero"],
+    )
+    def test_beta_overflow_exits_2(self, tmp_path, capsys, argv):
+        # beta = 1/(g gamma tau), or the single-photon model's beta^2, would
+        # reach the output as Infinity or NaN; the last product underflows to 0
+        path = tmp_path / "out"
+        argv = [argv[0], "--preset", "losschannel", *argv[1:], "--output", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: gamma: beta^2 overflows")
+        assert not path.exists()
+
+    def test_largest_accepted_beta_gives_finite_rows(self, capsys):
+        argv = ["sweep", "--preset", "losschannel", "--gamma", "2.5e-154", "--gain.g", "2",
+                "--model", "single_photon"]
+        assert main(argv) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert all(math.isfinite(float(value)) for value in row[:-1])
 
     @pytest.mark.parametrize(
         "variances",
