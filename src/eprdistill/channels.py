@@ -19,7 +19,7 @@ cross-correlation.
 
 from __future__ import annotations
 
-from math import comb, cos, frexp, radians
+from math import comb, cos, radians
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .fock import (
     HilbertConfig,
     annihilation_operator,
     apply_mode_kraus,
+    herald,
     normalize,
     partial_trace,
     pure_state,
@@ -52,7 +53,7 @@ def tmsv_state(gamma: float, config: HilbertConfig) -> DensityMatrix:
     if config.mode_count != 2:
         raise ValueError("two-mode squeezed vacuum needs a 2-mode space")
     d = config.dim_per_mode
-    vec = np.zeros(config.dim, dtype=complex)
+    vec = np.zeros(config.dim)
     vec[:: d + 1] = [gamma**n for n in range(d)]
     return pure_state(config, vec)
 
@@ -77,11 +78,11 @@ def loss_kraus_operators(n_max: int, tau: float) -> list[np.ndarray]:
     one_minus_t2 = max(0.0, 1.0 - tau * tau)
     ops = []
     for k in range(d):
-        mat = np.zeros((d, d), dtype=complex)
+        mat = np.zeros((d, d))
         for n in range(k, d):
             mat[n - k, n] = np.sqrt(comb(n, k)) * tau ** (n - k) * one_minus_t2 ** (k / 2.0)
         ops.append(mat)
-    completeness = sum(op.conj().T @ op for op in ops)
+    completeness = sum(op.T @ op for op in ops)
     defect = np.max(np.abs(completeness - np.eye(d)))
     if defect > tolerances.KRAUS_COMPLETENESS_ATOL:
         raise AssertionError(f"Kraus completeness defect {defect:.3e}")
@@ -94,7 +95,7 @@ def loss_channel(state: DensityMatrix, mode: int, tau: float) -> DensityMatrix:
     return DensityMatrix(state.config, apply_mode_kraus(state, mode, ops))
 
 
-def beamsplitter_unitary(n_max: int, r: float) -> np.ndarray:
+def beamsplitter_unitary(n_max: int, r) -> np.ndarray:
     """Two-mode beamsplitter exp(theta (a^dag b - a b^dag)), sin(theta) = r.
 
     In the single-photon sector this is [[t, r], [-r, t]] on (|1 0>, |0 1>):
@@ -107,19 +108,25 @@ def beamsplitter_unitary(n_max: int, r: float) -> np.ndarray:
     error below 0.5^15 / 15! < 3e-17.  G conserves n_a + n_b, so it is block
     diagonal, and every product keeps the elements between blocks exactly
     0.0.  U is real.
+    A 1-D array of G reflectivities gives the (G, D, D) stack; each gain
+    keeps its own squaring count, so each slice equals its single call.
     """
-    if not 0.0 <= r <= 1.0:
+    rs = np.atleast_1d(r)
+    if not np.all((0.0 <= rs) & (rs <= 1.0)):
         raise ValueError(f"reflectivity must be in [0, 1], got {r}")
     a = annihilation_operator(n_max)
-    generator = np.arcsin(r) * (np.kron(a.T, a) - np.kron(a, a.T))
+    generator = np.arcsin(rs)[:, None, None] * (np.kron(a.T, a) - np.kron(a, a.T))
     # the 1-norm is m 2^e with 1/2 <= m < 1, so e + 1 halvings bring it below 1/2
-    squarings = max(0, frexp(np.abs(generator).sum(axis=0).max())[1] + 1)
-    x = generator / 2**squarings
-    term = u = np.eye(len(generator))
+    squarings = np.maximum(0, np.frexp(np.abs(generator).sum(axis=1).max(axis=1))[1] + 1)
+    x = generator / (2.0**squarings)[:, None, None]
+    term = u = np.eye(generator.shape[1])
     for k in range(1, 15):
         term = term @ x / k
         u = u + term
-    return np.linalg.matrix_power(u, 2**squarings)
+    for step in range(squarings.max()):
+        more = squarings > step
+        u[more] = u[more] @ u[more]
+    return u if np.ndim(r) else u[0]
 
 
 def herald_click(state: DensityMatrix, mode: int) -> tuple[DensityMatrix, float]:
@@ -136,7 +143,7 @@ def herald_click(state: DensityMatrix, mode: int) -> tuple[DensityMatrix, float]
     return partial_trace(clicked, mode), prob
 
 
-def catalysis_kraus_operators(n_max: int, r: float, eta: float) -> np.ndarray:
+def catalysis_kraus_operators(n_max: int, r, eta: float) -> np.ndarray:
     """Heralded Kraus family of the catalysis step, acting on the signal mode.
 
     With U the two-mode beamsplitter on (detector port, surviving port) fed
@@ -145,22 +152,25 @@ def catalysis_kraus_operators(n_max: int, r: float, eta: float) -> np.ndarray:
     three-mode circuit unitary is I_A (x) U, so these operators reproduce it
     exactly, truncation at the cutoff included.  For each j the unheralded
     family (n >= 0) must be complete.  Returns the stack of 2 * n_max
-    operators, shape (2 n_max, d, d).
+    operators, shape (2 n_max, d, d), or for G reflectivities the G families,
+    shape (G, 2 n_max, d, d).
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     d = n_max + 1
     # the ancilla enters port 1 and reaches port 0 with amplitude +r, so
-    # port 0 is the detector: u[n, k, b, j] = <n, k| U |b, j> with detector
-    # n, surviving output k, signal b and ancilla j
-    u = beamsplitter_unitary(n_max, r)
-    u = u.reshape(d, d, d, d)[..., :2]
-    gram = np.einsum("nkbj,nkcj->jbc", u, u)
+    # port 0 is the detector: u[g, n, k, b, j] = <n, k| U |b, j> with
+    # detector n, surviving output k, signal b and ancilla j
+    u = beamsplitter_unitary(n_max, np.atleast_1d(r))
+    u = u.reshape(-1, d, d, d, d)[..., :2]
+    columns = u.transpose(0, 4, 1, 2, 3).reshape(-1, 2, d * d, d)
+    gram = columns.transpose(0, 1, 3, 2) @ columns
     defect = np.max(np.abs(gram - np.eye(d)))
     if defect > tolerances.KRAUS_COMPLETENESS_ATOL:
         raise AssertionError(f"Kraus completeness defect {defect:.3e}")
-    weighted = u[1:] * np.sqrt([1.0 - eta, eta])
-    return weighted.transpose(0, 3, 1, 2).reshape(2 * n_max, d, d)
+    weighted = u[:, 1:] * np.sqrt([1.0 - eta, eta])
+    ops = weighted.transpose(0, 1, 4, 2, 3).reshape(-1, 2 * n_max, d, d)
+    return ops if np.ndim(r) else ops[0]
 
 
 def nla_catalysis(
@@ -181,9 +191,25 @@ def nla_catalysis(
     the same state.
 
     Returns the distilled state and the heralding probability.  For a
-    vacuum-signal input the probability is exactly eta_ancilla * r^2.
+    vacuum-signal input the probability is exactly eta_ancilla * r^2.  It is
+    `nla_catalysis_stack` at G = 1.
     """
+    return normalize(epr.config, _catalysis_branches(epr, r, eta_ancilla))
+
+
+def nla_catalysis_stack(
+    epr: DensityMatrix, rs: np.ndarray, eta_ancilla: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`nla_catalysis` at a 1-D array of G reflectivities as one batch.
+
+    Returns `fock.herald`'s (states, probabilities, heralded mask); a gain
+    that cannot herald is masked out instead of raising.
+    """
+    return herald(epr.config, _catalysis_branches(epr, rs, eta_ancilla))
+
+
+def _catalysis_branches(epr: DensityMatrix, r, eta_ancilla: float) -> np.ndarray:
     if epr.config.mode_count != 2:
         raise ValueError("catalysis expects a 2-mode input state")
     kraus = catalysis_kraus_operators(epr.config.n_max, r, eta_ancilla)
-    return normalize(epr.config, apply_mode_kraus(epr, 1, kraus))
+    return apply_mode_kraus(epr, 1, kraus)

@@ -35,9 +35,29 @@ class HeraldingImpossibleError(InvalidStateError):
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
+    out = np.array(arr, dtype=complex if np.iscomplexobj(arr) else float)
     out.setflags(write=False)
     return out
+
+
+def _check_states(config: HilbertConfig, stack: np.ndarray) -> None:
+    """Raise InvalidStateError unless every matrix of a (G, dim, dim) stack is a
+    state: Hermitian, PSD (one stacked eigvalsh) and of trace in (0, 1].  An
+    empty stack passes."""
+    if stack.shape[1:] != (config.dim, config.dim):
+        raise InvalidStateError(
+            f"state shape {stack.shape[1:]} does not match dimension {config.dim}"
+        )
+    herm_defect = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)), initial=0.0)
+    if herm_defect > tolerances.HERMITICITY_ATOL:
+        raise InvalidStateError(f"not Hermitian: max defect {herm_defect:.3e}")
+    lowest = np.linalg.eigvalsh(stack).min(initial=np.inf)
+    if lowest < tolerances.EIGENVALUE_FLOOR:
+        raise InvalidStateError(f"negative eigenvalue {lowest:.3e}")
+    traces = np.real(np.trace(stack, axis1=1, axis2=2))
+    outside = (traces <= 0.0) | (traces > 1.0 + tolerances.TRACE_UPPER_SLACK)
+    if np.any(outside):
+        raise InvalidStateError(f"trace {traces[outside][0]:.3e} outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -92,7 +112,8 @@ class DensityMatrix:
     """Hermitian PSD matrix over the multimode Fock basis, trace in (0, 1].
 
     A trace below one encodes a sub-normalized state; :func:`normalize` turns
-    a raw heralded branch into a conditional state plus probability.
+    a raw heralded branch into a conditional state plus probability, and
+    :func:`herald` a stack of them.
     """
 
     config: HilbertConfig
@@ -100,20 +121,15 @@ class DensityMatrix:
 
     def __post_init__(self):
         elems = _frozen(self.elements)
-        if elems.shape != (self.config.dim, self.config.dim):
-            raise InvalidStateError(
-                f"state shape {elems.shape} does not match dimension {self.config.dim}"
-            )
-        herm_defect = np.max(np.abs(elems - elems.conj().T))
-        if herm_defect > tolerances.HERMITICITY_ATOL:
-            raise InvalidStateError(f"not Hermitian: max defect {herm_defect:.3e}")
-        eigs = np.linalg.eigvalsh(elems)
-        if eigs.min() < tolerances.EIGENVALUE_FLOOR:
-            raise InvalidStateError(f"negative eigenvalue {eigs.min():.3e}")
-        tr = float(np.real(np.trace(elems)))
-        if not 0.0 < tr <= 1.0 + tolerances.TRACE_UPPER_SLACK:
-            raise InvalidStateError(f"trace {tr:.3e} outside (0, 1]")
+        _check_states(self.config, elems[None])
         object.__setattr__(self, "elements", elems)
+
+    @classmethod
+    def _checked(cls, config: HilbertConfig, elements: np.ndarray) -> DensityMatrix:
+        """Wrap read-only elements that _check_states has passed, unchecked."""
+        state = object.__new__(cls)
+        state.__dict__.update(config=config, elements=elements)
+        return state
 
     @property
     def trace(self) -> float:
@@ -133,14 +149,14 @@ def annihilation_operator(n_max: int) -> np.ndarray:
 
 def basis_vector(config: HilbertConfig, occupations) -> np.ndarray:
     """Unit vector for the Fock state |n_0, n_1, ...>."""
-    vec = np.zeros(config.dim, dtype=complex)
+    vec = np.zeros(config.dim)
     vec[config.index_of(occupations)] = 1.0
     return vec
 
 
 def pure_state(config: HilbertConfig, amplitudes: np.ndarray) -> DensityMatrix:
     """Density matrix |psi><psi| of a normalized amplitude vector."""
-    vec = np.asarray(amplitudes, dtype=complex)
+    vec = np.asarray(amplitudes)
     norm = np.linalg.norm(vec)
     if norm < tolerances.HERALD_MIN_PROBABILITY:
         raise ValueError("cannot normalize a zero amplitude vector")
@@ -190,32 +206,53 @@ def apply_mode_kraus(state: DensityMatrix, mode: int, ops) -> np.ndarray:
     The d x d operators are stacked into the one-mode superoperator
     S[k, l, b, c] = sum_i K_i[k, b] conj(K_i[l, c]), which is contracted with
     the row and column indices of `mode` in the reshaped state tensor; no
-    full-size kron(I, K) is formed.  Returns the raw matrix, which is
+    full-size kron(I, K) is formed.  G families, shape (G, n, d, d), give the
+    (G, dim, dim) stack of their images.  Returns the raw matrix, which is
     sub-normalized for a heralded branch, so the caller can read its trace
-    before validating it as a DensityMatrix.
+    before validating it as a state.
     """
     cfg = state.config
     cfg.check_mode(mode)
     d = cfg.dim_per_mode
-    kraus = np.asarray(ops, dtype=complex)
-    if kraus.ndim != 3 or kraus.shape[1:] != (d, d):
+    kraus = np.asarray(ops)
+    if kraus.ndim not in (3, 4) or kraus.shape[-2:] != (d, d):
         raise ValueError(f"expected a stack of {d}x{d} operators, got shape {kraus.shape}")
-    superop = np.tensordot(kraus, kraus.conj(), axes=(0, 0)).transpose(0, 2, 1, 3)
+    flat = kraus.reshape(-1, kraus.shape[-3], d * d)
+    superop = flat.transpose(0, 2, 1) @ flat.conj()
+    superop = superop.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
     pre, post = d**mode, d ** (cfg.mode_count - 1 - mode)
     tensor = state.elements.reshape(pre, d, post, pre, d, post)
-    out = np.tensordot(superop, tensor, axes=([2, 3], [1, 4]))
-    return out.transpose(2, 0, 3, 4, 1, 5).reshape(cfg.dim, cfg.dim)
+    out = np.tensordot(superop, tensor, axes=([3, 4], [1, 4]))
+    out = out.transpose(0, 3, 1, 4, 5, 2, 6).reshape(-1, cfg.dim, cfg.dim)
+    return out if kraus.ndim == 4 else out[0]
+
+
+def herald(
+    config: HilbertConfig, branches: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Condition a (G, dim, dim) stack of raw heralded branches on the herald.
+
+    Reads p = Tr(branch), raising InvalidStateError above 1 + TRACE_UPPER_SLACK.
+    A branch with p <= HERALD_MIN_PROBABILITY cannot herald; the others are
+    divided by p and validated as one read-only stack (for p <= 1 at least as
+    strict as validating the branch).  Returns (states, all G p, heralded mask).
+    """
+    probs = np.real(np.trace(branches, axis1=1, axis2=2))
+    if np.any(probs > 1.0 + tolerances.TRACE_UPPER_SLACK):
+        raise InvalidStateError(f"trace {probs.max():.3e} outside (0, 1]")
+    heralded = probs > tolerances.HERALD_MIN_PROBABILITY
+    states = branches[heralded] / probs[heralded, None, None]
+    states.setflags(write=False)
+    _check_states(config, states)
+    return states, probs, heralded
 
 
 def normalize(config: HilbertConfig, branch: np.ndarray) -> tuple[DensityMatrix, float]:
-    """Split a raw heralded branch into (conditional state, probability).
+    """`herald` of one raw branch: (conditional state, probability).
 
-    Reads p = Tr(branch) once and validates branch / p as one DensityMatrix;
-    for p <= 1 that is at least as strict as validating the branch itself.
+    Raises HeraldingImpossibleError when the branch cannot herald.
     """
-    prob = float(np.real(np.trace(branch)))
-    if prob <= tolerances.HERALD_MIN_PROBABILITY:
-        raise HeraldingImpossibleError(prob)
-    if prob > 1.0 + tolerances.TRACE_UPPER_SLACK:
-        raise InvalidStateError(f"trace {prob:.3e} outside (0, 1]")
-    return DensityMatrix(config, branch / prob), prob
+    states, (prob,), (heralded,) = herald(config, branch[None])
+    if not heralded:
+        raise HeraldingImpossibleError(float(prob))
+    return DensityMatrix._checked(config, states[0]), float(prob)

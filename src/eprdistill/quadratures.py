@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tolerances
-from .fock import DensityMatrix
+from .fock import DensityMatrix, HilbertConfig
 
 
 @dataclass(frozen=True)
@@ -73,23 +73,32 @@ def covariance_summary(state: DensityMatrix) -> CovarianceSummary:
     are taken relative to the trace.  Raises if an element between Delta
     blocks exceeds OFF_BLOCK_ATOL, which signals a circuit bug.
     """
-    cfg = state.config
-    if cfg.mode_count != 2:
+    return covariance_summaries(state.config, state.elements[None])[0]
+
+
+def covariance_summaries(config: HilbertConfig, states: np.ndarray) -> list[CovarianceSummary]:
+    """`covariance_summary` of each state of a (G, dim, dim) stack, in one pass."""
+    if config.mode_count != 2:
         raise ValueError("covariance extraction expects a 2-mode state")
-    d = cfg.dim_per_mode
-    rho = state.elements / state.trace
-    delta = cfg.mode_occupations(0) - cfg.mode_occupations(1)
-    off_block = np.max(np.abs(rho[delta[:, None] != delta[None, :]]))
+    d = config.dim_per_mode
+    rho = states / np.real(np.trace(states, axis1=1, axis2=2))[:, None, None]
+    delta = config.mode_occupations(0) - config.mode_occupations(1)
+    off_block = np.max(np.abs(rho[:, delta[:, None] != delta[None, :]]), initial=0.0)
     if off_block > tolerances.OFF_BLOCK_ATOL:
         raise ValueError(f"state is not phase-symmetric: off-block element {off_block:.3e}")
     levels = np.arange(d)
-    populations = np.real(np.diagonal(rho)).reshape(d, d)
-    n_a = float(populations.sum(axis=1) @ levels)
-    n_b = float(populations.sum(axis=0) @ levels)
+    populations = np.real(np.diagonal(rho, axis1=1, axis2=2)).reshape(-1, d, d)
+    # sums, not matmuls: the latter's order of summation varies with G
+    n_a = (populations.sum(axis=2) * levels).sum(axis=1)
+    n_b = (populations.sum(axis=1) * levels).sum(axis=1)
     # Re<ab> = sum over m, n >= 1 of sqrt(m n) Re rho[(m-1, n-1), (m, n)]
-    shifted = np.einsum("ijij->ij", rho.reshape(d, d, d, d)[:-1, :-1, 1:, 1:])
-    ab = float(np.sum(np.sqrt(np.outer(levels[1:], levels[1:])) * np.real(shifted)))
-    return CovarianceSummary(n_a + 0.5, n_a + 0.5, n_b + 0.5, n_b + 0.5, ab, -ab)
+    shifted = np.einsum("gijij->gij", rho.reshape(-1, d, d, d, d)[:, :-1, :-1, 1:, 1:])
+    weights = np.sqrt(np.outer(levels[1:], levels[1:]))
+    ab = np.sum(weights * np.real(shifted), axis=(1, 2))
+    return [
+        CovarianceSummary(na + 0.5, na + 0.5, nb + 0.5, nb + 0.5, x, -x)
+        for na, nb, x in zip(n_a.tolist(), n_b.tolist(), ab.tolist())
+    ]
 
 
 def apply_detection_efficiency(

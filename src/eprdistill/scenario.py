@@ -22,6 +22,7 @@ from .channels import (
     HeraldingImpossibleError,
     loss_channel,
     nla_catalysis,
+    nla_catalysis_stack,
     pump_rotation_degrade,
     tmsv_state,
 )
@@ -33,7 +34,9 @@ from .models import (
     sp_model_herald_probability,
 )
 from .quadratures import (
+    CovarianceSummary,
     apply_detection_efficiency,
+    covariance_summaries,
     covariance_summary,
     duan_inseparability,
     sample_quadratures,
@@ -53,6 +56,10 @@ MAX_SAMPLE_COUNT = 1_000_000
 # standard deviation, sqrt(1/2), in these units.
 SHOT_NOISE_RADIUS = float(np.sqrt(0.5))
 
+# Gains of a full_numeric sweep evaluated as one stack: about 115 KB each at
+# n_max = 6, so a stack peaks near 7 MB however long the sweep.
+_GAIN_CHUNK = 64
+
 # Sample pairs formatted per write of a sample report: large enough to
 # amortise the writes, small enough that no whole-document string is built.
 _SAMPLE_CHUNK = 4096
@@ -69,6 +76,10 @@ class ConfigError(ValueError):
 _KIND_NAMES = {
     float: "a finite number", int: "an integer", str: "a string", bool: "true or false",
 }
+
+
+# get_type_hints compiles the string annotations anew on every call
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def _type_name(value) -> str:
@@ -104,7 +115,7 @@ def _from_json(cls, data, path: str):
     where = path or "config"
     if not isinstance(data, dict):
         raise ConfigError(where, f"expected an object, got {_type_name(data)}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(where, f"unknown keys {sorted(unknown)}")
@@ -274,14 +285,15 @@ class ScenarioConfig:
         return data
 
 
-def leaf_fields(cls: type = ScenarioConfig, path: str = "") -> list[tuple[str, type, Field]]:
+@functools.cache
+def leaf_fields(cls: type = ScenarioConfig, path: str = "") -> tuple[tuple[str, type, Field], ...]:
     """(dotted path, value type, field) of every scalar of the schema, in order."""
-    hints = typing.get_type_hints(cls)
-    leaves = []
+    hints = _type_hints(cls)
+    leaves = ()
     for f in fields(cls):
         name = f"{path}.{f.name}" if path else f.name
         kind, _ = _value_type(hints[f.name])
-        leaves += leaf_fields(kind, name) if is_dataclass(kind) else [(name, kind, f)]
+        leaves += leaf_fields(kind, name) if is_dataclass(kind) else ((name, kind, f),)
     return leaves
 
 
@@ -333,22 +345,30 @@ def _round12(value: float) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _lossy_source(gamma: float, degrade_mode: str, tau: float, n_max: int) -> DensityMatrix:
+def _lossy_source(config: ScenarioConfig) -> DensityMatrix:
     """The squeezed source after its degradation, which does not depend on g.
 
     Built once per sweep; sharing it is safe since a DensityMatrix's
     elements are read-only.
     """
-    state = tmsv_state(gamma, HilbertConfig(n_max, 2))
-    if degrade_mode == "loss":
-        state = loss_channel(state, 1, tau)
+    state = tmsv_state(config.effective_gamma, HilbertConfig(config.n_max, 2))
+    if config.degrade.mode == "loss":
+        state = loss_channel(state, 1, config.tau)
     return state
 
 
 def build_distilled_state(config: ScenarioConfig, g: float) -> tuple[DensityMatrix, float]:
     """Source -> degrade -> catalysis; returns the distilled state and p."""
-    state = _lossy_source(config.effective_gamma, config.degrade.mode, config.tau, config.n_max)
-    return nla_catalysis(state, 1.0 / g, config.eta_ancilla)
+    return nla_catalysis(_lossy_source(config), 1.0 / g, config.eta_ancilla)
+
+
+def _sweep_row(
+    config: ScenarioConfig, g: float, cov: CovarianceSummary, herald_p: float
+) -> SweepRow:
+    cov = apply_detection_efficiency(cov, config.eta_a, config.eta_b)
+    duan = duan_inseparability(cov)
+    beta = beta_from_gain(g, config.effective_gamma, config.tau)
+    return SweepRow(g, beta, cov.v_diff, cov.v_sum, duan.value, duan.a_star, herald_p, config.model)
 
 
 def evaluate_gain_point(config: ScenarioConfig, g: float) -> SweepRow:
@@ -358,46 +378,42 @@ def evaluate_gain_point(config: ScenarioConfig, g: float) -> SweepRow:
     moments, then detector efficiencies, then the inseparability minimum.
     Analytic models report the single-photon-level heralding probability.
     """
-    gamma_eff = config.effective_gamma
-    tau = config.tau
     if config.model == "full_numeric":
         distilled, herald_p = build_distilled_state(config, g)
-        cov = covariance_summary(distilled)
-    else:
-        eta = 1.0 if config.model == "ideal" else config.eta_ancilla
-        cov = sp_model_covariance(gamma_eff, tau, g, eta)
-        herald_p = sp_model_herald_probability(gamma_eff, tau, g, eta)
-    cov = apply_detection_efficiency(cov, config.eta_a, config.eta_b)
-    duan = duan_inseparability(cov)
-    return SweepRow(
-        g=g,
-        beta=beta_from_gain(g, gamma_eff, tau),
-        v_diff=cov.v_diff,
-        v_sum=cov.v_sum,
-        duan_i=duan.value,
-        duan_a_star=duan.a_star,
-        herald_p=herald_p,
-        model=config.model,
-    )
+        return _sweep_row(config, g, covariance_summary(distilled), herald_p)
+    eta = 1.0 if config.model == "ideal" else config.eta_ancilla
+    args = (config.effective_gamma, config.tau, g, eta)
+    return _sweep_row(config, g, sp_model_covariance(*args), sp_model_herald_probability(*args))
+
+
+def _distill_gains(config: ScenarioConfig, gains: np.ndarray, result: SweepResult) -> None:
+    """`evaluate_gain_point` of full_numeric run as one batch over `gains`; the
+    rows and the gains that cannot herald are appended to `result`."""
+    source = _lossy_source(config)
+    states, probs, heralded = nla_catalysis_stack(source, 1.0 / gains, config.eta_ancilla)
+    covs = iter(covariance_summaries(source.config, states))
+    for g, p, ok in zip(gains.tolist(), probs.tolist(), heralded.tolist()):
+        if ok:
+            result.rows.append(_sweep_row(config, g, next(covs), p))
+        else:
+            result.skipped.append((g, str(HeraldingImpossibleError(p))))
 
 
 def run_scenario(config: ScenarioConfig) -> SweepResult:
     """Evaluate the scenario over its gain grid, rows emitted in g order.
 
-    Rows are independent of each other (pure functions throughout), so they
-    could be evaluated concurrently; output order is by ascending g either
-    way.  Gains whose heralding probability vanishes are reported in
-    `skipped` rather than aborting the sweep.
+    full_numeric evaluates its gains in stacks of _GAIN_CHUNK, the analytic
+    models one at a time.  Gains whose heralding probability vanishes are
+    reported in `skipped` rather than aborting the sweep.
     """
     config.validate()
-    rows: list[SweepRow] = []
-    skipped: list[tuple[float, str]] = []
-    for g in config.gain.values():
-        try:
-            rows.append(evaluate_gain_point(config, float(g)))
-        except HeraldingImpossibleError as exc:
-            skipped.append((float(g), str(exc)))
-    return SweepResult(config, rows, skipped)
+    gains = config.gain.values()
+    if config.model != "full_numeric":
+        return SweepResult(config, [evaluate_gain_point(config, g) for g in gains.tolist()])
+    result = SweepResult(config, [])
+    for start in range(0, len(gains), _GAIN_CHUNK):
+        _distill_gains(config, gains[start : start + _GAIN_CHUNK], result)
+    return result
 
 
 def run_sampling(config: ScenarioConfig) -> dict:

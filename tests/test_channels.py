@@ -21,6 +21,7 @@ from eprdistill import (
     tmsv_state,
     vacuum_state,
 )
+from eprdistill.channels import nla_catalysis_stack
 
 from conftest import (
     ancilla_photon,
@@ -74,6 +75,23 @@ class TestTmsvState:
         for gamma in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
                 tmsv_state(gamma, CFG2)
+
+
+class TestRealArithmetic:
+    def test_states_and_channels_are_float64(self):
+        # every number of the model is real; states stay float64 through it
+        epr = tmsv_state(0.135, CFG2)
+        lossy = loss_channel(epr, 1, np.sqrt(0.05))
+        distilled, _ = nla_catalysis(lossy, 0.1, 0.65)
+        for state in (epr, lossy, distilled):
+            assert state.elements.dtype == np.float64
+        assert all(op.dtype == np.float64 for op in loss_kraus_operators(3, 0.5))
+        assert catalysis_kraus_operators(3, 0.1, 0.65).dtype == np.float64
+
+    def test_complex_state_keeps_its_type_through_the_channels(self, rng):
+        rho = random_density_matrix(CFG2, rng)
+        out, _ = nla_catalysis(loss_channel(rho, 1, 0.5), 0.3, 0.65)
+        assert out.elements.dtype == np.complex128
 
 
 class TestPumpRotation:
@@ -246,6 +264,19 @@ class TestBeamsplitter:
             assert np.max(np.abs(u - reference)) <= 1e-13
             assert np.all(u[~same_block] == 0.0)
 
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_stack_equals_single_calls(self, n_max):
+        # each gain keeps its own squaring count, so the stack is bitwise equal
+        gains = np.concatenate([np.linspace(1.0, 30.0, 57), np.geomspace(1.0, 1e4, 20)])
+        for rs in (1.0 / gains[:57], 1.0 / gains[57:]):
+            stacked = beamsplitter_unitary(n_max, rs)
+            assert stacked.shape == (len(rs), (n_max + 1) ** 2, (n_max + 1) ** 2)
+            assert np.array_equal(stacked, [beamsplitter_unitary(n_max, r) for r in rs])
+
+    def test_stack_rejects_any_reflectivity_out_of_range(self):
+        with pytest.raises(ValueError):
+            beamsplitter_unitary(CFG2.n_max, np.array([0.5, 1.2]))
+
 
 class TestHeraldClick:
     def test_vacuum_herald_is_impossible(self):
@@ -319,6 +350,31 @@ class TestNlaCatalysis:
             assert np.linalg.eigvalsh(np.eye(d) - heralded).min() >= -1e-14
         with pytest.raises(ValueError):
             catalysis_kraus_operators(3, 0.3, 1.5)
+
+    def test_stacked_kraus_families_equal_single_calls(self):
+        rs = 1.0 / np.linspace(1.0, 30.0, 9)
+        for n_max in (3, 6):
+            d = n_max + 1
+            stacked = catalysis_kraus_operators(n_max, rs, 0.65)
+            assert stacked.shape == (len(rs), 2 * n_max, d, d)
+            singles = [catalysis_kraus_operators(n_max, r, 0.65) for r in rs]
+            assert np.array_equal(stacked, singles)
+
+    def test_stack_equals_single_calls_and_masks_impossible_gains(self):
+        # a vacuum signal without an ancilla photon never clicks
+        rs = np.array([0.1, 0.3, 0.5])
+        for epr, eta in ((tmsv_state(0.135, CFG2), 0.65), (tmsv_state(0.0, CFG2), 0.0)):
+            states, probs, heralded = nla_catalysis_stack(epr, rs, eta)
+            for r, p, ok in zip(rs, probs, heralded):
+                if ok:
+                    state, prob = nla_catalysis(epr, r, eta)
+                    assert (prob, state.elements.tolist()) == (p, states[0].tolist())
+                    states = states[1:]
+                else:
+                    with pytest.raises(HeraldingImpossibleError):
+                        nla_catalysis(epr, r, eta)
+            assert len(states) == 0
+        assert heralded.tolist() == [False] * 3
 
     def test_vacuum_signal_heralds_at_eta_r_squared(self):
         for eta in (0.5, 0.65, 1.0):

@@ -20,6 +20,8 @@ from eprdistill import (
     vacuum_state,
 )
 
+from eprdistill.fock import _check_states, herald
+
 from conftest import kron_kraus_sum, random_density_matrix
 
 
@@ -177,6 +179,17 @@ class TestApplyModeKraus:
             out = DensityMatrix(cfg, apply_mode_kraus(rho, mode, ops))
             assert out.trace == pytest.approx(rho.trace, abs=1e-13)
 
+    def test_gain_axis_stacks_each_family(self, rng):
+        cfg = HilbertConfig(n_max=2, mode_count=3)
+        d = cfg.dim_per_mode
+        rho = random_density_matrix(cfg, rng)
+        families = rng.normal(size=(4, 3, d, d)) + 1j * rng.normal(size=(4, 3, d, d))
+        for mode in range(3):
+            stacked = apply_mode_kraus(rho, mode, families)
+            assert stacked.shape == (4, cfg.dim, cfg.dim)
+            for out, ops in zip(stacked, families):
+                np.testing.assert_array_equal(out, apply_mode_kraus(rho, mode, ops))
+
     def test_rejects_wrong_operator_shape(self):
         cfg = HilbertConfig(n_max=2, mode_count=2)
         with pytest.raises(ValueError):
@@ -211,6 +224,25 @@ class TestNormalize:
         with pytest.raises(InvalidStateError, match="trace"):
             normalize(cfg, np.diag([1.0, 2e-12]).astype(complex))
 
+    def test_stack_keeps_only_the_heralding_branches(self):
+        cfg = HilbertConfig(n_max=1, mode_count=1)
+        vac = vacuum_state(cfg).elements
+        states, probs, heralded = herald(cfg, np.stack([0.25 * vac, 1e-16 * vac, 0.5 * vac]))
+        np.testing.assert_array_equal(probs, [0.25, 1e-16, 0.5])
+        np.testing.assert_array_equal(heralded, [True, False, True])
+        np.testing.assert_array_equal(states, [vac, vac])
+        assert not states.flags.writeable
+        with pytest.raises(InvalidStateError, match="trace"):
+            herald(cfg, np.stack([0.25 * vac, np.diag([1.0, 2e-12])]))
+        with pytest.raises(InvalidStateError, match="eigenvalue"):
+            herald(cfg, np.stack([0.25 * vac, np.diag([0.6, -0.1])]))
+
+    def test_nothing_heralds(self):
+        cfg = HilbertConfig(n_max=1, mode_count=1)
+        states, _, heralded = herald(cfg, np.zeros((3, 2, 2)))
+        assert states.shape == (0, 2, 2)
+        assert not heralded.any()
+
 
 class TestStateInvariants:
     def test_construction_rejects_non_hermitian(self):
@@ -229,6 +261,38 @@ class TestStateInvariants:
         cfg = HilbertConfig(n_max=1, mode_count=1)
         with pytest.raises(InvalidStateError, match="trace"):
             DensityMatrix(cfg, np.diag([0.8, 0.8]).astype(complex))
+
+    def test_real_input_stays_real(self):
+        cfg = HilbertConfig(n_max=1, mode_count=1)
+        assert DensityMatrix(cfg, np.diag([0.75, 0.25])).elements.dtype == np.float64
+        assert vacuum_state(cfg).elements.dtype == np.float64
+
+    def test_complex_hermitian_state_accepted(self):
+        cfg = HilbertConfig(n_max=1, mode_count=1)
+        rho = DensityMatrix(cfg, np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
+        assert rho.elements.dtype == np.complex128
+        assert rho.elements[0, 1] == 0.25j
+
+    def test_imaginary_part_breaking_hermiticity_rejected(self):
+        cfg = HilbertConfig(n_max=1, mode_count=1)
+        with pytest.raises(InvalidStateError, match="Hermitian"):
+            DensityMatrix(cfg, np.array([[0.5, 0.25j], [0.25j, 0.5]]))
+
+    def test_stack_check_names_the_failing_invariant(self):
+        cfg = HilbertConfig(n_max=1, mode_count=1)
+        good = np.diag([0.75, 0.25])
+        _check_states(cfg, np.stack([good, good]))
+        _check_states(cfg, np.empty((0, 2, 2)))  # nothing to validate
+        cases = [
+            (np.diag([1.2, -0.2]), "eigenvalue"),
+            (np.diag([0.8, 0.8]), "trace 1.600e\\+00"),
+            (np.array([[0.5, 0.1], [0.3, 0.5]]), "Hermitian"),
+            (np.eye(3) / 3, "shape"),
+        ]
+        for bad, message in cases:
+            stack = np.stack([good, bad]) if bad.shape == good.shape else bad[None]
+            with pytest.raises(InvalidStateError, match=message):
+                _check_states(cfg, stack)
 
     def test_elements_are_immutable(self):
         cfg = HilbertConfig(n_max=1, mode_count=1)

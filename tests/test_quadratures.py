@@ -22,7 +22,7 @@ from eprdistill import (
 from eprdistill import quadratures
 from eprdistill.cli import load_preset
 from eprdistill.fock import annihilation_operator
-from eprdistill.quadratures import hermite_functions
+from eprdistill.quadratures import covariance_summaries, hermite_functions
 from eprdistill.scenario import build_distilled_state
 
 from conftest import random_density_matrix
@@ -125,6 +125,12 @@ class TestCovarianceSummary:
         assert cov.xx_b == pytest.approx((beta**2 + 3.0) / (2 * denom), abs=1e-12)
         assert cov.xa_xb == pytest.approx(beta / denom, abs=1e-12)
         assert cov.pa_pb == pytest.approx(-beta / denom, abs=1e-12)
+
+    def test_stack_equals_each_state(self, rng):
+        states = [random_density_matrix(CFG2, rng, zero_mean=True) for _ in range(5)]
+        stack = np.stack([state.elements for state in states])
+        assert covariance_summaries(CFG2, stack) == [covariance_summary(s) for s in states]
+        assert covariance_summaries(CFG2, stack[:0]) == []
 
     def test_derived_combinations_are_consistent(self, rng):
         cov = random_covariance(rng)

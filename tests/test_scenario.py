@@ -10,18 +10,21 @@ from hypothesis import strategies as st
 from eprdistill import (
     ConfigError,
     GainSpec,
+    HeraldingImpossibleError,
     ScenarioConfig,
     run_equivalence,
     run_sampling,
     run_scenario,
 )
-from eprdistill import cli, scenario
+from eprdistill import channels, cli, scenario
 from eprdistill.cli import build_parser, load_preset, main
 from eprdistill.scenario import (
     CSV_HEADER,
     MAX_GAIN_STEPS,
     MAX_SAMPLE_COUNT,
+    build_distilled_state,
     dump_json_report,
+    evaluate_gain_point,
     leaf_fields,
     write_json_report,
 )
@@ -273,6 +276,61 @@ class TestRunScenario:
         assert len(result.rows) == 8
         assert calls == {"tmsv_state": 1, "loss_channel": 1}
 
+    def test_one_catalysis_family_stack_per_sweep(self, monkeypatch):
+        calls = []
+        original = channels.catalysis_kraus_operators
+        monkeypatch.setattr(
+            channels, "catalysis_kraus_operators",
+            lambda *args: calls.append(args) or original(*args),
+        )
+        result = run_scenario(loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": 8}))
+        assert len(result.rows) == 8
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_max", [3, 6])
+    @pytest.mark.parametrize("preset", cli.PRESET_NAMES)
+    def test_batch_rows_equal_single_gain_rows(self, preset, n_max):
+        config = ScenarioConfig.from_dict({**load_preset(preset), "n_max": n_max})
+        result = run_scenario(config)
+        assert len(result.rows) == config.gain.steps
+        assert result.rows == [evaluate_gain_point(config, row.g) for row in result.rows]
+
+    # gamma 1.2e-7 without an ancilla photon: the herald probability crosses
+    # the impossible-branch floor between g = 1.75 and g = 2
+    MIXED = {"gamma": 1.2e-7, "degrade": {"mode": "none"},
+             "gain": {"g_min": 1.0, "g_max": 3.0, "steps": 9},
+             "eta_ancilla": 0.0, "model": "full_numeric"}
+
+    def test_mixed_grid_skips_the_impossible_gains(self):
+        result = run_scenario(ScenarioConfig.from_dict(self.MIXED))
+        assert [row.g for row in result.rows] == [2.0, 2.25, 2.5, 2.75, 3.0]
+        assert result.skipped == [
+            (1.0, "heralding probability 1.450e-45 is vanishing"),
+            (1.25, "heralding probability 5.184e-15 is vanishing"),
+            (1.5, "heralding probability 8.000e-15 is vanishing"),
+            (1.75, "heralding probability 9.698e-15 is vanishing"),
+        ]
+        for g, reason in result.skipped:
+            with pytest.raises(HeraldingImpossibleError) as err:
+                evaluate_gain_point(result.config, g)
+            assert str(err.value) == reason
+
+    @pytest.mark.parametrize("config", [
+        loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": 8}),
+        ScenarioConfig.from_dict({**MIXED, "gain": {"g_min": 1.0, "g_max": 2.75, "steps": 8}}),
+    ], ids=["possible", "mixed"])
+    def test_chunked_rows_equal_one_chunk(self, monkeypatch, config):
+        whole = run_scenario(config)
+        monkeypatch.setattr(scenario, "_GAIN_CHUNK", 3)
+        chunked = run_scenario(config)
+        assert chunked.rows == whole.rows
+        assert chunked.skipped == whole.skipped
+        assert len(whole.rows) + len(whole.skipped) == 8
+
+    def test_distilled_state_is_real(self):
+        state, _ = build_distilled_state(loss_scenario(gain={"g": 10.0}), 10.0)
+        assert state.elements.dtype == np.float64
+
 
 class TestCsvOutput:
     def test_header_and_format(self, tmp_path):
@@ -501,6 +559,11 @@ class TestCli:
                        if not set(a.option_strings) & COMMAND_FLAGS]
             assert [s for a in actions for s in a.option_strings] == SCENARIO_FLAGS
             assert [a.dest for a in actions] == leaves
+
+    def test_schema_leaves_built_once(self):
+        # the parser and the override loop share one immutable tuple
+        assert isinstance(leaf_fields(), tuple)
+        assert leaf_fields() is leaf_fields()
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
