@@ -3,7 +3,6 @@ squeezed light by noiseless linear amplification, with analytic reference
 models, entanglement measures, and an equivalent-state solver."""
 
 from .channels import (
-    HeraldingImpossibleError,
     beamsplitter_unitary,
     catalysis_kraus_operators,
     herald_click,
@@ -16,6 +15,7 @@ from .channels import (
 from .equivalent import EquivalentSolve, EquivalentState, equivalent_variances, solve_equivalent
 from .fock import (
     DensityMatrix,
+    HeraldingImpossibleError,
     HilbertConfig,
     InvalidStateError,
     annihilation_operator,

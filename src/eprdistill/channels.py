@@ -26,7 +26,6 @@ import numpy as np
 from . import tolerances
 from .fock import (
     DensityMatrix,
-    HeraldingImpossibleError,  # raised by normalize; importable from here too
     HilbertConfig,
     annihilation_operator,
     apply_mode_kraus,

@@ -73,9 +73,7 @@ def sp_model_covariance(
     diag_a = (eta * (beta * beta + 3.0) + 3.0 * (1.0 - eta)) / denom
     diag_b = (eta * (beta * beta + 3.0) + (1.0 - eta)) / denom
     cross = eta * beta / (1.0 + eta * beta * beta)
-    return CovarianceSummary(
-        xx_a=diag_a, pp_a=diag_a, xx_b=diag_b, pp_b=diag_b, xa_xb=cross, pa_pb=-cross
-    )
+    return CovarianceSummary(xx_a=diag_a, xx_b=diag_b, xa_xb=cross)
 
 
 def sp_model_herald_probability(
@@ -120,9 +118,7 @@ def tmsv_covariance(gamma: float) -> CovarianceSummary:
     denom = 1.0 - gamma * gamma
     diag = 0.5 * (1.0 + gamma * gamma) / denom
     cross = gamma / denom
-    return CovarianceSummary(
-        xx_a=diag, pp_a=diag, xx_b=diag, pp_b=diag, xa_xb=cross, pa_pb=-cross
-    )
+    return CovarianceSummary(xx_a=diag, xx_b=diag, xa_xb=cross)
 
 
 def degraded_variances(

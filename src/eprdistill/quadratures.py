@@ -10,7 +10,7 @@ are evaluated at the canonical phase pair (no local-oscillator phase scanning).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,27 +20,22 @@ from .fock import DensityMatrix, HilbertConfig
 
 @dataclass(frozen=True)
 class CovarianceSummary:
-    """Second moments of (X_A, P_A, X_B, P_B) in vacuum-variance-1/2 units.
+    """Second moments of a phase-symmetric state, vacuum variance 1/2.
 
-    v_diff and v_sum are derived: v_diff = xx_a + xx_b - 2 xa_xb and
-    v_sum = xx_a + xx_b + 2 xa_xb, with shot noise at 1.
+    Phase symmetry gives <P_i^2> = xx_i and <P_A P_B> = -xa_xb.  v_diff =
+    xx_a + xx_b - 2 xa_xb and v_sum = xx_a + xx_b + 2 xa_xb, shot noise at 1.
     """
 
     xx_a: float
-    pp_a: float
     xx_b: float
-    pp_b: float
     xa_xb: float
-    pa_pb: float
 
     def __post_init__(self):
-        for name in ("xx_a", "pp_a", "xx_b", "pp_b"):
+        for name in ("xx_a", "xx_b"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"diagonal moment {name} must be positive")
         if abs(self.xa_xb) > np.sqrt(self.xx_a * self.xx_b) + tolerances.CROSS_MOMENT_SLACK:
             raise ValueError("xa_xb violates the Cauchy-Schwarz bound")
-        if abs(self.pa_pb) > np.sqrt(self.pp_a * self.pp_b) + tolerances.CROSS_MOMENT_SLACK:
-            raise ValueError("pa_pb violates the Cauchy-Schwarz bound")
 
     @property
     def v_diff(self) -> float:
@@ -68,10 +63,10 @@ def covariance_summary(state: DensityMatrix) -> CovarianceSummary:
 
     Phase-symmetric means block diagonal in Delta = n_A - n_B, as every state
     this library builds is.  Then the reduced states are diagonal and <ab> is
-    the one two-mode ladder moment left, so xx = pp = <n> + 1/2 per mode and
-    xa_xb = -pa_pb = Re<ab> (Weedbrook et al., RMP 84, 621 (2012)).  Moments
-    are taken relative to the trace.  Raises if an element between Delta
-    blocks exceeds OFF_BLOCK_ATOL, which signals a circuit bug.
+    the one two-mode ladder moment left, so xx = <P^2> = <n> + 1/2 per mode
+    and xa_xb = -<P_A P_B> = Re<ab> (Weedbrook et al., RMP 84, 621 (2012)).
+    Moments are taken relative to the trace.  Raises if an element between
+    Delta blocks exceeds OFF_BLOCK_ATOL, which signals a circuit bug.
     """
     return covariance_summaries(state.config, state.elements[None])[0]
 
@@ -96,7 +91,7 @@ def covariance_summaries(config: HilbertConfig, states: np.ndarray) -> list[Cova
     weights = np.sqrt(np.outer(levels[1:], levels[1:]))
     ab = np.sum(weights * np.real(shifted), axis=(1, 2))
     return [
-        CovarianceSummary(na + 0.5, na + 0.5, nb + 0.5, nb + 0.5, x, -x)
+        CovarianceSummary(na + 0.5, nb + 0.5, x)
         for na, nb, x in zip(n_a.tolist(), n_b.tolist(), ab.tolist())
     ]
 
@@ -113,15 +108,10 @@ def apply_detection_efficiency(
     for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {eta}")
-    root = np.sqrt(eta_a * eta_b)
-    return replace(
-        cov,
-        xx_a=eta_a * cov.xx_a + 0.5 * (1.0 - eta_a),
-        pp_a=eta_a * cov.pp_a + 0.5 * (1.0 - eta_a),
-        xx_b=eta_b * cov.xx_b + 0.5 * (1.0 - eta_b),
-        pp_b=eta_b * cov.pp_b + 0.5 * (1.0 - eta_b),
-        xa_xb=root * cov.xa_xb,
-        pa_pb=root * cov.pa_pb,
+    return CovarianceSummary(
+        eta_a * cov.xx_a + 0.5 * (1.0 - eta_a),
+        eta_b * cov.xx_b + 0.5 * (1.0 - eta_b),
+        np.sqrt(eta_a * eta_b) * cov.xa_xb,
     )
 
 
@@ -129,18 +119,18 @@ def duan_inseparability(cov: CovarianceSummary) -> DuanResult:
     """Minimize I(a) = [<(X_A - a X_B)^2> + <(P_A + a P_B)^2>] / (1 + a^2).
 
     I(a) is the Rayleigh quotient of the 2x2 matrix [[n_A, -k], [-k, n_B]]
-    with n_i = xx_i + pp_i and k = xa_xb - pa_pb, evaluated at (1, a), so the
-    minimum is its smaller eigenvalue and a* follows from the eigenvector
-    (the stationarity condition k a^2 + a (n_B - n_A) - k = 0).  a* has the
-    sign of k, since n_A - I >= 0.  k is negative at low gain, where the
-    catalysis output is dominated by the signal reflected with amplitude -r
-    (losschannel at n_max = 3 gives a* < 0 for g = 1 and 1.25, a* > 0 for
-    g = 1.5).  When both k vanishes and n_A = n_B
-    every a is optimal and a* = 1 is returned by convention.
+    with n_i = <X_i^2> + <P_i^2> = 2 xx_i and k = 2 xa_xb, evaluated at
+    (1, a), so the minimum is its smaller eigenvalue and a* follows from the
+    eigenvector (the stationarity condition k a^2 + a (n_B - n_A) - k = 0).
+    a* has the sign of k, since n_A - I >= 0.  k is negative at low gain,
+    where the catalysis output is dominated by the signal reflected with
+    amplitude -r (losschannel at n_max = 3 gives a* < 0 for g = 1 and 1.25,
+    a* > 0 for g = 1.5).  When both k vanishes and n_A = n_B every a is
+    optimal and a* = 1 is returned by convention.
     """
-    n_a = cov.xx_a + cov.pp_a
-    n_b = cov.xx_b + cov.pp_b
-    k = cov.xa_xb - cov.pa_pb
+    n_a = cov.xx_a + cov.xx_a
+    n_b = cov.xx_b + cov.xx_b
+    k = cov.xa_xb + cov.xa_xb
     gap = np.hypot(n_a - n_b, 2.0 * k)
     value = 0.5 * (n_a + n_b - gap)
     if abs(k) < 1e-15 * max(n_a, n_b):

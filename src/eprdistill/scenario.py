@@ -19,7 +19,6 @@ from dataclasses import MISSING, Field, asdict, dataclass, field, fields, is_dat
 import numpy as np
 
 from .channels import (
-    HeraldingImpossibleError,
     loss_channel,
     nla_catalysis,
     nla_catalysis_stack,
@@ -27,7 +26,7 @@ from .channels import (
     tmsv_state,
 )
 from .equivalent import solve_equivalent
-from .fock import DensityMatrix, HilbertConfig
+from .fock import DensityMatrix, HeraldingImpossibleError, HilbertConfig
 from .models import (
     beta_from_gain,
     sp_model_covariance,
@@ -344,12 +343,11 @@ def _round12(value: float) -> float:
     return float(_fmt(value))
 
 
-@functools.lru_cache(maxsize=1)
 def _lossy_source(config: ScenarioConfig) -> DensityMatrix:
     """The squeezed source after its degradation, which does not depend on g.
 
-    Built once per sweep; sharing it is safe since a DensityMatrix's
-    elements are read-only.
+    A sweep builds it once and shares it between its gain stacks, which is
+    safe since a DensityMatrix's elements are read-only.
     """
     state = tmsv_state(config.effective_gamma, HilbertConfig(config.n_max, 2))
     if config.degrade.mode == "loss":
@@ -386,10 +384,12 @@ def evaluate_gain_point(config: ScenarioConfig, g: float) -> SweepRow:
     return _sweep_row(config, g, sp_model_covariance(*args), sp_model_herald_probability(*args))
 
 
-def _distill_gains(config: ScenarioConfig, gains: np.ndarray, result: SweepResult) -> None:
-    """`evaluate_gain_point` of full_numeric run as one batch over `gains`; the
-    rows and the gains that cannot herald are appended to `result`."""
-    source = _lossy_source(config)
+def _distill_gains(
+    config: ScenarioConfig, source: DensityMatrix, gains: np.ndarray, result: SweepResult
+) -> None:
+    """`evaluate_gain_point` of full_numeric run as one batch over `gains` on
+    the lossy `source`; the rows and the gains that cannot herald are
+    appended to `result`."""
     states, probs, heralded = nla_catalysis_stack(source, 1.0 / gains, config.eta_ancilla)
     covs = iter(covariance_summaries(source.config, states))
     for g, p, ok in zip(gains.tolist(), probs.tolist(), heralded.tolist()):
@@ -411,8 +411,9 @@ def run_scenario(config: ScenarioConfig) -> SweepResult:
     if config.model != "full_numeric":
         return SweepResult(config, [evaluate_gain_point(config, g) for g in gains.tolist()])
     result = SweepResult(config, [])
+    source = _lossy_source(config)
     for start in range(0, len(gains), _GAIN_CHUNK):
-        _distill_gains(config, gains[start : start + _GAIN_CHUNK], result)
+        _distill_gains(config, source, gains[start : start + _GAIN_CHUNK], result)
     return result
 
 

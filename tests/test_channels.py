@@ -69,7 +69,6 @@ class TestTmsvState:
         assert cov.xx_a == pytest.approx(diag, abs=1e-6)
         assert cov.xx_b == pytest.approx(diag, abs=1e-6)
         assert cov.xa_xb == pytest.approx(cross, abs=1e-6)
-        assert cov.pa_pb == pytest.approx(-cross, abs=1e-6)
 
     def test_gamma_out_of_range(self):
         for gamma in (-0.1, 1.0, 1.5):

@@ -89,7 +89,6 @@ class TestSinglePhotonModel:
     def test_zero_eta_lone_photon_moments(self):
         cov = sp_model_covariance(0.01, 0.5, 100.0, eta=0.0)
         assert cov.xx_a == pytest.approx(1.5)
-        assert cov.pp_a == pytest.approx(1.5)
         assert cov.xx_b == pytest.approx(0.5)
         assert cov.xa_xb == pytest.approx(0.0)
 

@@ -48,19 +48,17 @@ def golden_section_min(f, lo, hi, tol=1e-13):
 
 
 def duan_objective(cov):
-    n_a = cov.xx_a + cov.pp_a
-    n_b = cov.xx_b + cov.pp_b
-    k = cov.xa_xb - cov.pa_pb
+    n_a = cov.xx_a + cov.xx_a
+    n_b = cov.xx_b + cov.xx_b
+    k = cov.xa_xb + cov.xa_xb
     return lambda a: (n_a - 2.0 * a * k + a * a * n_b) / (1.0 + a * a)
 
 
 def random_covariance(rng, positive_k=True):
     cfg = HilbertConfig(3, 2)
     cov = covariance_summary(random_density_matrix(cfg, rng, zero_mean=True))
-    if positive_k and cov.xa_xb - cov.pa_pb < 0:
-        cov = CovarianceSummary(
-            cov.xx_a, cov.pp_a, cov.xx_b, cov.pp_b, -cov.xa_xb, -cov.pa_pb
-        )
+    if positive_k and cov.xa_xb < 0:
+        cov = CovarianceSummary(cov.xx_a, cov.xx_b, -cov.xa_xb)
     return cov
 
 
@@ -91,10 +89,25 @@ def kron_reference_moments(state):
     }
 
 
+def assert_matches_kron_reference(state):
+    """The three stored moments against all six oracle moments: phase
+    symmetry gives <P^2> = <X^2> per mode and <P_A P_B> = -<X_A X_B>."""
+    cov = covariance_summary(state)
+    ref = kron_reference_moments(state)
+    expected = {
+        "xx_a": (ref["xx_a"], ref["pp_a"]),
+        "xx_b": (ref["xx_b"], ref["pp_b"]),
+        "xa_xb": (ref["xa_xb"], -ref["pa_pb"]),
+    }
+    for attr, values in expected.items():
+        for value in values:
+            assert getattr(cov, attr) == pytest.approx(value, abs=1e-13), attr
+
+
 class TestCovarianceSummary:
     def test_two_mode_vacuum(self):
         cov = covariance_summary(vacuum_state(CFG2))
-        for value in (cov.xx_a, cov.pp_a, cov.xx_b, cov.pp_b):
+        for value in (cov.xx_a, cov.xx_b):
             assert value == pytest.approx(0.5, abs=1e-12)
         assert cov.xa_xb == pytest.approx(0.0, abs=1e-12)
         assert cov.v_diff == pytest.approx(1.0, abs=1e-12)
@@ -104,9 +117,7 @@ class TestCovarianceSummary:
     def test_fock_state_variances_are_n_plus_half(self, n_a, n_b):
         # one photon gives 3/2; a product of Fock states has no cross moment
         cov = covariance_summary(pure_state(CFG2, basis_vector(CFG2, (n_a, n_b))))
-        assert (cov.xx_a, cov.pp_a) == (n_a + 0.5, n_a + 0.5)
-        assert (cov.xx_b, cov.pp_b) == (n_b + 0.5, n_b + 0.5)
-        assert cov.xa_xb == cov.pa_pb == 0.0
+        assert (cov.xx_a, cov.xx_b, cov.xa_xb) == (n_a + 0.5, n_b + 0.5, 0.0)
 
     def test_tmsv_oracle(self):
         cfg = HilbertConfig(6, 2)
@@ -124,7 +135,6 @@ class TestCovarianceSummary:
         assert cov.xx_a == pytest.approx((beta**2 + 3.0) / (2 * denom), abs=1e-12)
         assert cov.xx_b == pytest.approx((beta**2 + 3.0) / (2 * denom), abs=1e-12)
         assert cov.xa_xb == pytest.approx(beta / denom, abs=1e-12)
-        assert cov.pa_pb == pytest.approx(-beta / denom, abs=1e-12)
 
     def test_stack_equals_each_state(self, rng):
         states = [random_density_matrix(CFG2, rng, zero_mean=True) for _ in range(5)]
@@ -163,24 +173,18 @@ class TestCovarianceSummary:
     def test_matches_kron_reference_on_random_states(self, rng, n_max):
         cfg = HilbertConfig(n_max, 2)
         for _ in range(5):
-            state = random_density_matrix(cfg, rng, zero_mean=True)
-            cov = covariance_summary(state)
-            for attr, value in kron_reference_moments(state).items():
-                assert getattr(cov, attr) == pytest.approx(value, abs=1e-13), attr
+            assert_matches_kron_reference(random_density_matrix(cfg, rng, zero_mean=True))
 
     @pytest.mark.parametrize("n_max", [3, 6])
     def test_matches_kron_reference_on_pipeline_states(self, n_max):
         source = tmsv_state(0.135, HilbertConfig(n_max, 2))
         lossy = loss_channel(source, 1, np.sqrt(0.05))
         for g in (2.0, 14.0, 30.0):
-            state, _ = nla_catalysis(lossy, 1.0 / g, 0.65)
-            cov = covariance_summary(state)
-            for attr, value in kron_reference_moments(state).items():
-                assert getattr(cov, attr) == pytest.approx(value, abs=1e-13), attr
+            assert_matches_kron_reference(nla_catalysis(lossy, 1.0 / g, 0.65)[0])
 
     def test_cauchy_schwarz_enforced(self):
         with pytest.raises(ValueError, match="Cauchy-Schwarz"):
-            CovarianceSummary(0.5, 0.5, 0.5, 0.5, 0.9, -0.1)
+            CovarianceSummary(0.5, 0.5, 0.9)
 
 
 class TestDetectionEfficiency:
@@ -192,7 +196,7 @@ class TestDetectionEfficiency:
     def test_zero_efficiency_gives_vacuum(self, rng):
         out = apply_detection_efficiency(random_covariance(rng), 0.0, 0.0)
         assert out.xx_a == pytest.approx(0.5)
-        assert out.pp_b == pytest.approx(0.5)
+        assert out.xx_b == pytest.approx(0.5)
         assert out.xa_xb == pytest.approx(0.0)
 
     def test_matches_loss_channels_on_random_states(self, rng):
@@ -205,7 +209,7 @@ class TestDetectionEfficiency:
             lossy = loss_channel(state, 0, np.sqrt(eta_a))
             lossy = loss_channel(lossy, 1, np.sqrt(eta_b))
             direct = covariance_summary(lossy)
-            for attr in ("xx_a", "pp_a", "xx_b", "pp_b", "xa_xb", "pa_pb"):
+            for attr in ("xx_a", "xx_b", "xa_xb"):
                 assert getattr(mapped, attr) == pytest.approx(
                     getattr(direct, attr), abs=1e-10
                 )
@@ -225,7 +229,7 @@ class TestDuanInseparability:
         # symmetric moments with v_diff = 0.86 and the momentum analog equal:
         # the minimum is 0.86 at a* = 1
         m, c = 0.515, 0.085
-        cov = CovarianceSummary(m, m, m, m, c, -c)
+        cov = CovarianceSummary(m, m, c)
         assert cov.v_diff == pytest.approx(0.86)
         result = duan_inseparability(cov)
         assert result.value == pytest.approx(0.86, abs=1e-12)
@@ -259,8 +263,8 @@ class TestDuanInseparability:
             covariance_summary(distilled), config.eta_a, config.eta_b
         )
         result = duan_inseparability(cov)
-        n_a, n_b = cov.xx_a + cov.pp_a, cov.xx_b + cov.pp_b
-        k = cov.xa_xb - cov.pa_pb
+        n_a, n_b = 2.0 * cov.xx_a, 2.0 * cov.xx_b
+        k = 2.0 * cov.xa_xb
         assert np.sign(k) == np.sign(result.a_star) == sign
         smaller = np.linalg.eigvalsh([[n_a, -k], [-k, n_b]])[0]
         assert result.value == pytest.approx(smaller, rel=1e-14)
@@ -268,7 +272,7 @@ class TestDuanInseparability:
             assert result.value < 1.0
 
     def test_degenerate_uncorrelated_symmetric(self):
-        cov = CovarianceSummary(0.7, 0.7, 0.7, 0.7, 0.0, 0.0)
+        cov = CovarianceSummary(0.7, 0.7, 0.0)
         result = duan_inseparability(cov)
         assert result.value == pytest.approx(1.4)
         assert result.a_star == 1.0

@@ -270,11 +270,14 @@ class TestRunScenario:
                 return _original(*args)
 
             monkeypatch.setattr(scenario, name, counted)
-        scenario._lossy_source.cache_clear()
-        result = run_scenario(loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": 8}))
-        scenario._lossy_source.cache_clear()
-        assert len(result.rows) == 8
-        assert calls == {"tmsv_state": 1, "loss_channel": 1}
+        # 130 gains run as at least three stacks that share one source
+        assert 130 > 2 * scenario._GAIN_CHUNK
+        for steps in (8, 130):
+            calls.update(tmsv_state=0, loss_channel=0)
+            gain = {"g_min": 2.0, "g_max": 30.0, "steps": steps}
+            result = run_scenario(loss_scenario(gain=gain))
+            assert len(result.rows) == steps
+            assert calls == {"tmsv_state": 1, "loss_channel": 1}
 
     def test_one_catalysis_family_stack_per_sweep(self, monkeypatch):
         calls = []
