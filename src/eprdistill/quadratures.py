@@ -196,13 +196,11 @@ def sample_quadratures(state: DensityMatrix, count: int, seed: int) -> np.ndarra
 
     Rejection sampling against an isotropic Gaussian envelope whose variance
     is 1.5x the largest diagonal moment; exact for the non-Gaussian heralded
-    states produced here.  Deterministic for a fixed seed.  Raises if the
-    acceptance rate falls below 1e-3, which signals a pathological state,
-    and if any proposal has P > M q, where the grid-estimated bound M is
-    too small and the samples would no longer follow P.
-
-    Callers running shards in parallel should pass disjoint seeds; there is
-    no global generator state.
+    states produced here.  Deterministic for a fixed seed, with no global
+    generator state.  Raises if the acceptance rate falls below 1e-3, which
+    signals a pathological state, and if any proposal has P > M q, where the
+    grid-estimated bound M is too small and the samples would no longer
+    follow P.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

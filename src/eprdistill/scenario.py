@@ -423,7 +423,9 @@ def run_sampling(config: ScenarioConfig) -> dict:
     Requires the full numeric model and a single-valued gain.  Detector
     efficiencies are applied as loss channels before sampling so the samples
     match what the homodyne detectors would record.  The report echoes the
-    full configuration and carries the shot-noise reference radius.
+    full configuration and carries the shot-noise reference radius.  Its
+    "samples" are the sampler's unrounded (count, 2) array, which only
+    dump_json_report and write_json_report can write (rounding as they go).
     """
     config.validate()
     if config.model != "full_numeric":
@@ -438,9 +440,6 @@ def run_sampling(config: ScenarioConfig) -> dict:
     detected = loss_channel(distilled, 0, float(np.sqrt(config.eta_a)))
     detected = loss_channel(detected, 1, float(np.sqrt(config.eta_b)))
     cov = covariance_summary(detected)
-    samples = sample_quadratures(detected, config.sample_count, config.seed)
-    # _round12 of every coordinate, inlined: a report holds up to 2e6 of them
-    rounded = iter([float(f"{x:.12g}") for x in samples.ravel().tolist()])
     return {
         "config": config.to_dict(),
         "metadata": {
@@ -451,7 +450,7 @@ def run_sampling(config: ScenarioConfig) -> dict:
             "model_v_diff": _round12(cov.v_diff),
             "model_v_sum": _round12(cov.v_sum),
         },
-        "samples": [[xa, xb] for xa, xb in zip(rounded, rounded)],
+        "samples": sample_quadratures(detected, config.sample_count, config.seed),
     }
 
 
@@ -503,26 +502,29 @@ def run_equivalence(
 def dump_json_report(report: dict, handle) -> None:
     """Write `json.dumps(report, indent=2)` and a newline to a text handle.
 
-    A trailing "samples" array of [x_a, x_b] float pairs, the bulk of a
-    sample report, is written directly in chunks of _SAMPLE_CHUNK pairs:
-    `indent` forces json's pure-Python encoder, and `repr` of a float is
-    what that encoder writes for it.
+    A trailing "samples" array of shape (count, 2), the bulk of a sample
+    report, is written directly (`indent` forces json's pure-Python encoder)
+    in chunks of _SAMPLE_CHUNK pairs, each coordinate x as json writes
+    _round12(x): `repr(float(s))` for s = f"{x:.12g}", which is s itself
+    when s has a "." and no exponent, as `.12g` strips trailing zeros and a
+    float round-trips every decimal of at most 15 significant digits.
     """
-    samples = report.get("samples")
-    if not samples or next(reversed(report)) != "samples":
+    if next(reversed(report), None) != "samples":
         json.dump(report, handle, indent=2)
         handle.write("\n")
         return
+    samples = report["samples"]
     head = json.dumps({**report, "samples": []}, indent=2)
     handle.write(head[: -len("[]\n}")] + "[\n")
     for start in range(0, len(samples), _SAMPLE_CHUNK):
-        chunk = samples[start : start + _SAMPLE_CHUNK]
-        text = ",\n".join([f"    [\n      {a!r},\n      {b!r}\n    ]" for a, b in chunk])
+        coords = [f"{x:.12g}" for x in samples[start : start + _SAMPLE_CHUNK].ravel().tolist()]
+        coords = iter([s if "." in s and "e" not in s else repr(float(s)) for s in coords])
+        text = ",\n".join([f"    [\n      {a},\n      {b}\n    ]" for a, b in zip(coords, coords)])
         handle.write(",\n" + text if start else text)
     handle.write("\n  ]\n}\n")
 
 
 def write_json_report(report: dict, path) -> None:
-    """Write a report with LF endings; floats carry 12 significant digits."""
+    """dump_json_report to `path`, LF endings; floats carry 12 significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         dump_json_report(report, handle)

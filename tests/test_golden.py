@@ -9,6 +9,7 @@ significant digits, must match exactly.  Regenerate only for a deliberate change
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 
 from eprdistill import ScenarioConfig, run_sampling, run_scenario
 from eprdistill.cli import PRESET_NAMES, load_preset, main
+from eprdistill.scenario import dump_json_report
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROW_FIELDS = ("g", "beta", "v_diff", "v_sum", "duan_i", "duan_a_star", "herald_p")
@@ -54,8 +56,11 @@ def sampling_config() -> ScenarioConfig:
 
 
 def sampling_report() -> dict:
-    # through JSON, as the CLI writes it: tuples become lists
-    return json.loads(json.dumps(run_sampling(sampling_config())))
+    # through the report writer, as the CLI writes it: the writer rounds the
+    # samples to 12 significant digits
+    handle = io.StringIO()
+    dump_json_report(run_sampling(sampling_config()), handle)
+    return json.loads(handle.getvalue())
 
 
 def equiv_report(args) -> dict:

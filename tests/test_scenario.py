@@ -371,7 +371,9 @@ class TestRunSampling:
         config = self.sampling_config(count=1)
         one = run_sampling(config)
         two = run_sampling(config)
-        assert one == two
+        assert one.keys() == two.keys()
+        assert one["config"] == two["config"] and one["metadata"] == two["metadata"]
+        assert np.array_equal(one["samples"], two["samples"])
         assert len(one["samples"]) == 1
 
     def test_byte_identical_reports(self, tmp_path):
@@ -388,6 +390,28 @@ class TestRunSampling:
         assert meta["gain"] == 6.5
         assert 0 < meta["herald_probability"] <= 1
         assert report["config"]["gamma"] == 0.05
+
+    def test_report_holds_the_raw_samples_and_the_writer_rounds_them(
+        self, tmp_path, monkeypatch
+    ):
+        drawn = []
+        sample_quadratures = scenario.sample_quadratures
+
+        def recording_sampler(*args):
+            drawn.append(sample_quadratures(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(scenario, "sample_quadratures", recording_sampler)
+        report = run_sampling(self.sampling_config())
+        samples = report["samples"]
+        # the sampler's own array, not per-pair objects or a rounded copy
+        assert samples is drawn[0]
+        assert samples.shape == (200, 2) and samples.dtype == np.float64
+        path = tmp_path / "sample.json"
+        write_json_report(report, path)
+        written = json.loads(path.read_text(encoding="utf-8"))["samples"]
+        assert written == [[float(f"{x:.12g}") for x in pair] for pair in samples.tolist()]
+        assert written != samples.tolist()  # the writer rounded them
 
     def test_sweep_gain_rejected(self):
         with pytest.raises(ConfigError):
@@ -423,7 +447,7 @@ def test_sample_report_text_matches_json_layout(samples, chunk):
     report = {
         "config": ScenarioConfig().to_dict(),
         "metadata": {"gain": 14.0, "shot_noise_radius": 0.707106781187},
-        "samples": samples,
+        "samples": np.array(samples),
     }
     handle = io.StringIO()
     original = scenario._SAMPLE_CHUNK
@@ -432,7 +456,8 @@ def test_sample_report_text_matches_json_layout(samples, chunk):
         dump_json_report(report, handle)
     finally:
         scenario._SAMPLE_CHUNK = original
-    assert handle.getvalue() == json.dumps(report, indent=2) + "\n"
+    rounded = [[float(f"{x:.12g}") for x in pair] for pair in samples]
+    assert handle.getvalue() == json.dumps({**report, "samples": rounded}, indent=2) + "\n"
 
 
 class TestRunEquivalence:
