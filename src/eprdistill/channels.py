@@ -4,6 +4,8 @@ Provides the two-mode squeezed vacuum source, photon loss, the mixing
 beamsplitter, click heralding, and the noiseless-amplification step (quantum
 catalysis), which composes a heralded single-photon ancilla, the
 beamsplitter and the click into one heralded Kraus map on the signal mode.
+That map is built from the beamsplitter's binomial amplitudes; the dense
+two-mode unitary is kept for the tests' three-mode oracle only.
 
 Sign conventions, pinned once so every downstream number is reproducible:
 
@@ -100,21 +102,28 @@ def beamsplitter_unitary(n_max: int, r) -> np.ndarray:
     In the single-photon sector this is [[t, r], [-r, t]] on (|1 0>, |0 1>):
     a photon entering mode 1 reaches mode 0 with amplitude +r, one entering
     mode 0 reaches mode 1 with amplitude -r.  Total photon number is
-    conserved exactly, including at the cutoff.
-
-    The exponential is a Taylor series with scaling and squaring (Moler &
-    Van Loan, SIAM Review 45, 3 (2003)): 14 terms at 1-norm <= 1/2 leave an
-    error below 0.5^15 / 15! < 3e-17.  G conserves n_a + n_b, so it is block
-    diagonal, and every product keeps the elements between blocks exactly
-    0.0.  U is real.
-    A 1-D array of G reflectivities gives the (G, D, D) stack; each gain
-    keeps its own squaring count, so each slice equals its single call.
+    conserved exactly, including at the cutoff.  U is real and dense; the
+    pipeline never builds it (`catalysis_kraus_operators` computes only the
+    columns it reads), so it serves the tests as an oracle.  A 1-D array of
+    G reflectivities gives the (G, D, D) stack, each slice its single call.
     """
+    rs = _check_reflectivities(r)
+    a = annihilation_operator(n_max)
+    u = _expm(np.arcsin(rs)[:, None, None] * (np.kron(a.T, a) - np.kron(a, a.T)))
+    return u if np.ndim(r) else u[0]
+
+
+def _check_reflectivities(r) -> np.ndarray:
     rs = np.atleast_1d(r)
     if not np.all((0.0 <= rs) & (rs <= 1.0)):
         raise ValueError(f"reflectivity must be in [0, 1], got {r}")
-    a = annihilation_operator(n_max)
-    generator = np.arcsin(rs)[:, None, None] * (np.kron(a.T, a) - np.kron(a, a.T))
+    return rs
+
+
+def _expm(generator: np.ndarray) -> np.ndarray:
+    """exp of a (G, m, m) stack by a 14-term Taylor series with scaling and
+    squaring (Moler & Van Loan, SIAM Review 45, 3 (2003)), error < 3e-17;
+    each slice keeps its own squaring count, so it equals its single call."""
     # the 1-norm is m 2^e with 1/2 <= m < 1, so e + 1 halvings bring it below 1/2
     squarings = np.maximum(0, np.frexp(np.abs(generator).sum(axis=1).max(axis=1))[1] + 1)
     x = generator / (2.0**squarings)[:, None, None]
@@ -125,7 +134,7 @@ def beamsplitter_unitary(n_max: int, r) -> np.ndarray:
     for step in range(squarings.max()):
         more = squarings > step
         u[more] = u[more] @ u[more]
-    return u if np.ndim(r) else u[0]
+    return u
 
 
 def herald_click(state: DensityMatrix, mode: int) -> tuple[DensityMatrix, float]:
@@ -149,19 +158,38 @@ def catalysis_kraus_operators(n_max: int, r, eta: float) -> np.ndarray:
     by (signal, ancilla), K_{n,j} = sqrt(w_j) <n|_det U |j>_anc for clicks
     n >= 1 and ancilla j in {0, 1} with weights w = (1 - eta, eta).  The
     three-mode circuit unitary is I_A (x) U, so these operators reproduce it
-    exactly, truncation at the cutoff included.  For each j the unheralded
-    family (n >= 0) must be complete.  Returns the stack of 2 * n_max
-    operators, shape (2 n_max, d, d), or for G reflectivities the G families,
-    shape (G, 2 n_max, d, d).
+    exactly, truncation at the cutoff included.  U itself is never built:
+    below the cutoff its amplitudes are binomial (Campos, Saleh & Teich, PRA
+    40, 1371 (1989)), and only the column b = n_max, j = 1 needs the
+    exponential of its truncated n_max x n_max block.  For each j the
+    unheralded family (n >= 0) must be complete.  Returns the stack of
+    2 * n_max operators, shape (2 n_max, d, d), or for G reflectivities the
+    G families, shape (G, 2 n_max, d, d).
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
+    rs = _check_reflectivities(r)
     d = n_max + 1
-    # the ancilla enters port 1 and reaches port 0 with amplitude +r, so
-    # port 0 is the detector: u[g, n, k, b, j] = <n, k| U |b, j> with
-    # detector n, surviving output k, signal b and ancilla j
-    u = beamsplitter_unitary(n_max, np.atleast_1d(r))
-    u = u.reshape(-1, d, d, d, d)[..., :2]
+    n, k, b = np.indices((d, d, d))
+    root_binomial = np.sqrt([[comb(m, i) for m in range(d)] for i in range(d)])
+    binomials = np.where(n + k == b, root_binomial[n, b], 0.0)
+    ladder = np.sqrt(np.arange(d))
+    t = np.sqrt(1.0 - rs * rs)
+    tn, rk = (np.power.outer(x, np.arange(d)) for x in (t, -rs))
+    # u[g, n, k, b, j] = <n, k|U|b, j> with detector n, surviving output k,
+    # signal b and ancilla j.  A signal photon stays with t and crosses with -r,
+    u = np.zeros((len(rs), d, d, d, 2))
+    u[..., 0] = binomials * tn[:, :, None, None] * rk[:, None, :, None]
+    # the ancilla photon crosses with r and stays with t,
+    u[:, 1:, ..., 1] = rs[:, None, None, None] * ladder[1:, None, None] * u[:, :-1, ..., 0]
+    u[:, :, 1:, :, 1] += t[:, None, None, None] * ladder[1:, None] * u[:, :, :-1, :, 0]
+    # except that the cutoff truncates the n_max + 1 photons of |n_max, 1>:
+    # there a^dag b takes |n, n_max + 1 - n> to |n + 1, n_max - n> with
+    # sqrt(n + 1) sqrt(n_max + 1 - n)
+    hops = ladder[2:] * ladder[n_max:1:-1]
+    block = np.arcsin(rs)[:, None, None] * (np.diag(hops, -1) - np.diag(hops, 1))
+    top = np.arange(1, d)
+    u[:, top, d - top, n_max, 1] = _expm(block)[:, :, -1]
     columns = u.transpose(0, 4, 1, 2, 3).reshape(-1, 2, d * d, d)
     gram = columns.transpose(0, 1, 3, 2) @ columns
     defect = np.max(np.abs(gram - np.eye(d)))

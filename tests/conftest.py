@@ -69,6 +69,20 @@ def beamsplitter(state: DensityMatrix, r: float) -> DensityMatrix:
     return apply_unitary(state, np.kron(np.eye(cfg.dim_per_mode ** (cfg.mode_count - 2)), u))
 
 
+def dense_catalysis_kraus(n_max: int, r, eta: float) -> np.ndarray:
+    """`catalysis_kraus_operators` read off the dense two-mode unitary.
+
+    u[g, n, k, b, j] = <n, k|U|b, j> with detector n, surviving output k,
+    signal b and ancilla j; K_{n,j} = sqrt(w_j) u[n, :, :, j] for n >= 1,
+    n-major and j-minor, with w = (1 - eta, eta).
+    """
+    d = n_max + 1
+    u = beamsplitter_unitary(n_max, np.atleast_1d(r)).reshape(-1, d, d, d, d)[..., :2]
+    weighted = u[:, 1:] * np.sqrt([1.0 - eta, eta])
+    ops = weighted.transpose(0, 1, 4, 2, 3).reshape(-1, 2 * n_max, d, d)
+    return ops if np.ndim(r) else ops[0]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230817)

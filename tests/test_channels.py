@@ -21,11 +21,13 @@ from eprdistill import (
     tmsv_state,
     vacuum_state,
 )
+from eprdistill import channels
 from eprdistill.channels import nla_catalysis_stack
 
 from conftest import (
     ancilla_photon,
     beamsplitter,
+    dense_catalysis_kraus,
     fidelity,
     kron_kraus_sum,
     off_block_mask,
@@ -461,6 +463,64 @@ class TestNlaCatalysis:
         )
         _, prob = herald_click(mixed, 1)
         assert prob == pytest.approx(masked_trace, abs=1e-12)
+
+
+class TestCatalysisAmplitudes:
+    """The binomial Kraus amplitudes against the dense unitary, the loss
+    family and a larger cutoff."""
+
+    GAINS = 1.0 / np.geomspace(1.0, 12000.0, 40)
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_match_the_dense_unitary(self, n_max):
+        for eta in (0.0, 0.65, 1.0):
+            ops = catalysis_kraus_operators(n_max, self.GAINS, eta)
+            dense = dense_catalysis_kraus(n_max, self.GAINS, eta)
+            np.testing.assert_allclose(ops, dense, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_vacuum_ancilla_is_loss_on_the_surviving_port(self, n_max):
+        # K_{n,0}[k, b] = sqrt(C(b, n)) t^n (-r)^k: loss of transmissivity r
+        # that sends n photons to the detector, with the sign (-1)^k
+        eta = 0.65
+        signs = (-1.0) ** np.arange(n_max + 1)[:, None]
+        for r in self.GAINS:
+            ops = catalysis_kraus_operators(n_max, r, eta)
+            loss = loss_kraus_operators(n_max, r)
+            for n in range(1, n_max + 1):
+                np.testing.assert_allclose(
+                    ops[2 * (n - 1)] / np.sqrt(1.0 - eta), signs * loss[n], rtol=0.0, atol=1e-15
+                )
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_entries_below_the_cutoff_ignore_it(self, n_max):
+        # every amplitude with b + j <= n_max is physical, so raising the
+        # cutoff by one leaves it bitwise unchanged
+        d = n_max + 1
+        small = catalysis_kraus_operators(n_max, self.GAINS, 0.65)
+        large = catalysis_kraus_operators(n_max + 1, self.GAINS, 0.65)[:, : 2 * n_max, :d, :d]
+        b = np.arange(d)
+        for j in (0, 1):
+            below = b + j <= n_max
+            assert np.array_equal(small[:, j::2, :, below], large[:, j::2, :, below])
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_full_reflection_without_ancilla_photon_never_clicks(self, n_max):
+        # at r = 1 only the ancilla photon reaches the detector, and there is none
+        epr = loss_channel(tmsv_state(0.5, HilbertConfig(n_max, 2)), 1, 0.7)
+        _, probs, heralded = nla_catalysis_stack(epr, np.array([1.0]), 0.0)
+        assert probs.tolist() == [0.0]
+        assert not heralded.any()
+
+    def test_completeness_defect_raises(self, monkeypatch):
+        expm = channels._expm
+        for scale, raises in ((1.0 + 1e-13, False), (1.0 + 1e-11, True)):
+            monkeypatch.setattr(channels, "_expm", lambda g, s=scale: s * expm(g))
+            if raises:
+                with pytest.raises(AssertionError, match="completeness defect"):
+                    catalysis_kraus_operators(3, 0.3, 0.65)
+            else:
+                catalysis_kraus_operators(3, 0.3, 0.65)
 
 
 class TestDeltaBlockStructure:

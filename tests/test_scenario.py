@@ -29,6 +29,8 @@ from eprdistill.scenario import (
     write_json_report,
 )
 
+from conftest import dense_catalysis_kraus
+
 SCENARIO_FLAGS = (
     "--gamma --degrade --theta --tau2 --gain.g --gain.g-min --gain.g-max --gain.steps "
     "--gain.log-spacing --eta-ancilla --eta-a --eta-b --n-max --model --sample-count --seed"
@@ -308,7 +310,7 @@ class TestRunScenario:
         result = run_scenario(ScenarioConfig.from_dict(self.MIXED))
         assert [row.g for row in result.rows] == [2.0, 2.25, 2.5, 2.75, 3.0]
         assert result.skipped == [
-            (1.0, "heralding probability 1.450e-45 is vanishing"),
+            (1.0, "heralding probability 0.000e+00 is vanishing"),
             (1.25, "heralding probability 5.184e-15 is vanishing"),
             (1.5, "heralding probability 8.000e-15 is vanishing"),
             (1.75, "heralding probability 9.698e-15 is vanishing"),
@@ -333,6 +335,25 @@ class TestRunScenario:
     def test_distilled_state_is_real(self):
         state, _ = build_distilled_state(loss_scenario(gain={"g": 10.0}), 10.0)
         assert state.elements.dtype == np.float64
+
+    def test_pipeline_never_builds_the_dense_unitary(self, monkeypatch):
+        def dense(*args):
+            raise AssertionError("the dense beamsplitter unitary was built")
+
+        monkeypatch.setattr(channels, "beamsplitter_unitary", dense)
+        config = loss_scenario(n_max=6, gain={"g_min": 2.0, "g_max": 30.0, "steps": 8})
+        assert len(run_scenario(config).rows) == 8
+        build_distilled_state(config, 10.0)
+
+    @pytest.mark.parametrize("preset", cli.PRESET_NAMES)
+    def test_sweep_text_equals_the_dense_oracle_sweep(self, monkeypatch, preset):
+        configs = [
+            ScenarioConfig.from_dict({**load_preset(preset), "n_max": n_max})
+            for n_max in range(1, 7)
+        ]
+        texts = [run_scenario(config).to_csv_text() for config in configs]
+        monkeypatch.setattr(channels, "catalysis_kraus_operators", dense_catalysis_kraus)
+        assert texts == [run_scenario(config).to_csv_text() for config in configs]
 
 
 class TestCsvOutput:
