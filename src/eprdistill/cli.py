@@ -6,6 +6,8 @@ overridden by a flag generated from the ScenarioConfig schema.  A flag is
 except the three degradation flags --degrade (degrade.mode), --theta
 (degrade.theta_deg) and --tau2 (degrade.tau2).  --degrade and --gain.g start
 their section afresh; --gain.g-min and --gain.g-max drop a single gain g.
+sweep, sample and equiv share one parser for the scenario: --config or
+--preset, the field flags and --output, the report path (default: stdout).
 Exit codes: 0 success, 2 configuration error, 3 infeasible equivalent-state
 solve under --strict.
 """
@@ -44,7 +46,9 @@ def load_preset(name: str) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+def _scenario_parser() -> argparse.ArgumentParser:
+    """The parent parser of sweep, sample and equiv: each scenario flag once."""
+    parser = argparse.ArgumentParser(add_help=False)
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="path to a scenario JSON file")
     source.add_argument("--preset", choices=PRESET_NAMES, help="bundled scenario")
@@ -57,6 +61,8 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
             kwargs = {"type": kind}
         flag = FLAG_NAMES.get(path, "--" + path.replace("_", "-"))
         parser.add_argument(flag, dest=path, help=f"sets {path}", **kwargs)
+    parser.add_argument("--output", help="report path (default: stdout)")
+    return parser
 
 
 def _section(data: dict, key: str) -> dict:
@@ -73,7 +79,8 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
                 data = json.load(handle)
         except OSError as exc:
             raise ConfigError("config", f"cannot read {args.config}: {exc.strerror}") from exc
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        # JSONDecodeError, UnicodeDecodeError, and nesting deeper than the stack
+        except (ValueError, RecursionError) as exc:
             raise ConfigError("config", f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config", f"expected an object, got {type(data).__name__}")
@@ -172,25 +179,18 @@ def build_parser() -> argparse.ArgumentParser:
         "two-mode squeezed light by noiseless amplification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = [_scenario_parser()]
 
-    sweep = sub.add_parser("sweep", help="gain sweep -> CSV table")
-    _add_scenario_arguments(sweep)
-    sweep.add_argument("--output", help="CSV path (default: stdout)")
+    sweep = sub.add_parser("sweep", parents=shared, help="gain sweep -> CSV table")
     sweep.set_defaults(func=_cmd_sweep)
 
-    sample = sub.add_parser("sample", help="quadrature samples -> JSON report")
-    _add_scenario_arguments(sample)
-    sample.add_argument("--output", help="JSON path (default: stdout)")
+    sample = sub.add_parser("sample", parents=shared, help="quadrature samples -> JSON report")
     sample.set_defaults(func=_cmd_sample)
 
-    equiv = sub.add_parser("equiv", help="equivalent-state table -> JSON report")
-    _add_scenario_arguments(equiv)
+    equiv = sub.add_parser("equiv", parents=shared, help="equivalent-state table -> JSON report")
     equiv.add_argument("--v-diff", type=float, help="externally measured v_diff")
     equiv.add_argument("--v-sum", type=float, help="externally measured v_sum")
-    equiv.add_argument("--output", help="JSON path (default: stdout)")
-    equiv.add_argument(
-        "--strict", action="store_true", help="exit 3 if any row is infeasible"
-    )
+    equiv.add_argument("--strict", action="store_true", help="exit 3 if any row is infeasible")
     equiv.set_defaults(func=_cmd_equiv)
 
     presets = sub.add_parser("presets", help="list bundled scenario presets")

@@ -8,8 +8,6 @@ or an equivalent-state report.  Identical configurations (seed included)
 produce byte-identical output.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 import math
@@ -77,10 +75,6 @@ _KIND_NAMES = {
 }
 
 
-# get_type_hints compiles the string annotations anew on every call
-_type_hints = functools.cache(typing.get_type_hints)
-
-
 def _type_name(value) -> str:
     return "null" if value is None else type(value).__name__
 
@@ -114,8 +108,7 @@ def _from_json(cls, data, path: str):
     where = path or "config"
     if not isinstance(data, dict):
         raise ConfigError(where, f"expected an object, got {_type_name(data)}")
-    hints = _type_hints(cls)
-    unknown = set(data) - set(hints)
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(where, f"unknown keys {sorted(unknown)}")
     values = {}
@@ -126,7 +119,7 @@ def _from_json(cls, data, path: str):
             continue
         name = f"{path}.{f.name}" if path else f.name
         value = data[f.name]
-        kind, nullable = _value_type(hints[f.name])
+        kind, nullable = _value_type(f.type)
         if is_dataclass(kind):
             value = _from_json(kind, value, name)
         elif not (value is None and nullable or _is_kind(value, kind)):
@@ -287,11 +280,10 @@ class ScenarioConfig:
 @functools.cache
 def leaf_fields(cls: type = ScenarioConfig, path: str = "") -> tuple[tuple[str, type, Field], ...]:
     """(dotted path, value type, field) of every scalar of the schema, in order."""
-    hints = _type_hints(cls)
     leaves = ()
     for f in fields(cls):
         name = f"{path}.{f.name}" if path else f.name
-        kind, _ = _value_type(hints[f.name])
+        kind, _ = _value_type(f.type)
         leaves += leaf_fields(kind, name) if is_dataclass(kind) else ((name, kind, f),)
     return leaves
 

@@ -271,6 +271,17 @@ class TestDuanInseparability:
         if sign < 0:
             assert result.value < 1.0
 
+    @pytest.mark.parametrize(
+        "xx_a, xx_b, a_star", [(0.6, 0.9, 0.0), (0.9, 0.6, np.inf)], ids=["n_a<n_b", "n_a>n_b"]
+    )
+    def test_uncorrelated_asymmetric_sits_at_a_boundary(self, xx_a, xx_b, a_star):
+        # with k = 0, I(a) runs monotonically from n_A at a = 0 to n_B as a -> inf
+        cov = CovarianceSummary(xx_a, xx_b, 0.0)
+        result = duan_inseparability(cov)
+        assert result.value == min(xx_a + xx_a, xx_b + xx_b)
+        assert result.a_star == a_star
+        assert duan_objective(cov)(min(a_star, 1e9)) == pytest.approx(result.value, abs=1e-15)
+
     def test_degenerate_uncorrelated_symmetric(self):
         cov = CovarianceSummary(0.7, 0.7, 0.0)
         result = duan_inseparability(cov)

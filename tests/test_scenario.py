@@ -600,14 +600,26 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: degrade.tau2:")
 
-    def test_flags_mirror_schema_leaves(self):
+    def test_flags_mirror_schema_leaves(self, capsys):
         commands = build_parser()._subparsers._group_actions[0].choices
         leaves = [path for path, _, _ in leaf_fields()]
+        shared = None
         for name in ("sweep", "sample", "equiv"):
             actions = [a for a in commands[name]._actions
                        if not set(a.option_strings) & COMMAND_FLAGS]
             assert [s for a in actions for s in a.option_strings] == SCENARIO_FLAGS
             assert [a.dest for a in actions] == leaves
+            # one parent parser declares each scenario flag for all three runners
+            shared = shared or actions
+            assert all(a is b for a, b in zip(actions, shared))
+            with pytest.raises(SystemExit) as exit_:
+                main([name, "--help"])
+            assert exit_.value.code == 0
+            listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                      if line.lstrip().startswith("--")]
+            assert [flag for flag in listed if flag in SCENARIO_FLAGS] == SCENARIO_FLAGS
+        # runtime classes, not the strings of postponed annotations
+        assert {kind for _, kind, _ in leaf_fields()} == {float, str, int, bool}
 
     def test_schema_leaves_built_once(self):
         # the parser and the override loop share one immutable tuple
@@ -619,6 +631,31 @@ class TestCli:
         path.write_text('{"gamma": 0.1,')
         assert main(["sweep", "--config", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 5000 + "]" * 5000, '{"gamma": ' + "[" * 5000 + "]" * 5000 + "}"],
+        ids=["deep-array", "deep-gamma"],
+    )
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, text):
+        # json's decoder recurses per level and ends in a RecursionError
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: invalid JSON: maximum recursion depth")
+
+    @pytest.mark.parametrize(
+        "model_args", [["--model", "single_photon"], ["--n-max", "1"]],
+        ids=["single_photon", "full_numeric-n1"],
+    )
+    def test_uncorrelated_rows_write_infinite_a_star(self, capsys, model_args):
+        # without an ancilla photon nothing correlates the modes at these
+        # settings, so I(a) only approaches its infimum n_B as a -> inf
+        argv = ["sweep", "--preset", "losschannel", "--eta-ancilla", "0", "--gain.g", "2"]
+        assert main([*argv, *model_args]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[4:6] == ["1", "inf"]
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 2
