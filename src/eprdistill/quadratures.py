@@ -182,13 +182,22 @@ def joint_quadrature_pdf(state: DensityMatrix, x_a, x_b) -> np.ndarray | float:
 
 
 def _envelope_bound(state: DensityMatrix, env_var: float) -> float:
-    """Grid-estimated bound M on P(x)/q(x) for the Gaussian envelope q."""
+    """Grid-estimated bound M on P(x)/q(x) for the Gaussian envelope q.
+
+    On the 401 x 401 tensor grid P = A^T R A, with A[(m, m'), i] =
+    psi_m(x_i) psi_m'(x_i) and R = rho reshaped from (m, n, m', n') to
+    (m m') x (n n').  As q = e(x) e(y) / (2 pi v) with e(x) = exp(-x^2/2v),
+    P/q = 2 pi v B^T R B for B = A / e(x), and no (d^2, 401^2) table is
+    formed.  1/e(x) cannot overflow: diagonal moments are >= 1/2, so
+    v >= 0.75 and x^2/2v <= 50 max(1, 1/v) <= 200/3.
+    """
     half_width = 10.0 * max(1.0, np.sqrt(env_var))
     axis = np.linspace(-half_width, half_width, 401)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    pdf = joint_quadrature_pdf(state, gx, gy)
-    envelope = np.exp(-(gx**2 + gy**2) / (2.0 * env_var)) / (2.0 * np.pi * env_var)
-    return float(np.max(pdf / envelope)) * 1.15
+    d = state.config.dim_per_mode
+    psi = hermite_functions(state.config.n_max, axis)
+    b = (psi[:, None, :] * psi[None, :, :]).reshape(d * d, -1) * np.exp(axis**2 / (2.0 * env_var))
+    r = np.real(state.elements).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return float(np.max(b.T @ r @ b)) * 2.0 * np.pi * env_var * 1.15
 
 
 def sample_quadratures(state: DensityMatrix, count: int, seed: int) -> np.ndarray:

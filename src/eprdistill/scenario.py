@@ -79,6 +79,12 @@ def _type_name(value) -> str:
     return "null" if value is None else type(value).__name__
 
 
+def _preview(value) -> str:
+    """repr(value), cut to 60 characters so no message grows with the input."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def _value_type(hint) -> tuple[type, bool]:
     """The value type of a field annotation, and whether it admits null."""
     args = typing.get_args(hint)  # the only unions are `X | None`
@@ -110,7 +116,7 @@ def _from_json(cls, data, path: str):
         raise ConfigError(where, f"expected an object, got {_type_name(data)}")
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(where, f"unknown keys {sorted(unknown)}")
+        raise ConfigError(where, f"unknown keys {_preview(sorted(unknown))}")
     values = {}
     for f in fields(cls):
         if f.name not in data:
@@ -124,7 +130,7 @@ def _from_json(cls, data, path: str):
             value = _from_json(kind, value, name)
         elif not (value is None and nullable or _is_kind(value, kind)):
             raise ConfigError(
-                name, f"expected {_KIND_NAMES[kind]}, got {_type_name(value)} {value!r}"
+                name, f"expected {_KIND_NAMES[kind]}, got {_type_name(value)} {_preview(value)}"
             )
         values[f.name] = value
     return cls(**values)

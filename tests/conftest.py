@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from eprdistill import DensityMatrix, HilbertConfig, apply_unitary, beamsplitter_unitary
+from eprdistill import (
+    DensityMatrix,
+    HilbertConfig,
+    apply_unitary,
+    beamsplitter_unitary,
+    joint_quadrature_pdf,
+)
 
 
 def random_density_matrix(
@@ -81,6 +87,17 @@ def dense_catalysis_kraus(n_max: int, r, eta: float) -> np.ndarray:
     weighted = u[:, 1:] * np.sqrt([1.0 - eta, eta])
     ops = weighted.transpose(0, 1, 4, 2, 3).reshape(-1, 2 * n_max, d, d)
     return ops if np.ndim(r) else ops[0]
+
+
+def dense_envelope_bound(state: DensityMatrix, env_var: float) -> float:
+    """`quadratures._envelope_bound` from the density at all 401 x 401 grid
+    points, divided point by point by the envelope."""
+    half_width = 10.0 * max(1.0, np.sqrt(env_var))
+    axis = np.linspace(-half_width, half_width, 401)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    pdf = joint_quadrature_pdf(state, gx, gy)
+    envelope = np.exp(-(gx**2 + gy**2) / (2.0 * env_var)) / (2.0 * np.pi * env_var)
+    return float(np.max(pdf / envelope)) * 1.15
 
 
 @pytest.fixture

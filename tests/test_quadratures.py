@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from eprdistill import (
     CovarianceSummary,
+    DensityMatrix,
     HilbertConfig,
     ScenarioConfig,
     apply_detection_efficiency,
@@ -25,7 +30,7 @@ from eprdistill.fock import annihilation_operator
 from eprdistill.quadratures import covariance_summaries, hermite_functions
 from eprdistill.scenario import build_distilled_state
 
-from conftest import random_density_matrix
+from conftest import dense_envelope_bound, random_density_matrix
 
 CFG2 = HilbertConfig(n_max=3, mode_count=2)
 
@@ -344,6 +349,79 @@ class TestHermiteFunctions:
         psi = hermite_functions(5, x)
         gram = psi @ psi.T * 0.01
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-8)
+
+
+def sampled_state(preset, g, n_max=None):
+    """The detected state that `sample` draws from."""
+    data = load_preset(preset)
+    config = ScenarioConfig.from_dict({**data, "n_max": n_max or data["n_max"]})
+    state, _ = build_distilled_state(config, g)
+    state = loss_channel(state, 0, float(np.sqrt(config.eta_a)))
+    return loss_channel(state, 1, float(np.sqrt(config.eta_b)))
+
+
+def envelope_variance(state):
+    cov = covariance_summary(state)
+    return 1.5 * max(cov.xx_a, cov.xx_b)
+
+
+PRESETS = ("losschannel", "lowsqueeze", "figS2a", "figS2b")
+
+
+class TestEnvelopeBound:
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_matches_dense_oracle_on_presets(self, preset, n_max):
+        for g in (3.0, 30.0):
+            state = sampled_state(preset, g, n_max)
+            env_var = envelope_variance(state)
+            dense = dense_envelope_bound(state, env_var)
+            assert quadratures._envelope_bound(state, env_var) == pytest.approx(dense, rel=4e-15)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["env_var<1", "env_var>=1"])
+    @settings(max_examples=30, deadline=None)
+    @given(n_max=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), weight=st.floats(0.0, 1.0))
+    def test_matches_dense_oracle_on_random_states(self, wide, n_max, seed, weight):
+        cfg = HilbertConfig(n_max, 2)
+        noise = random_density_matrix(cfg, np.random.default_rng(seed), zero_mean=True)
+        # at most 1/(6 n_max) of a random state keeps <n> < 1/6 per mode, so
+        # env_var = 1.5 (<n> + 1/2) < 1; the unmixed random states are wider
+        weight = 1.0 if wide else weight / (6.5 * n_max)
+        mixed = (1 - weight) * vacuum_state(cfg).elements + weight * noise.elements
+        state = DensityMatrix(cfg, mixed)
+        env_var = envelope_variance(state)
+        assert (env_var >= 1.0) == wide
+        # Near the vacuum, P/q peaks near |x| = |y| = 4.3, where the oracle's
+        # exponent (x^2 + y^2)/2v is about 25: its rounding puts the oracle up
+        # to 5.2e-15 from a 40-digit reference, the separable bound 1.4e-15.
+        rel = 4e-15 if wide else 1e-14
+        dense = dense_envelope_bound(state, env_var)
+        assert quadratures._envelope_bound(state, env_var) == pytest.approx(dense, rel=rel)
+
+    @pytest.mark.parametrize("env_var", [0.75, 4.0])
+    def test_vacuum_closed_form(self, env_var):
+        # P/q = 2v exp(-(x^2 + y^2)(1 - 1/2v)) peaks at the origin
+        bound = quadratures._envelope_bound(vacuum_state(CFG2), env_var)
+        assert bound == pytest.approx(2.0 * env_var * 1.15, rel=1e-15)
+
+    def test_memory_stays_small(self):
+        state = sampled_state("losschannel", 14.0, 6)
+        env_var = envelope_variance(state)
+        tracemalloc.start()
+        try:
+            quadratures._envelope_bound(state, env_var)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # dense_envelope_bound peaks at 148 MB on this state
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_dense_oracle_draws_the_same_samples(self, monkeypatch, preset):
+        state = sampled_state(preset, 14.0)
+        samples = sample_quadratures(state, 20000, seed=5)
+        monkeypatch.setattr(quadratures, "_envelope_bound", dense_envelope_bound)
+        assert np.array_equal(sample_quadratures(state, 20000, seed=5), samples)
 
 
 class TestSampleQuadratures:

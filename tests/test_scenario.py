@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -644,6 +646,34 @@ class TestCli:
         assert main(["sweep", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: config: invalid JSON: maximum recursion depth")
+
+    @pytest.mark.parametrize(
+        "text",
+        [json.dumps({"gamma": "x" * 2_000_000}), '{"gamma": ' + "[" * 990 + "]" * 990 + "}",
+         json.dumps({"x" * 2_000_000: 1.0})],
+        ids=["long-string", "990-deep-list", "long-unknown-key"],
+    )
+    def test_large_values_are_cut_in_the_message(self, tmp_path, text):
+        # run as the console script runs, from a shallow stack: under pytest's
+        # deeper one the 990-deep list would already overflow the JSON decoder
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        code = "import sys; from eprdistill.cli import main; sys.exit(main(sys.argv[1:]))"
+        run = subprocess.run([sys.executable, "-c", code, "sweep", "--config", str(path)],
+                             capture_output=True)
+        assert run.returncode == 2
+        assert run.stderr.startswith((b"config error: gamma: expected a finite number, got ",
+                                      b"config error: config: unknown keys ['xxx"))
+        assert run.stderr.endswith(b"...\n")
+        assert len(run.stderr) < 200
+
+    @pytest.mark.parametrize("value", ["0.1", "x" * 58], ids=["short", "repr-of-60"])
+    def test_short_values_are_echoed_whole(self, tmp_path, capsys, value):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"gamma": value}))
+        assert main(["sweep", "--config", str(path)]) == 2
+        expected = f"config error: gamma: expected a finite number, got str {value!r}\n"
+        assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize(
         "model_args", [["--model", "single_photon"], ["--n-max", "1"]],
