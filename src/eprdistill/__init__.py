@@ -3,9 +3,7 @@ squeezed light by noiseless linear amplification, with analytic reference
 models, entanglement measures, and an equivalent-state solver."""
 
 from .channels import (
-    beamsplitter_unitary,
     catalysis_kraus_operators,
-    herald_click,
     loss_channel,
     loss_kraus_operators,
     nla_catalysis,
@@ -18,15 +16,9 @@ from .fock import (
     HeraldingImpossibleError,
     HilbertConfig,
     InvalidStateError,
-    annihilation_operator,
     apply_mode_kraus,
-    apply_unitary,
-    basis_vector,
     normalize,
-    partial_trace,
     pure_state,
-    tensor_product,
-    vacuum_state,
 )
 from .models import (
     BETA_OPTIMAL,

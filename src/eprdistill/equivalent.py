@@ -46,8 +46,8 @@ class EquivalentSolve:
     lot.
 
     `branches` lists every physical solution in ascending gamma_eq and
-    `state` is the first of them.  Each branch is a root of one quadratic in
-    cosh 2 gamma_eq (see solve_equivalent), so there are at most two.  The
+    `state` is the first of them, or None.  Each branch is a root of one
+    quadratic in cosh 2 gamma_eq (see solve_equivalent), so at most two.  The
     variance pair pins the parameters uniquely whenever
     (v_sum - v_diff)/2 <= 2 eta_a_eq, which covers all experimentally
     relevant inputs; outside that regime the second root, with larger
@@ -56,9 +56,12 @@ class EquivalentSolve:
     """
 
     status: str
-    state: EquivalentState | None = None
     branches: tuple[EquivalentState, ...] = field(default_factory=tuple)
     reason: str = ""
+
+    @property
+    def state(self) -> EquivalentState | None:
+        return self.branches[0] if self.branches else None
 
     @property
     def ok(self) -> bool:
@@ -147,4 +150,4 @@ def solve_equivalent(v_diff: float, v_sum: float, eta_a_eq: float) -> Equivalent
                 reason=f"required eta_b_eq = {rejected_eta[0]:.6g} outside (0, 1]",
             )
         return EquivalentSolve("infeasible", reason="no root survives the round trip")
-    return EquivalentSolve("ok", state=branches[0], branches=tuple(branches))
+    return EquivalentSolve("ok", branches=tuple(branches))

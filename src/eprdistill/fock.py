@@ -87,18 +87,6 @@ class HilbertConfig:
                 f"mode {mode} out of range for {self.mode_count}-mode space"
             )
 
-    def index_of(self, occupations) -> int:
-        """Flat basis index of |n_0, n_1, ...>."""
-        occ = tuple(occupations)
-        if len(occ) != self.mode_count:
-            raise ValueError(f"expected {self.mode_count} occupation numbers")
-        idx = 0
-        for n in occ:
-            if not 0 <= n <= self.n_max:
-                raise ValueError(f"occupation {n} outside 0..{self.n_max}")
-            idx = idx * self.dim_per_mode + n
-        return idx
-
     def mode_occupations(self, mode: int) -> np.ndarray:
         """Occupation number of `mode` for each flat basis index."""
         self.check_mode(mode)
@@ -147,13 +135,6 @@ def annihilation_operator(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
 
 
-def basis_vector(config: HilbertConfig, occupations) -> np.ndarray:
-    """Unit vector for the Fock state |n_0, n_1, ...>."""
-    vec = np.zeros(config.dim)
-    vec[config.index_of(occupations)] = 1.0
-    return vec
-
-
 def pure_state(config: HilbertConfig, amplitudes: np.ndarray) -> DensityMatrix:
     """Density matrix |psi><psi| of a normalized amplitude vector."""
     vec = np.asarray(amplitudes)
@@ -162,10 +143,6 @@ def pure_state(config: HilbertConfig, amplitudes: np.ndarray) -> DensityMatrix:
         raise ValueError("cannot normalize a zero amplitude vector")
     vec = vec / norm
     return DensityMatrix(config, np.outer(vec, vec.conj()))
-
-
-def vacuum_state(config: HilbertConfig) -> DensityMatrix:
-    return pure_state(config, basis_vector(config, (0,) * config.mode_count))
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from eprdistill import (
-    DensityMatrix,
-    HilbertConfig,
-    apply_unitary,
-    beamsplitter_unitary,
-    joint_quadrature_pdf,
-)
+from eprdistill import DensityMatrix, HilbertConfig, joint_quadrature_pdf
+from eprdistill.channels import beamsplitter_unitary
+from eprdistill.fock import apply_unitary
 
 
 def random_density_matrix(
@@ -23,6 +19,15 @@ def random_density_matrix(
     if zero_mean:
         rho = rho * ~off_block_mask(config)
     return DensityMatrix(config, rho)
+
+
+def fock_vector(config: HilbertConfig, occupations) -> np.ndarray:
+    """Unit vector of |n_0, n_1, ...>; numpy's C order makes mode 0 the
+    slowest index, the order of the fock module."""
+    vec = np.zeros(config.dim)
+    shape = (config.dim_per_mode,) * config.mode_count
+    vec[np.ravel_multi_index(tuple(occupations), shape)] = 1.0
+    return vec
 
 
 def off_block_mask(config: HilbertConfig) -> np.ndarray:

@@ -13,8 +13,6 @@ from eprdistill import (
     HilbertConfig,
     ScenarioConfig,
     apply_detection_efficiency,
-    basis_vector,
-    beamsplitter_unitary,
     covariance_summary,
     degraded_variances,
     deterministic_bound,
@@ -30,12 +28,12 @@ from eprdistill import (
     sample_quadratures,
     solve_equivalent,
     tmsv_state,
-    vacuum_state,
 )
+from eprdistill.channels import beamsplitter_unitary
 from eprdistill.equivalent import EquivalentState
 from eprdistill.scenario import evaluate_gain_point
 
-from conftest import beamsplitter, fidelity, random_density_matrix
+from conftest import beamsplitter, fidelity, fock_vector, random_density_matrix
 
 
 def report(tag: str, ok: bool, detail: str) -> bool:
@@ -89,7 +87,7 @@ def test_criterion_3_weak_coupling_limit():
     distilled, _ = nla_catalysis(tmsv_state(gamma, cfg), r, 1.0)
     # two-term target with the relative sign the positive-correlation
     # convention produces
-    target = r * basis_vector(cfg, (0, 0)) + gamma * basis_vector(cfg, (1, 1))
+    target = r * fock_vector(cfg, (0, 0)) + gamma * fock_vector(cfg, (1, 1))
     fid = fidelity(distilled, target)
     ok = fid >= 0.999
     assert report("3", ok, f"fidelity with the two-term superposition = {fid:.6f}")
@@ -231,11 +229,9 @@ def test_criterion_6_channel_algebra(rng):
         for r in (0.05, 0.3, 1 / np.sqrt(2), 0.95)
     )
     # Hong-Ou-Mandel null
-    hom = beamsplitter(
-        pure_state(cfg, basis_vector(cfg, (1, 1))), 1 / np.sqrt(2)
-    )
-    i11 = cfg.index_of((1, 1))
-    hom_ok = abs(hom.elements[i11, i11]) < 1e-12
+    v11 = fock_vector(cfg, (1, 1))
+    hom = beamsplitter(pure_state(cfg, v11), 1 / np.sqrt(2))
+    hom_ok = abs(v11 @ hom.elements @ v11) < 1e-12
     # detector-efficiency map vs physical loss channels
     moment_ok = True
     for _ in range(4):
@@ -313,7 +309,7 @@ def test_criterion_8_equivalence_round_trip():
 
 def test_criterion_9_sampler_statistics():
     cfg = HilbertConfig(3, 2)
-    vac = sample_quadratures(vacuum_state(cfg), 100_000, seed=2024)
+    vac = sample_quadratures(tmsv_state(0.0, cfg), 100_000, seed=2024)
     band = 3.0 * 0.5 * np.sqrt(2.0 / 100_000)
     vac_ok = (
         abs(np.mean(vac[:, 0] ** 2) - 0.5) < band
@@ -340,8 +336,8 @@ def test_criterion_9_sampler_statistics():
         "eta_ancilla": 0.65, "eta_a": 0.45, "eta_b": 0.5,
         "model": "full_numeric", "sample_count": 10_000, "seed": 72,
     })
-    repeat_a = sample_quadratures(vacuum_state(cfg), 100, seed=5)
-    repeat_b = sample_quadratures(vacuum_state(cfg), 100, seed=5)
+    repeat_a = sample_quadratures(tmsv_state(0.0, cfg), 100, seed=5)
+    repeat_b = sample_quadratures(tmsv_state(0.0, cfg), 100, seed=5)
     deterministic = np.array_equal(repeat_a, repeat_b)
     ok = (
         vac_ok

@@ -5,30 +5,26 @@ from scipy.linalg import expm
 from eprdistill import (
     HeraldingImpossibleError,
     HilbertConfig,
-    annihilation_operator,
     apply_mode_kraus,
-    basis_vector,
-    beamsplitter_unitary,
     catalysis_kraus_operators,
     covariance_summary,
-    herald_click,
     loss_channel,
     loss_kraus_operators,
     nla_catalysis,
     pump_rotation_degrade,
     pure_state,
-    tensor_product,
     tmsv_state,
-    vacuum_state,
 )
 from eprdistill import channels
-from eprdistill.channels import nla_catalysis_stack
+from eprdistill.channels import beamsplitter_unitary, herald_click, nla_catalysis_stack
+from eprdistill.fock import annihilation_operator, tensor_product
 
 from conftest import (
     ancilla_photon,
     beamsplitter,
     dense_catalysis_kraus,
     fidelity,
+    fock_vector,
     kron_kraus_sum,
     off_block_mask,
     random_density_matrix,
@@ -36,12 +32,13 @@ from conftest import (
 
 CFG2 = HilbertConfig(n_max=3, mode_count=2)
 CFG1 = HilbertConfig(n_max=3, mode_count=1)
+VAC1 = pure_state(CFG1, fock_vector(CFG1, (0,)))
 
 
 class TestTmsvState:
     def test_zero_squeezing_is_vacuum(self):
         np.testing.assert_allclose(
-            tmsv_state(0.0, CFG2).elements, vacuum_state(CFG2).elements
+            tmsv_state(0.0, CFG2).elements, pure_state(CFG2, fock_vector(CFG2, (0, 0))).elements
         )
 
     def test_photon_numbers_perfectly_correlated(self):
@@ -118,11 +115,11 @@ class TestPumpRotation:
 class TestLossChannel:
     def test_vacuum_fixed_point(self):
         for tau in (0.0, 0.3, 1.0):
-            out = loss_channel(vacuum_state(CFG1), 0, tau)
-            np.testing.assert_allclose(out.elements, vacuum_state(CFG1).elements, atol=1e-14)
+            out = loss_channel(VAC1, 0, tau)
+            np.testing.assert_allclose(out.elements, VAC1.elements, atol=1e-14)
 
     def test_single_photon_binomial_mix(self):
-        rho = pure_state(CFG1, basis_vector(CFG1, (1,)))
+        rho = pure_state(CFG1, fock_vector(CFG1, (1,)))
         out = loss_channel(rho, 0, np.sqrt(0.05))
         diag = np.real(np.diag(out.elements))
         assert diag[0] == pytest.approx(0.95)
@@ -135,10 +132,10 @@ class TestLossChannel:
         gamma, tau = 0.05, np.sqrt(0.3)
         rho = loss_channel(tmsv_state(gamma, CFG2), 1, tau)
         el = rho.elements
-        i00, i10, i11 = CFG2.index_of((0, 0)), CFG2.index_of((1, 0)), CFG2.index_of((1, 1))
-        assert abs(el[i00, i11] - gamma * tau) < 2 * gamma**3
-        assert abs(el[i10, i10] - gamma**2 * (1 - tau**2)) < 2 * gamma**4
-        assert abs(el[i11, i11] - gamma**2 * tau**2) < 2 * gamma**4
+        v00, v10, v11 = (fock_vector(CFG2, occ) for occ in ((0, 0), (1, 0), (1, 1)))
+        assert abs(v00 @ el @ v11 - gamma * tau) < 2 * gamma**3
+        assert abs(v10 @ el @ v10 - gamma**2 * (1 - tau**2)) < 2 * gamma**4
+        assert abs(v11 @ el @ v11 - gamma**2 * tau**2) < 2 * gamma**4
 
     def test_kraus_completeness(self):
         for n_max in (3, 5):
@@ -162,7 +159,7 @@ class TestLossChannel:
 
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError):
-            loss_channel(vacuum_state(CFG1), 0, 1.2)
+            loss_channel(VAC1, 0, 1.2)
 
     def test_matches_kron_reference(self, rng):
         rho = random_density_matrix(CFG2, rng)
@@ -179,12 +176,12 @@ class TestAncillaPhoton:
     def test_perfect_preparation(self):
         rho = ancilla_photon(1.0, CFG1)
         np.testing.assert_allclose(
-            rho.elements, pure_state(CFG1, basis_vector(CFG1, (1,))).elements
+            rho.elements, pure_state(CFG1, fock_vector(CFG1, (1,))).elements
         )
 
     def test_failed_preparation_is_vacuum(self):
         np.testing.assert_allclose(
-            ancilla_photon(0.0, CFG1).elements, vacuum_state(CFG1).elements
+            ancilla_photon(0.0, CFG1).elements, VAC1.elements
         )
 
     def test_partial_efficiency(self):
@@ -209,26 +206,26 @@ class TestBeamsplitter:
         r = 0.3
         t = np.sqrt(1 - r * r)
         u = beamsplitter_unitary(CFG2.n_max, r)
-        out = u @ basis_vector(CFG2, (1, 0))
-        assert out[CFG2.index_of((1, 0))] == pytest.approx(t)
-        assert out[CFG2.index_of((0, 1))] == pytest.approx(-r)
+        v10, v01 = fock_vector(CFG2, (1, 0)), fock_vector(CFG2, (0, 1))
+        out = u @ v10
+        assert out @ v10 == pytest.approx(t)
+        assert out @ v01 == pytest.approx(-r)
         # photon in mode 1 goes to (+r, t)
-        out_b = u @ basis_vector(CFG2, (0, 1))
-        assert out_b[CFG2.index_of((1, 0))] == pytest.approx(r)
-        assert out_b[CFG2.index_of((0, 1))] == pytest.approx(t)
+        out_b = u @ v01
+        assert out_b @ v10 == pytest.approx(r)
+        assert out_b @ v01 == pytest.approx(t)
         probs = np.abs(out) ** 2
         assert probs.sum() == pytest.approx(1.0)
-        assert probs[CFG2.index_of((0, 1))] == pytest.approx(r * r)
+        assert probs @ v01 == pytest.approx(r * r)
 
     def test_hong_ou_mandel_null(self):
         # balanced splitter: two single photons never exit one per port
-        rho = pure_state(CFG2, basis_vector(CFG2, (1, 1)))
-        out = beamsplitter(rho, 1.0 / np.sqrt(2.0))
-        i11 = CFG2.index_of((1, 1))
-        assert abs(out.elements[i11, i11]) < 1e-12
+        v11 = fock_vector(CFG2, (1, 1))
+        out = beamsplitter(pure_state(CFG2, v11), 1.0 / np.sqrt(2.0))
+        assert abs(v11 @ out.elements @ v11) < 1e-12
         diag = np.real(np.diag(out.elements))
-        assert diag[CFG2.index_of((2, 0))] == pytest.approx(0.5)
-        assert diag[CFG2.index_of((0, 2))] == pytest.approx(0.5)
+        assert diag @ fock_vector(CFG2, (2, 0)) == pytest.approx(0.5)
+        assert diag @ fock_vector(CFG2, (0, 2)) == pytest.approx(0.5)
 
     def test_unitarity_on_reflectivity_grid(self):
         for r in (0.0, 0.1, 0.5, 1.0 / np.sqrt(2.0), 0.99, 1.0):
@@ -282,11 +279,11 @@ class TestBeamsplitter:
 class TestHeraldClick:
     def test_vacuum_herald_is_impossible(self):
         with pytest.raises(HeraldingImpossibleError):
-            herald_click(vacuum_state(CFG2), 1)
+            herald_click(tmsv_state(0.0, CFG2), 1)
 
     def test_definite_photon_heralds_with_certainty(self, rng):
         other = random_density_matrix(HilbertConfig(3, 1), rng)
-        photon = pure_state(CFG1, basis_vector(CFG1, (1,)))
+        photon = pure_state(CFG1, fock_vector(CFG1, (1,)))
         joint = tensor_product(other, photon)
         conditional, prob = herald_click(joint, 1)
         assert prob == pytest.approx(1.0)
@@ -335,7 +332,7 @@ class TestNlaCatalysis:
 
     @pytest.mark.parametrize("n_max", [3, 6])
     def test_vacuum_without_ancilla_impossible_on_both_paths(self, n_max):
-        vac = vacuum_state(HilbertConfig(n_max, 2))
+        vac = tmsv_state(0.0, HilbertConfig(n_max, 2))
         for r in (0.05, 0.3, 1.0):
             with pytest.raises(HeraldingImpossibleError):
                 nla_catalysis(vac, r, 0.0)
@@ -383,7 +380,7 @@ class TestNlaCatalysis:
                 out, prob = nla_catalysis(tmsv_state(0.0, CFG2), r, eta)
                 assert abs(prob - eta * r * r) < 1e-10
                 np.testing.assert_allclose(
-                    out.elements, vacuum_state(CFG2).elements, atol=1e-12
+                    out.elements, tmsv_state(0.0, CFG2).elements, atol=1e-12
                 )
 
     def test_impossible_at_zero_eta_and_zero_gamma(self):
@@ -396,7 +393,7 @@ class TestNlaCatalysis:
         # the relative sign follows the positive-correlation convention
         gamma, r = 0.01, 0.01
         out, _ = nla_catalysis(tmsv_state(gamma, CFG2), r, 1.0)
-        target = r * basis_vector(CFG2, (0, 0)) + gamma * basis_vector(CFG2, (1, 1))
+        target = r * fock_vector(CFG2, (0, 0)) + gamma * fock_vector(CFG2, (1, 1))
         assert fidelity(out, target) >= 0.999
 
     def test_vacuum_ancilla_leaves_lone_photon_branch(self):
@@ -404,8 +401,8 @@ class TestNlaCatalysis:
         # a photon in mode A and vacuum in mode B
         gamma, r = 0.01, 0.1
         out, prob = nla_catalysis(tmsv_state(gamma, CFG2), r, 0.0)
-        i10 = CFG2.index_of((1, 0))
-        assert np.real(out.elements[i10, i10]) > 0.999
+        v10 = fock_vector(CFG2, (1, 0))
+        assert v10 @ out.elements @ v10 > 0.999
         t_sq = 1.0 - r * r
         assert prob == pytest.approx(gamma**2 * t_sq, rel=1e-3)
 

@@ -148,6 +148,7 @@ class TestSolveEquivalent:
         assert solved.status == "ok"
         assert len(solved.branches) == 2
         low, high = solved.branches
+        assert solved.state is low
         assert low.gamma_eq < high.gamma_eq < low.gamma_eq + 1e-4
         assert low.gamma_eq == pytest.approx(0.936883, abs=1e-6)
         assert high.gamma_eq == pytest.approx(0.936937, abs=1e-6)

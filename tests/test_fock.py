@@ -7,22 +7,22 @@ from eprdistill import (
     HeraldingImpossibleError,
     HilbertConfig,
     InvalidStateError,
-    annihilation_operator,
     apply_mode_kraus,
-    apply_unitary,
-    basis_vector,
-    beamsplitter_unitary,
     loss_channel,
     normalize,
-    partial_trace,
     pure_state,
+)
+from eprdistill.channels import beamsplitter_unitary
+from eprdistill.fock import (
+    _check_states,
+    annihilation_operator,
+    apply_unitary,
+    herald,
+    partial_trace,
     tensor_product,
-    vacuum_state,
 )
 
-from eprdistill.fock import _check_states, herald
-
-from conftest import kron_kraus_sum, random_density_matrix
+from conftest import fock_vector, kron_kraus_sum, random_density_matrix
 
 
 class TestHilbertConfig:
@@ -33,9 +33,10 @@ class TestHilbertConfig:
 
     def test_mode_zero_is_slowest_index(self):
         cfg = HilbertConfig(n_max=3, mode_count=2)
-        assert cfg.index_of((1, 0)) == 4
-        assert cfg.index_of((0, 1)) == 1
-        assert cfg.index_of((2, 3)) == 11
+        occupations = np.stack([cfg.mode_occupations(0), cfg.mode_occupations(1)], axis=1)
+        assert tuple(occupations[4]) == (1, 0)
+        assert tuple(occupations[1]) == (0, 1)
+        assert tuple(occupations[11]) == (2, 3)
 
     def test_mode_occupations(self):
         cfg = HilbertConfig(n_max=2, mode_count=2)
@@ -63,8 +64,8 @@ class TestAnnihilation:
     def test_lowers_two_photon_state(self):
         cfg = HilbertConfig(n_max=3, mode_count=1)
         a = annihilation_operator(cfg.n_max)
-        lowered = a @ basis_vector(cfg, (2,))
-        np.testing.assert_allclose(lowered, np.sqrt(2.0) * basis_vector(cfg, (1,)))
+        lowered = a @ fock_vector(cfg, (2,))
+        np.testing.assert_allclose(lowered, np.sqrt(2.0) * fock_vector(cfg, (1,)))
 
     def test_commutator_below_cutoff(self):
         # a a^dag - a^dag a equals 1 on n < n_max; the cutoff level deviates
@@ -76,8 +77,8 @@ class TestAnnihilation:
     def test_embedding_acts_on_addressed_mode_only(self):
         cfg = HilbertConfig(n_max=2, mode_count=2)
         a1 = np.kron(np.eye(cfg.dim_per_mode), annihilation_operator(cfg.n_max))
-        out = a1 @ basis_vector(cfg, (2, 1))
-        np.testing.assert_allclose(out, basis_vector(cfg, (2, 0)))
+        out = a1 @ fock_vector(cfg, (2, 1))
+        np.testing.assert_allclose(out, fock_vector(cfg, (2, 0)))
 
 
 class TestApplyUnitary:
@@ -89,9 +90,9 @@ class TestApplyUnitary:
 
     def test_vacuum_preserving_unitary_fixes_vacuum(self):
         cfg = HilbertConfig(n_max=3, mode_count=2)
-        u = beamsplitter_unitary(cfg.n_max, 0.6)
-        out = apply_unitary(vacuum_state(cfg), u)
-        np.testing.assert_allclose(out.elements, vacuum_state(cfg).elements, atol=1e-12)
+        vac = pure_state(cfg, fock_vector(cfg, (0, 0)))
+        out = apply_unitary(vac, beamsplitter_unitary(cfg.n_max, 0.6))
+        np.testing.assert_allclose(out.elements, vac.elements, atol=1e-12)
 
     def test_trace_preserved_for_random_unitaries(self, rng):
         cfg = HilbertConfig(n_max=2, mode_count=2)
@@ -105,7 +106,7 @@ class TestApplyUnitary:
 
     def test_rejects_non_unitary(self, rng):
         cfg = HilbertConfig(n_max=1, mode_count=1)
-        rho = vacuum_state(cfg)
+        rho = pure_state(cfg, fock_vector(cfg, (0,)))
         with pytest.raises(ValueError, match="unitary"):
             apply_unitary(rho, np.diag([1.0, 2.0]))
 
@@ -113,7 +114,7 @@ class TestApplyUnitary:
         small = HilbertConfig(n_max=1, mode_count=1)
         big = HilbertConfig(n_max=2, mode_count=1)
         with pytest.raises(ValueError):
-            apply_unitary(vacuum_state(big), np.eye(small.dim))
+            apply_unitary(pure_state(big, fock_vector(big, (0,))), np.eye(small.dim))
 
 
 class TestPartialTrace:
@@ -131,7 +132,7 @@ class TestPartialTrace:
 
     def test_bell_like_state_reduces_to_maximally_mixed(self):
         cfg = HilbertConfig(n_max=3, mode_count=2)
-        vec = (basis_vector(cfg, (0, 0)) + basis_vector(cfg, (1, 1))) / np.sqrt(2.0)
+        vec = (fock_vector(cfg, (0, 0)) + fock_vector(cfg, (1, 1))) / np.sqrt(2.0)
         rho = pure_state(cfg, vec)
         for mode in (0, 1):
             reduced = partial_trace(rho, mode)
@@ -152,7 +153,7 @@ class TestPartialTrace:
     def test_single_mode_rejected(self):
         cfg = HilbertConfig(n_max=2, mode_count=1)
         with pytest.raises(ValueError):
-            partial_trace(vacuum_state(cfg), 0)
+            partial_trace(pure_state(cfg, fock_vector(cfg, (0,))), 0)
 
 
 class TestApplyModeKraus:
@@ -192,10 +193,11 @@ class TestApplyModeKraus:
 
     def test_rejects_wrong_operator_shape(self):
         cfg = HilbertConfig(n_max=2, mode_count=2)
+        vac = pure_state(cfg, fock_vector(cfg, (0, 0)))
         with pytest.raises(ValueError):
-            apply_mode_kraus(vacuum_state(cfg), 0, [np.eye(4)])
+            apply_mode_kraus(vac, 0, [np.eye(4)])
         with pytest.raises(ValueError):
-            apply_mode_kraus(vacuum_state(cfg), 2, [np.eye(3)])
+            apply_mode_kraus(vac, 2, [np.eye(3)])
 
 
 class TestNormalize:
@@ -208,14 +210,14 @@ class TestNormalize:
 
     def test_subnormalized_branch(self):
         cfg = HilbertConfig(n_max=1, mode_count=1)
-        out, prob = normalize(cfg, 0.25 * vacuum_state(cfg).elements)
+        out, prob = normalize(cfg, np.diag([0.25, 0.0]))
         assert prob == pytest.approx(0.25)
-        np.testing.assert_allclose(out.elements, vacuum_state(cfg).elements)
+        np.testing.assert_allclose(out.elements, np.diag([1.0, 0.0]))
 
     def test_vanishing_trace_rejected(self):
         cfg = HilbertConfig(n_max=1, mode_count=1)
         with pytest.raises(HeraldingImpossibleError, match="vanishing") as err:
-            normalize(cfg, 1e-16 * vacuum_state(cfg).elements)
+            normalize(cfg, np.diag([1e-16, 0.0]))
         assert isinstance(err.value, InvalidStateError)
         assert err.value.probability == 1e-16
 
@@ -226,7 +228,7 @@ class TestNormalize:
 
     def test_stack_keeps_only_the_heralding_branches(self):
         cfg = HilbertConfig(n_max=1, mode_count=1)
-        vac = vacuum_state(cfg).elements
+        vac = np.diag([1.0, 0.0])
         states, probs, heralded = herald(cfg, np.stack([0.25 * vac, 1e-16 * vac, 0.5 * vac]))
         np.testing.assert_array_equal(probs, [0.25, 1e-16, 0.5])
         np.testing.assert_array_equal(heralded, [True, False, True])
@@ -265,7 +267,7 @@ class TestStateInvariants:
     def test_real_input_stays_real(self):
         cfg = HilbertConfig(n_max=1, mode_count=1)
         assert DensityMatrix(cfg, np.diag([0.75, 0.25])).elements.dtype == np.float64
-        assert vacuum_state(cfg).elements.dtype == np.float64
+        assert pure_state(cfg, fock_vector(cfg, (0,))).elements.dtype == np.float64
 
     def test_complex_hermitian_state_accepted(self):
         cfg = HilbertConfig(n_max=1, mode_count=1)
@@ -296,7 +298,7 @@ class TestStateInvariants:
 
     def test_elements_are_immutable(self):
         cfg = HilbertConfig(n_max=1, mode_count=1)
-        rho = vacuum_state(cfg)
+        rho = pure_state(cfg, fock_vector(cfg, (0,)))
         with pytest.raises(ValueError):
             rho.elements[0, 0] = 0.0
 

@@ -12,7 +12,6 @@ from eprdistill import (
     HilbertConfig,
     ScenarioConfig,
     apply_detection_efficiency,
-    basis_vector,
     covariance_summary,
     duan_inseparability,
     joint_quadrature_pdf,
@@ -20,9 +19,7 @@ from eprdistill import (
     nla_catalysis,
     pure_state,
     sample_quadratures,
-    tensor_product,
     tmsv_state,
-    vacuum_state,
 )
 from eprdistill import quadratures
 from eprdistill.cli import load_preset
@@ -30,9 +27,10 @@ from eprdistill.fock import annihilation_operator
 from eprdistill.quadratures import covariance_summaries, hermite_functions
 from eprdistill.scenario import build_distilled_state
 
-from conftest import dense_envelope_bound, random_density_matrix
+from conftest import dense_envelope_bound, fock_vector, random_density_matrix
 
 CFG2 = HilbertConfig(n_max=3, mode_count=2)
+VACUUM = tmsv_state(0.0, CFG2)
 
 
 def golden_section_min(f, lo, hi, tol=1e-13):
@@ -111,7 +109,7 @@ def assert_matches_kron_reference(state):
 
 class TestCovarianceSummary:
     def test_two_mode_vacuum(self):
-        cov = covariance_summary(vacuum_state(CFG2))
+        cov = covariance_summary(VACUUM)
         for value in (cov.xx_a, cov.xx_b):
             assert value == pytest.approx(0.5, abs=1e-12)
         assert cov.xa_xb == pytest.approx(0.0, abs=1e-12)
@@ -121,7 +119,7 @@ class TestCovarianceSummary:
     @pytest.mark.parametrize("n_a, n_b", [(1, 0), (0, 1), (2, 3)])
     def test_fock_state_variances_are_n_plus_half(self, n_a, n_b):
         # one photon gives 3/2; a product of Fock states has no cross moment
-        cov = covariance_summary(pure_state(CFG2, basis_vector(CFG2, (n_a, n_b))))
+        cov = covariance_summary(pure_state(CFG2, fock_vector(CFG2, (n_a, n_b))))
         assert (cov.xx_a, cov.xx_b, cov.xa_xb) == (n_a + 0.5, n_b + 0.5, 0.0)
 
     def test_tmsv_oracle(self):
@@ -134,7 +132,7 @@ class TestCovarianceSummary:
         # (c0|00> + c1|11>): diagonals (beta^2+3)/(2(beta^2+1)) and cross
         # beta/(beta^2+1) with beta = c0/c1
         beta = 2.5
-        vec = beta * basis_vector(CFG2, (0, 0)) + basis_vector(CFG2, (1, 1))
+        vec = beta * fock_vector(CFG2, (0, 0)) + fock_vector(CFG2, (1, 1))
         cov = covariance_summary(pure_state(CFG2, vec))
         denom = beta**2 + 1.0
         assert cov.xx_a == pytest.approx((beta**2 + 3.0) / (2 * denom), abs=1e-12)
@@ -160,14 +158,14 @@ class TestCovarianceSummary:
     def test_nonzero_first_moment_rejected(self, occupations, phase):
         # |00> + phase |one photon>: only the named quadrature has a mean, and
         # the coherence between n_A - n_B = 0 and +-1 is 1/2
-        vec = basis_vector(CFG2, (0, 0)) + phase * basis_vector(CFG2, occupations)
+        vec = fock_vector(CFG2, (0, 0)) + phase * fock_vector(CFG2, occupations)
         with pytest.raises(ValueError, match=r"not phase-symmetric: off-block element 5\.000e-01"):
             covariance_summary(pure_state(CFG2, vec))
 
     def test_zero_mean_state_without_phase_symmetry_rejected(self):
         # (|00> + |20>)/sqrt(2) is parity-even, so every first moment vanishes,
         # but its coherence between n_A - n_B = 0 and 2 gives xx_a != pp_a
-        vec = basis_vector(CFG2, (0, 0)) + basis_vector(CFG2, (2, 0))
+        vec = fock_vector(CFG2, (0, 0)) + fock_vector(CFG2, (2, 0))
         state = pure_state(CFG2, vec)
         moments = kron_reference_moments(state)
         assert moments["xx_a"] != pytest.approx(moments["pp_a"])
@@ -226,7 +224,7 @@ class TestDetectionEfficiency:
 
 class TestDuanInseparability:
     def test_vacuum_sits_at_boundary(self):
-        result = duan_inseparability(covariance_summary(vacuum_state(CFG2)))
+        result = duan_inseparability(covariance_summary(VACUUM))
         assert result.value == pytest.approx(1.0, abs=1e-12)
         assert result.a_star == pytest.approx(1.0)
 
@@ -296,20 +294,17 @@ class TestDuanInseparability:
 
 class TestJointQuadraturePdf:
     def test_vacuum_is_product_gaussian(self):
-        vac = vacuum_state(CFG2)
         xs = np.linspace(-3, 3, 7)
         for xa in xs:
             for xb in xs:
                 expected = np.exp(-xa * xa) * np.exp(-xb * xb) / np.pi
-                assert joint_quadrature_pdf(vac, xa, xb) == pytest.approx(
+                assert joint_quadrature_pdf(VACUUM, xa, xb) == pytest.approx(
                     expected, abs=1e-12
                 )
 
     def test_single_photon_marginal_shape(self):
         # |1> (x) |0>: density 2 x^2 exp(-x^2)/sqrt(pi) in x_a times vacuum
-        cfg1 = HilbertConfig(3, 1)
-        one = pure_state(cfg1, basis_vector(cfg1, (1,)))
-        state = tensor_product(one, vacuum_state(cfg1))
+        state = pure_state(CFG2, fock_vector(CFG2, (1, 0)))
         for xa, xb in ((0.0, 0.0), (0.5, -1.0), (2.0, 1.0)):
             expected = (
                 2.0 * xa * xa * np.exp(-xa * xa) / np.sqrt(np.pi)
@@ -323,7 +318,7 @@ class TestJointQuadraturePdf:
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         branch = DensityMatrix(CFG2, 0.4 * tmsv_state(0.15, CFG2).elements)
         for state in (
-            vacuum_state(CFG2),
+            VACUUM,
             tmsv_state(0.2, CFG2),
             random_density_matrix(CFG2, rng, zero_mean=True),
             branch,  # sub-normalized: the density integrates to the trace
@@ -387,7 +382,7 @@ class TestEnvelopeBound:
         # at most 1/(6 n_max) of a random state keeps <n> < 1/6 per mode, so
         # env_var = 1.5 (<n> + 1/2) < 1; the unmixed random states are wider
         weight = 1.0 if wide else weight / (6.5 * n_max)
-        mixed = (1 - weight) * vacuum_state(cfg).elements + weight * noise.elements
+        mixed = (1 - weight) * tmsv_state(0.0, cfg).elements + weight * noise.elements
         state = DensityMatrix(cfg, mixed)
         env_var = envelope_variance(state)
         assert (env_var >= 1.0) == wide
@@ -401,7 +396,7 @@ class TestEnvelopeBound:
     @pytest.mark.parametrize("env_var", [0.75, 4.0])
     def test_vacuum_closed_form(self, env_var):
         # P/q = 2v exp(-(x^2 + y^2)(1 - 1/2v)) peaks at the origin
-        bound = quadratures._envelope_bound(vacuum_state(CFG2), env_var)
+        bound = quadratures._envelope_bound(VACUUM, env_var)
         assert bound == pytest.approx(2.0 * env_var * 1.15, rel=1e-15)
 
     def test_memory_stays_small(self):
@@ -426,7 +421,7 @@ class TestEnvelopeBound:
 
 class TestSampleQuadratures:
     def test_vacuum_moments(self):
-        samples = sample_quadratures(vacuum_state(CFG2), 20000, seed=7)
+        samples = sample_quadratures(VACUUM, 20000, seed=7)
         # variance of x^2 under a Gaussian is 2 var^2; stay within 3 sigma
         band = 3.0 * 0.5 * np.sqrt(2.0 / 20000)
         assert np.mean(samples[:, 0] ** 2) == pytest.approx(0.5, abs=band)
@@ -447,12 +442,12 @@ class TestSampleQuadratures:
         assert not np.array_equal(one, other)
 
     def test_single_sample(self):
-        out = sample_quadratures(vacuum_state(CFG2), 1, seed=0)
+        out = sample_quadratures(VACUUM, 1, seed=0)
         assert out.shape == (1, 2)
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
-            sample_quadratures(vacuum_state(CFG2), 0, seed=0)
+            sample_quadratures(VACUUM, 0, seed=0)
 
     def test_too_small_envelope_bound_raises(self, monkeypatch):
         bound = quadratures._envelope_bound
