@@ -1,11 +1,12 @@
 """State preparation and physical channels for the distillation circuit.
 
-Provides the two-mode squeezed vacuum source, photon loss, the mixing
-beamsplitter, click heralding, and the noiseless-amplification step (quantum
-catalysis), which composes a heralded single-photon ancilla, the
-beamsplitter and the click into one heralded Kraus map on the signal mode.
-That map is built from the beamsplitter's binomial amplitudes; the dense
-two-mode unitary is kept for the tests' three-mode oracle only.
+Provides the two-mode squeezed vacuum source, photon loss, and the
+noiseless-amplification step (quantum catalysis), which composes a heralded
+single-photon ancilla, the mixing beamsplitter and the click detector into
+one heralded Kraus map on mode B, so every state stays a two-mode state.
+That map is built from the beamsplitter's binomial amplitudes.  The dense
+beamsplitter unitary and the click on a three-mode array are the parts of
+the tests' oracle, which writes the circuit out mode by mode.
 
 Sign conventions, pinned once so every downstream number is reproducible:
 
@@ -51,8 +52,6 @@ def tmsv_state(gamma: float, config: HilbertConfig) -> DensityMatrix:
     up to cutoff error.
     """
     _check_gamma(gamma)
-    if config.mode_count != 2:
-        raise ValueError("two-mode squeezed vacuum needs a 2-mode space")
     d = config.dim_per_mode
     vec = np.zeros(config.dim)
     vec[:: d + 1] = [gamma**n for n in range(d)]
@@ -137,18 +136,19 @@ def _expm(generator: np.ndarray) -> np.ndarray:
     return u
 
 
-def herald_click(state: DensityMatrix, mode: int) -> tuple[DensityMatrix, float]:
-    """Condition on a click of a non-number-resolving detector on one mode.
+def herald_click(rho: np.ndarray, n_max: int, mode: int) -> tuple[DensityMatrix, float]:
+    """Condition a three-mode state array on a click of a non-number-resolving
+    detector on `mode`.
 
     Applies the click POVM E = 1 - |0><0| (diagonal, so E^(1/2) rho E^(1/2)
-    reduces to masking the Fock-diagonal blocks), normalizes the masked
-    branch, traces out the detected mode, and returns the conditional state
+    reduces to masking the Fock-diagonal blocks), traces out the detected
+    mode and normalizes the two-mode branch.  Returns the conditional state
     together with the click probability p = Tr[(1 (x) E) rho].
     """
-    cfg = state.config
-    mask = (cfg.mode_occupations(mode) >= 1).astype(float)
-    clicked, prob = normalize(cfg, state.elements * np.outer(mask, mask))
-    return partial_trace(clicked, mode), prob
+    d = n_max + 1
+    mask = (np.indices((d, d, d))[mode].ravel() >= 1).astype(float)
+    branch = partial_trace(rho * np.outer(mask, mask), d, mode)
+    return normalize(HilbertConfig(n_max), branch)
 
 
 def catalysis_kraus_operators(n_max: int, r, eta: float) -> np.ndarray:
@@ -213,9 +213,9 @@ def nla_catalysis(
     replaces mode B of the returned two-mode state.
 
     The step runs as the heralded Kraus map of `catalysis_kraus_operators`
-    on mode B.  The three-mode circuit (ancilla, beamsplitter, click) is
-    never built here; the tests keep it as an oracle and check that it gives
-    the same state.
+    on mode B, so the state never leaves the two-mode space.  The tests
+    write the three-mode circuit (ancilla, beamsplitter, click) out on plain
+    arrays as an oracle and check that it gives the same state.
 
     Returns the distilled state and the heralding probability.  For a
     vacuum-signal input the probability is exactly eta_ancilla * r^2.  It is
@@ -236,7 +236,5 @@ def nla_catalysis_stack(
 
 
 def _catalysis_branches(epr: DensityMatrix, r, eta_ancilla: float) -> np.ndarray:
-    if epr.config.mode_count != 2:
-        raise ValueError("catalysis expects a 2-mode input state")
     kraus = catalysis_kraus_operators(epr.config.n_max, r, eta_ancilla)
     return apply_mode_kraus(epr, 1, kraus)

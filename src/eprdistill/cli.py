@@ -65,8 +65,13 @@ def _scenario_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What a flag edits when the document has no such section: the schema's
+# default degradation, and a gain with no fields set.
+ABSENT_SECTIONS = {"degrade": {"mode": "none"}, "gain": {}}
+
+
 def _section(data: dict, key: str) -> dict:
-    value = data.get(key, ScenarioConfig().to_dict()[key])
+    value = data.get(key, ABSENT_SECTIONS[key])
     if not isinstance(value, dict):
         raise ConfigError(key, f"expected an object, got {type(value).__name__}")
     return dict(value)

@@ -1,12 +1,13 @@
-"""Dense linear algebra over truncated multimode Fock spaces.
+"""Dense linear algebra over the truncated two-mode Fock space.
 
 States are immutable value objects: every operation returns a new instance
 and the backing arrays are marked read-only, so independent scenarios can
-safely be evaluated concurrently.  Operators are plain numpy arrays.
+safely be evaluated concurrently.  Operators are plain numpy arrays, and so
+are the states of the tests' three-mode oracle, which tensor_product,
+apply_unitary and partial_trace take and return.
 
-Mode ordering is little-endian: mode 0 is the slowest (leftmost) tensor
-factor, i.e. the flat index of |n_0, n_1, ..> is n_0 * d^(M-1) + n_1 * d^(M-2)
-+ ... with d = n_max + 1.
+Mode ordering: mode A (0) is the slower tensor factor, i.e. the flat index
+of |n_A, n_B> is n_A d + n_B with d = n_max + 1.
 
 Operators are plain truncations of their infinite-dimensional counterparts;
 cutoff artifacts (e.g. the commutator defect in the top Fock level) are
@@ -62,16 +63,13 @@ def _check_states(config: HilbertConfig, stack: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class HilbertConfig:
-    """Shape of the truncated state space: per-mode cutoff and mode count."""
+    """Shape of the truncated two-mode state space: the per-mode cutoff."""
 
     n_max: int = 3
-    mode_count: int = 2
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if not 1 <= self.mode_count <= 3:
-            raise ValueError(f"mode_count must be in 1..3, got {self.mode_count}")
 
     @property
     def dim_per_mode(self) -> int:
@@ -79,25 +77,22 @@ class HilbertConfig:
 
     @property
     def dim(self) -> int:
-        return self.dim_per_mode**self.mode_count
+        return self.dim_per_mode**2
 
     def check_mode(self, mode: int) -> None:
-        if not 0 <= mode < self.mode_count:
-            raise ValueError(
-                f"mode {mode} out of range for {self.mode_count}-mode space"
-            )
+        if mode not in (0, 1):
+            raise ValueError(f"mode {mode} out of range for a 2-mode space")
 
     def mode_occupations(self, mode: int) -> np.ndarray:
         """Occupation number of `mode` for each flat basis index."""
         self.check_mode(mode)
         d = self.dim_per_mode
-        stride = d ** (self.mode_count - 1 - mode)
-        return (np.arange(self.dim) // stride) % d
+        return (np.arange(self.dim) // d ** (1 - mode)) % d
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian PSD matrix over the multimode Fock basis, trace in (0, 1].
+    """Hermitian PSD matrix over the two-mode Fock basis, trace in (0, 1].
 
     A trace below one encodes a sub-normalized state; :func:`normalize` turns
     a raw heralded branch into a conditional state plus probability, and
@@ -145,36 +140,33 @@ def pure_state(config: HilbertConfig, amplitudes: np.ndarray) -> DensityMatrix:
     return DensityMatrix(config, np.outer(vec, vec.conj()))
 
 
-def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Joint state a (x) b; the modes of `b` follow those of `a`."""
-    if a.config.n_max != b.config.n_max:
-        raise ValueError("cutoffs differ between factors")
-    joint = HilbertConfig(a.config.n_max, a.config.mode_count + b.config.mode_count)
-    return DensityMatrix(joint, np.kron(a.elements, b.elements))
+def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Joint state array a (x) b; the modes of `b` follow those of `a`."""
+    return np.kron(a, b)
 
 
-def apply_unitary(state: DensityMatrix, u: np.ndarray) -> DensityMatrix:
-    """Conjugate the state: rho -> U rho U^dag.  Trace is preserved."""
-    dim = state.config.dim
-    if u.shape != (dim, dim):
-        raise ValueError(f"unitary shape {u.shape} does not match dimension {dim}")
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
+def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Conjugate a state array: rho -> U rho U^dag.  Trace is preserved."""
+    if u.shape != rho.shape:
+        raise ValueError(f"unitary shape {u.shape} does not match state shape {rho.shape}")
+    defect = np.max(np.abs(u.conj().T @ u - np.eye(len(u))))
     if defect > tolerances.UNITARITY_ATOL:
         raise ValueError(f"operator is not unitary: max defect {defect:.3e}")
-    return DensityMatrix(state.config, u @ state.elements @ u.conj().T)
+    return u @ rho @ u.conj().T
 
 
-def partial_trace(state: DensityMatrix, mode: int) -> DensityMatrix:
-    """Trace out one mode, returning the reduced state over the rest."""
-    cfg = state.config
-    cfg.check_mode(mode)
-    if cfg.mode_count < 2:
-        raise ValueError("partial trace needs at least two modes")
-    d, m = cfg.dim_per_mode, cfg.mode_count
-    tensor = state.elements.reshape((d,) * (2 * m))
-    reduced = np.trace(tensor, axis1=mode, axis2=m + mode)
-    new_cfg = HilbertConfig(cfg.n_max, m - 1)
-    return DensityMatrix(new_cfg, reduced.reshape(new_cfg.dim, new_cfg.dim))
+def partial_trace(rho: np.ndarray, d: int, mode: int) -> np.ndarray:
+    """Trace `mode` out of a state array of m >= 2 modes of d levels each.
+
+    The mode count m is read from the shape (d^m, d^m).
+    """
+    m = round(np.log(len(rho)) / np.log(d))
+    if m < 2 or rho.shape != (d**m, d**m):
+        raise ValueError(f"shape {rho.shape} is not a state of two or more {d}-level modes")
+    if not 0 <= mode < m:
+        raise ValueError(f"mode {mode} out of range for a {m}-mode state")
+    reduced = np.trace(rho.reshape((d,) * (2 * m)), axis1=mode, axis2=m + mode)
+    return reduced.reshape(d ** (m - 1), d ** (m - 1))
 
 
 def apply_mode_kraus(state: DensityMatrix, mode: int, ops) -> np.ndarray:
@@ -197,7 +189,7 @@ def apply_mode_kraus(state: DensityMatrix, mode: int, ops) -> np.ndarray:
     flat = kraus.reshape(-1, kraus.shape[-3], d * d)
     superop = flat.transpose(0, 2, 1) @ flat.conj()
     superop = superop.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
-    pre, post = d**mode, d ** (cfg.mode_count - 1 - mode)
+    pre, post = d**mode, d ** (1 - mode)
     tensor = state.elements.reshape(pre, d, post, pre, d, post)
     out = np.tensordot(superop, tensor, axes=([3, 4], [1, 4]))
     out = out.transpose(0, 3, 1, 4, 5, 2, 6).reshape(-1, cfg.dim, cfg.dim)

@@ -73,8 +73,6 @@ def covariance_summary(state: DensityMatrix) -> CovarianceSummary:
 
 def covariance_summaries(config: HilbertConfig, states: np.ndarray) -> list[CovarianceSummary]:
     """`covariance_summary` of each state of a (G, dim, dim) stack, in one pass."""
-    if config.mode_count != 2:
-        raise ValueError("covariance extraction expects a 2-mode state")
     d = config.dim_per_mode
     rho = states / np.real(np.trace(states, axis1=1, axis2=2))[:, None, None]
     delta = config.mode_occupations(0) - config.mode_occupations(1)
@@ -167,8 +165,6 @@ def joint_quadrature_pdf(state: DensityMatrix, x_a, x_b) -> np.ndarray | float:
     arrays; scalars in, scalar out.
     """
     cfg = state.config
-    if cfg.mode_count != 2:
-        raise ValueError("joint quadrature density expects a 2-mode state")
     xa_arr, xb_arr = np.broadcast_arrays(np.asarray(x_a, float), np.asarray(x_b, float))
     shape = xa_arr.shape
     psi_a = hermite_functions(cfg.n_max, xa_arr.ravel())

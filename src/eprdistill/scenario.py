@@ -157,7 +157,7 @@ class DegradeSpec:
         used = {"pump_rotation": "theta_deg", "loss": "tau2"}.get(self.mode)
         return tuple(name for name in ("theta_deg", "tau2") if name != used)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mode not in DEGRADE_MODES:
             raise ConfigError("degrade.mode", f"must be one of {DEGRADE_MODES}")
         if self.mode == "pump_rotation":
@@ -185,7 +185,7 @@ class GainSpec:
         """The fields the chosen form does not use."""
         return ("g",) if self.is_sweep else ("g_min", "g_max", "steps", "log_spacing")
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.g is not None:
             if self.g < 1.0:
                 raise ConfigError("gain.g", f"gain must be >= 1, got {self.g}")
@@ -207,7 +207,6 @@ class GainSpec:
         return self.g is None
 
     def values(self) -> np.ndarray:
-        self.validate()
         if not self.is_sweep:
             return np.array([self.g])
         if self.log_spacing:
@@ -217,6 +216,9 @@ class GainSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario.  It and its sections check themselves when built, the
+    sections first, so an invalid scenario cannot exist."""
+
     gamma: float = 0.135
     degrade: DegradeSpec = field(default_factory=lambda: DegradeSpec("none"))
     gain: GainSpec = field(default_factory=GainSpec)
@@ -228,11 +230,9 @@ class ScenarioConfig:
     sample_count: int = 10000
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("gamma", f"must be in (0, 1), got {self.gamma}")
-        self.degrade.validate()
-        self.gain.validate()
         for name in ("eta_ancilla", "eta_a", "eta_b"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -268,9 +268,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        config = _from_json(cls, data, "")
-        config.validate()
-        return config
+        return _from_json(cls, data, "")
 
     def to_dict(self) -> dict:
         """The JSON form: every field except those the chosen forms ignore."""
@@ -310,7 +308,6 @@ class SweepRow:
 class SweepResult:
     """Per-gain rows, ordered by g, plus any skipped (infeasible) gains."""
 
-    config: ScenarioConfig
     rows: list[SweepRow]
     skipped: list[tuple[float, str]] = field(default_factory=list)
 
@@ -347,7 +344,7 @@ def _lossy_source(config: ScenarioConfig) -> DensityMatrix:
     A sweep builds it once and shares it between its gain stacks, which is
     safe since a DensityMatrix's elements are read-only.
     """
-    state = tmsv_state(config.effective_gamma, HilbertConfig(config.n_max, 2))
+    state = tmsv_state(config.effective_gamma, HilbertConfig(config.n_max))
     if config.degrade.mode == "loss":
         state = loss_channel(state, 1, config.tau)
     return state
@@ -404,11 +401,10 @@ def run_scenario(config: ScenarioConfig) -> SweepResult:
     models one at a time.  Gains whose heralding probability vanishes are
     reported in `skipped` rather than aborting the sweep.
     """
-    config.validate()
     gains = config.gain.values()
     if config.model != "full_numeric":
-        return SweepResult(config, [evaluate_gain_point(config, g) for g in gains.tolist()])
-    result = SweepResult(config, [])
+        return SweepResult([evaluate_gain_point(config, g) for g in gains.tolist()])
+    result = SweepResult([])
     source = _lossy_source(config)
     for start in range(0, len(gains), _GAIN_CHUNK):
         _distill_gains(config, source, gains[start : start + _GAIN_CHUNK], result)
@@ -425,7 +421,6 @@ def run_sampling(config: ScenarioConfig) -> dict:
     "samples" are the sampler's unrounded (count, 2) array, which only
     dump_json_report and write_json_report can write (rounding as they go).
     """
-    config.validate()
     if config.model != "full_numeric":
         raise ConfigError("model", "sampling requires the full_numeric model")
     if config.gain.is_sweep:
@@ -463,7 +458,6 @@ def run_equivalence(
     sweep.  Infeasible rows are flagged, never NaN-filled.  Gains the sweep
     skips are listed under "skipped", a key present only when there are any.
     """
-    config.validate()
     skipped = []
     if variances is not None:
         v_diff, v_sum = variances

@@ -2,32 +2,41 @@ import numpy as np
 import pytest
 
 from eprdistill import DensityMatrix, HilbertConfig, joint_quadrature_pdf
-from eprdistill.channels import beamsplitter_unitary
-from eprdistill.fock import apply_unitary
+from eprdistill.channels import beamsplitter_unitary, herald_click
+from eprdistill.fock import apply_unitary, tensor_product
+
+
+def random_state_array(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank dim x dim density matrix as a plain array."""
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.real(np.trace(rho))
 
 
 def random_density_matrix(
     config: HilbertConfig, rng: np.random.Generator, zero_mean: bool = False
 ) -> DensityMatrix:
-    """Random full-rank state; zero_mean keeps only the blocks of a two-mode
-    state that are diagonal in n_A - n_B, so it is phase-symmetric and all
-    first quadrature moments vanish."""
-    dim = config.dim
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m @ m.conj().T
-    rho /= np.real(np.trace(rho))
+    """Random full-rank two-mode state; zero_mean keeps only the blocks that
+    are diagonal in n_A - n_B, so it is phase-symmetric and all first
+    quadrature moments vanish."""
+    rho = random_state_array(config.dim, rng)
     if zero_mean:
         rho = rho * ~off_block_mask(config)
     return DensityMatrix(config, rho)
 
 
-def fock_vector(config: HilbertConfig, occupations) -> np.ndarray:
-    """Unit vector of |n_0, n_1, ...>; numpy's C order makes mode 0 the
-    slowest index, the order of the fock module."""
-    vec = np.zeros(config.dim)
-    shape = (config.dim_per_mode,) * config.mode_count
+def fock_vector(n_max: int, occupations) -> np.ndarray:
+    """Unit vector of |n_0, n_1, ...> over len(occupations) modes; numpy's C
+    order makes mode 0 the slowest index, the order of the fock module."""
+    shape = (n_max + 1,) * len(occupations)
+    vec = np.zeros(np.prod(shape, dtype=int))
     vec[np.ravel_multi_index(tuple(occupations), shape)] = 1.0
     return vec
+
+
+def mode_occupations(n_max: int, modes: int, mode: int) -> np.ndarray:
+    """Occupation number of `mode` for each flat index of an array over `modes` modes."""
+    return np.indices((n_max + 1,) * modes)[mode].ravel()
 
 
 def off_block_mask(config: HilbertConfig) -> np.ndarray:
@@ -36,15 +45,12 @@ def off_block_mask(config: HilbertConfig) -> np.ndarray:
     return delta[:, None] != delta[None, :]
 
 
-def kron_kraus_sum(state, mode, ops):
-    """Reference: sum_i E_i rho E_i^dag with E_i = K_i on `mode`, I elsewhere."""
-    cfg = state.config
-    eye = np.eye(cfg.dim_per_mode)
+def kron_kraus_sum(state: DensityMatrix, mode: int, ops) -> np.ndarray:
+    """Reference: sum_i E_i rho E_i^dag with E_i = K_i on `mode`, I on the other."""
+    eye = np.eye(state.config.dim_per_mode)
     out = np.zeros_like(state.elements)
     for op in ops:
-        full = np.array([[1.0]])
-        for m in range(cfg.mode_count):
-            full = np.kron(full, op if m == mode else eye)
+        full = np.kron(op, eye) if mode == 0 else np.kron(eye, op)
         out += full @ state.elements @ full.conj().T
     return out
 
@@ -56,28 +62,35 @@ def fidelity(state: DensityMatrix, amplitudes: np.ndarray) -> float:
     return float(np.real(v.conj() @ state.elements @ v))
 
 
-# Three-mode oracle of the catalysis circuit: the heralded ancilla and the
-# full-space beamsplitter, which the library replaces by one Kraus map on
-# the signal mode.
+# Three-mode oracle of the catalysis circuit, on plain arrays: the heralded
+# ancilla, the full-space beamsplitter and the click, which the library
+# replaces by one Kraus map on mode B.
 
 
-def ancilla_photon(eta: float, config: HilbertConfig) -> DensityMatrix:
-    """Heralded ancilla: single photon with probability eta, else vacuum."""
+def ancilla_photon(eta: float, n_max: int) -> np.ndarray:
+    """Heralded single-mode ancilla: one photon with probability eta, else vacuum."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    if config.mode_count != 1:
-        raise ValueError("ancilla lives in a single mode")
-    diag = np.zeros(config.dim)
-    diag[0] = 1.0 - eta
-    diag[1] = eta
-    return DensityMatrix(config, np.diag(diag).astype(complex))
+    diag = np.zeros(n_max + 1)
+    diag[:2] = 1.0 - eta, eta
+    return np.diag(diag)
 
 
-def beamsplitter(state: DensityMatrix, r: float) -> DensityMatrix:
-    """Mix the last two modes on a beamsplitter of amplitude reflectivity r."""
-    cfg = state.config
-    u = beamsplitter_unitary(cfg.n_max, r)
-    return apply_unitary(state, np.kron(np.eye(cfg.dim_per_mode ** (cfg.mode_count - 2)), u))
+def beamsplitter(rho: np.ndarray, n_max: int, r: float) -> np.ndarray:
+    """Mix the last two modes of a state array on a beamsplitter of
+    amplitude reflectivity r."""
+    u = beamsplitter_unitary(n_max, r)
+    return apply_unitary(rho, np.kron(np.eye(len(rho) // len(u)), u))
+
+
+def three_mode_catalysis(epr: DensityMatrix, r: float, eta: float):
+    """The catalysis circuit written out on the three-mode array (A, B,
+    ancilla): the beamsplitter mixes B with the ancilla, a click on mode 1
+    heralds, and mode 2, the surviving port, becomes the new mode B.
+    Returns `herald_click`'s (state, probability)."""
+    n_max = epr.config.n_max
+    joint = tensor_product(epr.elements, ancilla_photon(eta, n_max))
+    return herald_click(beamsplitter(joint, n_max, r), n_max, 1)
 
 
 def dense_catalysis_kraus(n_max: int, r, eta: float) -> np.ndarray:

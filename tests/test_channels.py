@@ -26,20 +26,20 @@ from conftest import (
     fidelity,
     fock_vector,
     kron_kraus_sum,
+    mode_occupations,
     off_block_mask,
     random_density_matrix,
+    three_mode_catalysis,
 )
 
-CFG2 = HilbertConfig(n_max=3, mode_count=2)
-CFG1 = HilbertConfig(n_max=3, mode_count=1)
-VAC1 = pure_state(CFG1, fock_vector(CFG1, (0,)))
+CFG2 = HilbertConfig(n_max=3)
+VACUUM = tmsv_state(0.0, CFG2)
 
 
 class TestTmsvState:
     def test_zero_squeezing_is_vacuum(self):
-        np.testing.assert_allclose(
-            tmsv_state(0.0, CFG2).elements, pure_state(CFG2, fock_vector(CFG2, (0, 0))).elements
-        )
+        vacuum = pure_state(CFG2, fock_vector(CFG2.n_max, (0, 0)))
+        np.testing.assert_allclose(tmsv_state(0.0, CFG2).elements, vacuum.elements)
 
     def test_photon_numbers_perfectly_correlated(self):
         rho = tmsv_state(0.3, CFG2)
@@ -52,7 +52,7 @@ class TestTmsvState:
 
     def test_difference_variance_closed_form(self):
         # <(X_A - X_B)^2> = (1-gamma)/(1+gamma) up to cutoff error
-        cfg = HilbertConfig(n_max=5, mode_count=2)
+        cfg = HilbertConfig(n_max=5)
         cov = covariance_summary(tmsv_state(0.18, cfg))
         assert cov.v_diff == pytest.approx((1 - 0.18) / (1 + 0.18), abs=1e-3)
         assert cov.v_sum == pytest.approx((1 + 0.18) / (1 - 0.18), abs=1e-3)
@@ -61,7 +61,7 @@ class TestTmsvState:
     def test_fit_value_matches_hyperbolic_forms(self):
         # cross-check against cosh/sinh with tanh(s) = gamma
         gamma = 0.135
-        cfg = HilbertConfig(n_max=6, mode_count=2)
+        cfg = HilbertConfig(n_max=6)
         cov = covariance_summary(tmsv_state(gamma, cfg))
         diag = 0.5 * (1 + gamma**2) / (1 - gamma**2)
         cross = gamma / (1 - gamma**2)
@@ -115,15 +115,16 @@ class TestPumpRotation:
 class TestLossChannel:
     def test_vacuum_fixed_point(self):
         for tau in (0.0, 0.3, 1.0):
-            out = loss_channel(VAC1, 0, tau)
-            np.testing.assert_allclose(out.elements, VAC1.elements, atol=1e-14)
+            for mode in (0, 1):
+                out = loss_channel(VACUUM, mode, tau)
+                np.testing.assert_allclose(out.elements, VACUUM.elements, atol=1e-14)
 
     def test_single_photon_binomial_mix(self):
-        rho = pure_state(CFG1, fock_vector(CFG1, (1,)))
+        rho = pure_state(CFG2, fock_vector(CFG2.n_max, (1, 0)))
         out = loss_channel(rho, 0, np.sqrt(0.05))
         diag = np.real(np.diag(out.elements))
-        assert diag[0] == pytest.approx(0.95)
-        assert diag[1] == pytest.approx(0.05)
+        assert diag @ fock_vector(CFG2.n_max, (0, 0)) == pytest.approx(0.95)
+        assert diag @ fock_vector(CFG2.n_max, (1, 0)) == pytest.approx(0.05)
 
     def test_first_order_structure_through_loss(self):
         # weakly squeezed source through loss: coherent (|00> , |11>) part
@@ -132,7 +133,7 @@ class TestLossChannel:
         gamma, tau = 0.05, np.sqrt(0.3)
         rho = loss_channel(tmsv_state(gamma, CFG2), 1, tau)
         el = rho.elements
-        v00, v10, v11 = (fock_vector(CFG2, occ) for occ in ((0, 0), (1, 0), (1, 1)))
+        v00, v10, v11 = (fock_vector(CFG2.n_max, occ) for occ in ((0, 0), (1, 0), (1, 1)))
         assert abs(v00 @ el @ v11 - gamma * tau) < 2 * gamma**3
         assert abs(v10 @ el @ v10 - gamma**2 * (1 - tau**2)) < 2 * gamma**4
         assert abs(v11 @ el @ v11 - gamma**2 * tau**2) < 2 * gamma**4
@@ -145,7 +146,7 @@ class TestLossChannel:
                 assert np.max(np.abs(total - np.eye(n_max + 1))) < 1e-12
 
     def test_composition_law(self, rng):
-        cfg = HilbertConfig(n_max=3, mode_count=2)
+        cfg = HilbertConfig(n_max=3)
         for tau1, tau2 in ((0.9, 0.7), (0.5, 0.5), (1.0, 0.3)):
             rho = random_density_matrix(cfg, rng)
             seq = loss_channel(loss_channel(rho, 1, tau1), 1, tau2)
@@ -159,7 +160,7 @@ class TestLossChannel:
 
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError):
-            loss_channel(VAC1, 0, 1.2)
+            loss_channel(VACUUM, 0, 1.2)
 
     def test_matches_kron_reference(self, rng):
         rho = random_density_matrix(CFG2, rng)
@@ -174,39 +175,35 @@ class TestLossChannel:
 
 class TestAncillaPhoton:
     def test_perfect_preparation(self):
-        rho = ancilla_photon(1.0, CFG1)
-        np.testing.assert_allclose(
-            rho.elements, pure_state(CFG1, fock_vector(CFG1, (1,))).elements
-        )
+        photon = fock_vector(3, (1,))
+        np.testing.assert_allclose(ancilla_photon(1.0, 3), np.outer(photon, photon))
 
     def test_failed_preparation_is_vacuum(self):
-        np.testing.assert_allclose(
-            ancilla_photon(0.0, CFG1).elements, VAC1.elements
-        )
+        vacuum = fock_vector(3, (0,))
+        np.testing.assert_allclose(ancilla_photon(0.0, 3), np.outer(vacuum, vacuum))
 
     def test_partial_efficiency(self):
-        rho = ancilla_photon(0.65, CFG1)
         np.testing.assert_allclose(
-            np.real(np.diag(rho.elements)), [0.35, 0.65, 0.0, 0.0], atol=1e-15
+            np.diag(ancilla_photon(0.65, 3)), [0.35, 0.65, 0.0, 0.0], atol=1e-15
         )
 
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):
-            ancilla_photon(1.1, CFG1)
+            ancilla_photon(1.1, 3)
 
 
 class TestBeamsplitter:
     def test_zero_reflectivity_is_identity(self, rng):
         rho = random_density_matrix(CFG2, rng)
-        out = beamsplitter(rho, 0.0)
-        assert np.max(np.abs(out.elements - rho.elements)) < 1e-12
+        out = beamsplitter(rho.elements, CFG2.n_max, 0.0)
+        assert np.max(np.abs(out - rho.elements)) < 1e-12
 
     def test_single_photon_splitting_amplitudes(self):
         # photon in mode 0 goes to (t, -r) on {|1 0>, |0 1>}
         r = 0.3
         t = np.sqrt(1 - r * r)
         u = beamsplitter_unitary(CFG2.n_max, r)
-        v10, v01 = fock_vector(CFG2, (1, 0)), fock_vector(CFG2, (0, 1))
+        v10, v01 = fock_vector(CFG2.n_max, (1, 0)), fock_vector(CFG2.n_max, (0, 1))
         out = u @ v10
         assert out @ v10 == pytest.approx(t)
         assert out @ v01 == pytest.approx(-r)
@@ -220,12 +217,12 @@ class TestBeamsplitter:
 
     def test_hong_ou_mandel_null(self):
         # balanced splitter: two single photons never exit one per port
-        v11 = fock_vector(CFG2, (1, 1))
-        out = beamsplitter(pure_state(CFG2, v11), 1.0 / np.sqrt(2.0))
-        assert abs(v11 @ out.elements @ v11) < 1e-12
-        diag = np.real(np.diag(out.elements))
-        assert diag @ fock_vector(CFG2, (2, 0)) == pytest.approx(0.5)
-        assert diag @ fock_vector(CFG2, (0, 2)) == pytest.approx(0.5)
+        v11 = fock_vector(CFG2.n_max, (1, 1))
+        out = beamsplitter(pure_state(CFG2, v11).elements, CFG2.n_max, 1.0 / np.sqrt(2.0))
+        assert abs(v11 @ out @ v11) < 1e-12
+        diag = np.real(np.diag(out))
+        assert diag @ fock_vector(CFG2.n_max, (2, 0)) == pytest.approx(0.5)
+        assert diag @ fock_vector(CFG2.n_max, (0, 2)) == pytest.approx(0.5)
 
     def test_unitarity_on_reflectivity_grid(self):
         for r in (0.0, 0.1, 0.5, 1.0 / np.sqrt(2.0), 0.99, 1.0):
@@ -236,9 +233,9 @@ class TestBeamsplitter:
         n_op = np.diag(CFG2.mode_occupations(0) + CFG2.mode_occupations(1))
         for r in (0.2, 0.7):
             rho = random_density_matrix(CFG2, rng)
-            out = beamsplitter(rho, r)
+            out = beamsplitter(rho.elements, CFG2.n_max, r)
             before = np.trace(rho.elements @ n_op).real
-            after = np.trace(out.elements @ n_op).real
+            after = np.trace(out @ n_op).real
             assert after == pytest.approx(before, abs=1e-10)
 
     def test_reflectivity_out_of_range(self):
@@ -247,7 +244,7 @@ class TestBeamsplitter:
 
     @pytest.mark.parametrize("n_max", [*range(1, 7), 10], ids=lambda n: f"2-{n}")
     def test_matches_expm_with_exact_zeros_between_blocks(self, n_max):
-        cfg = HilbertConfig(n_max, 2)
+        cfg = HilbertConfig(n_max)
         one, eye = annihilation_operator(n_max), np.eye(cfg.dim_per_mode)
         a, b = np.kron(one, eye), np.kron(eye, one)
         # complex input: scipy's real expm path has errors up to 4.5e-14 here
@@ -278,41 +275,33 @@ class TestBeamsplitter:
 
 class TestHeraldClick:
     def test_vacuum_herald_is_impossible(self):
-        with pytest.raises(HeraldingImpossibleError):
-            herald_click(tmsv_state(0.0, CFG2), 1)
+        vacuum = tensor_product(VACUUM.elements, ancilla_photon(0.0, CFG2.n_max))
+        for mode in range(3):
+            with pytest.raises(HeraldingImpossibleError):
+                herald_click(vacuum, CFG2.n_max, mode)
 
     def test_definite_photon_heralds_with_certainty(self, rng):
-        other = random_density_matrix(HilbertConfig(3, 1), rng)
-        photon = pure_state(CFG1, fock_vector(CFG1, (1,)))
-        joint = tensor_product(other, photon)
-        conditional, prob = herald_click(joint, 1)
+        other = random_density_matrix(CFG2, rng)
+        joint = tensor_product(other.elements, ancilla_photon(1.0, CFG2.n_max))
+        conditional, prob = herald_click(joint, CFG2.n_max, 2)
         assert prob == pytest.approx(1.0)
         np.testing.assert_allclose(conditional.elements, other.elements, atol=1e-12)
 
     def test_probability_matches_born_rule_sum(self):
         # brute-force Born rule over basis states with a photon in the
         # heralded mode, on a concrete composed circuit
-        joint = tensor_product(tmsv_state(0.3, CFG2), ancilla_photon(0.65, CFG1))
-        mixed = beamsplitter(joint, 0.35)
-        occ = mixed.config.mode_occupations(1)
-        brute = sum(
-            np.real(mixed.elements[i, i]) for i in range(mixed.config.dim) if occ[i] >= 1
-        )
-        _, prob = herald_click(mixed, 1)
+        joint = tensor_product(tmsv_state(0.3, CFG2).elements, ancilla_photon(0.65, CFG2.n_max))
+        mixed = beamsplitter(joint, CFG2.n_max, 0.35)
+        occ = mode_occupations(CFG2.n_max, 3, 1)
+        brute = sum(np.real(mixed[i, i]) for i in range(len(mixed)) if occ[i] >= 1)
+        _, prob = herald_click(mixed, CFG2.n_max, 1)
         assert prob == pytest.approx(brute, abs=1e-14)
-
-
-def three_mode_catalysis(epr, r, eta):
-    """The catalysis circuit written out: ancilla, 3-mode beamsplitter, click."""
-    ancilla = ancilla_photon(eta, HilbertConfig(epr.config.n_max, 1))
-    mixed = beamsplitter(tensor_product(epr, ancilla), r)
-    return herald_click(mixed, 1)
 
 
 class TestNlaCatalysis:
     @pytest.mark.parametrize("n_max", [3, 6])
     def test_matches_three_mode_circuit(self, rng, n_max):
-        cfg = HilbertConfig(n_max, 2)
+        cfg = HilbertConfig(n_max)
         epr = random_density_matrix(cfg, rng)
         for r in (0.05, 0.3, 1.0):
             for eta in (0.0, 0.65, 1.0):
@@ -332,7 +321,7 @@ class TestNlaCatalysis:
 
     @pytest.mark.parametrize("n_max", [3, 6])
     def test_vacuum_without_ancilla_impossible_on_both_paths(self, n_max):
-        vac = tmsv_state(0.0, HilbertConfig(n_max, 2))
+        vac = tmsv_state(0.0, HilbertConfig(n_max))
         for r in (0.05, 0.3, 1.0):
             with pytest.raises(HeraldingImpossibleError):
                 nla_catalysis(vac, r, 0.0)
@@ -393,7 +382,7 @@ class TestNlaCatalysis:
         # the relative sign follows the positive-correlation convention
         gamma, r = 0.01, 0.01
         out, _ = nla_catalysis(tmsv_state(gamma, CFG2), r, 1.0)
-        target = r * fock_vector(CFG2, (0, 0)) + gamma * fock_vector(CFG2, (1, 1))
+        target = r * fock_vector(CFG2.n_max, (0, 0)) + gamma * fock_vector(CFG2.n_max, (1, 1))
         assert fidelity(out, target) >= 0.999
 
     def test_vacuum_ancilla_leaves_lone_photon_branch(self):
@@ -401,7 +390,7 @@ class TestNlaCatalysis:
         # a photon in mode A and vacuum in mode B
         gamma, r = 0.01, 0.1
         out, prob = nla_catalysis(tmsv_state(gamma, CFG2), r, 0.0)
-        v10 = fock_vector(CFG2, (1, 0))
+        v10 = fock_vector(CFG2.n_max, (1, 0))
         assert v10 @ out.elements @ v10 > 0.999
         t_sq = 1.0 - r * r
         assert prob == pytest.approx(gamma**2 * t_sq, rel=1e-3)
@@ -451,14 +440,11 @@ class TestNlaCatalysis:
     def test_herald_probability_equals_branch_trace(self):
         # the heralding probability must equal the trace of the masked
         # (unnormalized) conditional branch
-        joint = tensor_product(tmsv_state(0.2, CFG2), ancilla_photon(0.65, CFG1))
-        mixed = beamsplitter(joint, 0.2)
-        occ = mixed.config.mode_occupations(1)
-        mask = (occ >= 1).astype(float)
-        masked_trace = float(
-            np.real(np.sum(np.diag(mixed.elements) * mask))
-        )
-        _, prob = herald_click(mixed, 1)
+        joint = tensor_product(tmsv_state(0.2, CFG2).elements, ancilla_photon(0.65, CFG2.n_max))
+        mixed = beamsplitter(joint, CFG2.n_max, 0.2)
+        mask = (mode_occupations(CFG2.n_max, 3, 1) >= 1).astype(float)
+        masked_trace = float(np.real(np.sum(np.diag(mixed) * mask)))
+        _, prob = herald_click(mixed, CFG2.n_max, 1)
         assert prob == pytest.approx(masked_trace, abs=1e-12)
 
 
@@ -504,7 +490,7 @@ class TestCatalysisAmplitudes:
     @pytest.mark.parametrize("n_max", range(1, 7))
     def test_full_reflection_without_ancilla_photon_never_clicks(self, n_max):
         # at r = 1 only the ancilla photon reaches the detector, and there is none
-        epr = loss_channel(tmsv_state(0.5, HilbertConfig(n_max, 2)), 1, 0.7)
+        epr = loss_channel(tmsv_state(0.5, HilbertConfig(n_max)), 1, 0.7)
         _, probs, heralded = nla_catalysis_stack(epr, np.array([1.0]), 0.0)
         assert probs.tolist() == [0.0]
         assert not heralded.any()
@@ -530,7 +516,7 @@ class TestDeltaBlockStructure:
 
     @pytest.mark.parametrize("n_max", range(1, 7))
     def test_loss_and_catalysis_keep_off_block_elements_zero(self, rng, n_max):
-        cfg = HilbertConfig(n_max, 2)
+        cfg = HilbertConfig(n_max)
         off_block = off_block_mask(cfg)
 
         def check(elements):

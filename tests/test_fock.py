@@ -22,24 +22,32 @@ from eprdistill.fock import (
     tensor_product,
 )
 
-from conftest import fock_vector, kron_kraus_sum, random_density_matrix
+from conftest import fock_vector, kron_kraus_sum, random_density_matrix, random_state_array
+
+
+def padded(block) -> np.ndarray:
+    """A 2 x 2 block on |0, 0> and |0, 1> of the 4 x 4 two-mode space at
+    n_max = 1, zero elsewhere."""
+    out = np.zeros((4, 4), dtype=np.result_type(np.asarray(block), float))
+    out[:2, :2] = block
+    return out
 
 
 class TestHilbertConfig:
     def test_dimensions(self):
-        cfg = HilbertConfig(n_max=3, mode_count=2)
+        cfg = HilbertConfig(n_max=3)
         assert cfg.dim_per_mode == 4
         assert cfg.dim == 16
 
     def test_mode_zero_is_slowest_index(self):
-        cfg = HilbertConfig(n_max=3, mode_count=2)
+        cfg = HilbertConfig(n_max=3)
         occupations = np.stack([cfg.mode_occupations(0), cfg.mode_occupations(1)], axis=1)
         assert tuple(occupations[4]) == (1, 0)
         assert tuple(occupations[1]) == (0, 1)
         assert tuple(occupations[11]) == (2, 3)
 
     def test_mode_occupations(self):
-        cfg = HilbertConfig(n_max=2, mode_count=2)
+        cfg = HilbertConfig(n_max=2)
         np.testing.assert_array_equal(
             cfg.mode_occupations(0), [0, 0, 0, 1, 1, 1, 2, 2, 2]
         )
@@ -49,9 +57,16 @@ class TestHilbertConfig:
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            HilbertConfig(n_max=0, mode_count=1)
-        with pytest.raises(ValueError):
-            HilbertConfig(n_max=3, mode_count=4)
+            HilbertConfig(n_max=0)
+        # the space has two modes: no field sets another count, and no
+        # config takes the 64 x 64 state of three modes at n_max = 3
+        with pytest.raises(TypeError):
+            HilbertConfig(3, 3)
+        with pytest.raises(InvalidStateError, match=r"shape \(64, 64\)"):
+            DensityMatrix(HilbertConfig(3), np.eye(64) / 64)
+        for mode in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                HilbertConfig(3).mode_occupations(mode)
 
 
 class TestAnnihilation:
@@ -62,10 +77,9 @@ class TestAnnihilation:
         np.testing.assert_allclose(a, expected)
 
     def test_lowers_two_photon_state(self):
-        cfg = HilbertConfig(n_max=3, mode_count=1)
-        a = annihilation_operator(cfg.n_max)
-        lowered = a @ fock_vector(cfg, (2,))
-        np.testing.assert_allclose(lowered, np.sqrt(2.0) * fock_vector(cfg, (1,)))
+        a = annihilation_operator(3)
+        lowered = a @ fock_vector(3, (2,))
+        np.testing.assert_allclose(lowered, np.sqrt(2.0) * fock_vector(3, (1,)))
 
     def test_commutator_below_cutoff(self):
         # a a^dag - a^dag a equals 1 on n < n_max; the cutoff level deviates
@@ -75,102 +89,98 @@ class TestAnnihilation:
         assert delta[3, 3] == pytest.approx(-3.0)
 
     def test_embedding_acts_on_addressed_mode_only(self):
-        cfg = HilbertConfig(n_max=2, mode_count=2)
+        cfg = HilbertConfig(n_max=2)
         a1 = np.kron(np.eye(cfg.dim_per_mode), annihilation_operator(cfg.n_max))
-        out = a1 @ fock_vector(cfg, (2, 1))
-        np.testing.assert_allclose(out, fock_vector(cfg, (2, 0)))
+        out = a1 @ fock_vector(cfg.n_max, (2, 1))
+        np.testing.assert_allclose(out, fock_vector(cfg.n_max, (2, 0)))
 
 
 class TestApplyUnitary:
     def test_identity(self, rng):
-        cfg = HilbertConfig(n_max=2, mode_count=2)
+        cfg = HilbertConfig(n_max=2)
         rho = random_density_matrix(cfg, rng)
-        out = apply_unitary(rho, np.eye(cfg.dim))
-        np.testing.assert_allclose(out.elements, rho.elements, atol=1e-14)
+        out = apply_unitary(rho.elements, np.eye(cfg.dim))
+        np.testing.assert_allclose(out, rho.elements, atol=1e-14)
 
     def test_vacuum_preserving_unitary_fixes_vacuum(self):
-        cfg = HilbertConfig(n_max=3, mode_count=2)
-        vac = pure_state(cfg, fock_vector(cfg, (0, 0)))
-        out = apply_unitary(vac, beamsplitter_unitary(cfg.n_max, 0.6))
-        np.testing.assert_allclose(out.elements, vac.elements, atol=1e-12)
+        cfg = HilbertConfig(n_max=3)
+        vac = pure_state(cfg, fock_vector(cfg.n_max, (0, 0)))
+        out = apply_unitary(vac.elements, beamsplitter_unitary(cfg.n_max, 0.6))
+        np.testing.assert_allclose(out, vac.elements, atol=1e-12)
 
     def test_trace_preserved_for_random_unitaries(self, rng):
-        cfg = HilbertConfig(n_max=2, mode_count=2)
+        cfg = HilbertConfig(n_max=2)
         for _ in range(5):
             h = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
             h = 0.5 * (h + h.conj().T)
             u = expm(1j * h)
             rho = random_density_matrix(cfg, rng)
-            out = apply_unitary(rho, u)
+            out = DensityMatrix(cfg, apply_unitary(rho.elements, u))
             assert out.trace == pytest.approx(rho.trace, abs=1e-12)
 
-    def test_rejects_non_unitary(self, rng):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
-        rho = pure_state(cfg, fock_vector(cfg, (0,)))
+    def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            apply_unitary(rho, np.diag([1.0, 2.0]))
+            apply_unitary(np.diag([1.0, 0.0]), np.diag([1.0, 2.0]))
 
     def test_rejects_dimension_mismatch(self):
-        small = HilbertConfig(n_max=1, mode_count=1)
-        big = HilbertConfig(n_max=2, mode_count=1)
-        with pytest.raises(ValueError):
-            apply_unitary(pure_state(big, fock_vector(big, (0,))), np.eye(small.dim))
+        with pytest.raises(ValueError, match="shape"):
+            apply_unitary(np.diag([1.0, 0.0, 0.0]), np.eye(2))
 
 
 class TestPartialTrace:
     def test_product_state_factorizes(self, rng):
-        cfg1 = HilbertConfig(n_max=2, mode_count=1)
-        rho_a = random_density_matrix(cfg1, rng)
-        rho_b = random_density_matrix(cfg1, rng)
+        rho_a = random_state_array(3, rng)
+        rho_b = random_state_array(3, rng)
         joint = tensor_product(rho_a, rho_b)
-        np.testing.assert_allclose(
-            partial_trace(joint, 1).elements, rho_a.elements, atol=1e-13
-        )
-        np.testing.assert_allclose(
-            partial_trace(joint, 0).elements, rho_b.elements, atol=1e-13
-        )
+        np.testing.assert_allclose(partial_trace(joint, 3, 1), rho_a, atol=1e-13)
+        np.testing.assert_allclose(partial_trace(joint, 3, 0), rho_b, atol=1e-13)
 
     def test_bell_like_state_reduces_to_maximally_mixed(self):
-        cfg = HilbertConfig(n_max=3, mode_count=2)
-        vec = (fock_vector(cfg, (0, 0)) + fock_vector(cfg, (1, 1))) / np.sqrt(2.0)
+        cfg = HilbertConfig(n_max=3)
+        vec = (fock_vector(cfg.n_max, (0, 0)) + fock_vector(cfg.n_max, (1, 1))) / np.sqrt(2.0)
         rho = pure_state(cfg, vec)
         for mode in (0, 1):
-            reduced = partial_trace(rho, mode)
+            reduced = partial_trace(rho.elements, cfg.dim_per_mode, mode)
             expected = np.zeros((4, 4))
             expected[0, 0] = expected[1, 1] = 0.5
-            np.testing.assert_allclose(reduced.elements, expected, atol=1e-13)
+            np.testing.assert_allclose(reduced, expected, atol=1e-13)
 
     def test_trace_preserved(self, rng):
-        cfg = HilbertConfig(n_max=2, mode_count=3)
+        # three modes of three levels each
         for _ in range(5):
-            rho = random_density_matrix(cfg, rng)
-            scaled = DensityMatrix(cfg, 0.37 * rho.elements)
+            scaled = 0.37 * random_state_array(27, rng)
             for mode in range(3):
-                assert partial_trace(scaled, mode).trace == pytest.approx(
-                    scaled.trace, abs=1e-13
-                )
+                reduced = partial_trace(scaled, 3, mode)
+                assert reduced.shape == (9, 9)
+                assert np.real(np.trace(reduced)) == pytest.approx(0.37, abs=1e-13)
 
     def test_single_mode_rejected(self):
-        cfg = HilbertConfig(n_max=2, mode_count=1)
-        with pytest.raises(ValueError):
-            partial_trace(pure_state(cfg, fock_vector(cfg, (0,))), 0)
+        for rho in (np.diag([1.0, 0.0, 0.0]), np.eye(10) / 10):
+            with pytest.raises(ValueError, match="shape"):
+                partial_trace(rho, 3, 0)
+
+    def test_mode_out_of_range_rejected(self, rng):
+        rho = random_state_array(27, rng)
+        for mode in (-1, 3):
+            with pytest.raises(ValueError, match=f"mode {mode} out of range for a 3-mode"):
+                partial_trace(rho, 3, mode)
 
 
 class TestApplyModeKraus:
-    @pytest.mark.parametrize("mode_count", [1, 2, 3])
-    def test_matches_kron_sum_on_every_mode(self, rng, mode_count):
-        cfg = HilbertConfig(n_max=2, mode_count=mode_count)
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_matches_kron_sum_on_every_mode(self, rng, n_max):
+        cfg = HilbertConfig(n_max)
         d = cfg.dim_per_mode
         rho = random_density_matrix(cfg, rng)
         ops = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
-        for mode in range(mode_count):
+        for mode in (0, 1):
             np.testing.assert_allclose(
                 apply_mode_kraus(rho, mode, ops), kron_kraus_sum(rho, mode, ops),
                 rtol=0.0, atol=1e-13,
             )
 
     def test_complete_family_preserves_trace(self, rng):
-        cfg = HilbertConfig(n_max=3, mode_count=2)
+        cfg = HilbertConfig(n_max=3)
         d = cfg.dim_per_mode
         # the d-column isometry V splits into complete blocks: sum K^dag K = V^dag V = 1
         iso, _ = np.linalg.qr(rng.normal(size=(4 * d, d)) + 1j * rng.normal(size=(4 * d, d)))
@@ -181,19 +191,19 @@ class TestApplyModeKraus:
             assert out.trace == pytest.approx(rho.trace, abs=1e-13)
 
     def test_gain_axis_stacks_each_family(self, rng):
-        cfg = HilbertConfig(n_max=2, mode_count=3)
+        cfg = HilbertConfig(n_max=2)
         d = cfg.dim_per_mode
         rho = random_density_matrix(cfg, rng)
         families = rng.normal(size=(4, 3, d, d)) + 1j * rng.normal(size=(4, 3, d, d))
-        for mode in range(3):
+        for mode in (0, 1):
             stacked = apply_mode_kraus(rho, mode, families)
             assert stacked.shape == (4, cfg.dim, cfg.dim)
             for out, ops in zip(stacked, families):
                 np.testing.assert_array_equal(out, apply_mode_kraus(rho, mode, ops))
 
     def test_rejects_wrong_operator_shape(self):
-        cfg = HilbertConfig(n_max=2, mode_count=2)
-        vac = pure_state(cfg, fock_vector(cfg, (0, 0)))
+        cfg = HilbertConfig(n_max=2)
+        vac = pure_state(cfg, fock_vector(cfg.n_max, (0, 0)))
         with pytest.raises(ValueError):
             apply_mode_kraus(vac, 0, [np.eye(4)])
         with pytest.raises(ValueError):
@@ -202,93 +212,93 @@ class TestApplyModeKraus:
 
 class TestNormalize:
     def test_unit_trace_unchanged(self, rng):
-        cfg = HilbertConfig(n_max=2, mode_count=1)
+        cfg = HilbertConfig(n_max=2)
         rho = random_density_matrix(cfg, rng)
         out, prob = normalize(cfg, rho.elements)
         assert prob == pytest.approx(1.0)
         np.testing.assert_allclose(out.elements, rho.elements, atol=1e-13)
 
     def test_subnormalized_branch(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
-        out, prob = normalize(cfg, np.diag([0.25, 0.0]))
+        cfg = HilbertConfig(n_max=1)
+        out, prob = normalize(cfg, np.diag([0.25, 0.0, 0.0, 0.0]))
         assert prob == pytest.approx(0.25)
-        np.testing.assert_allclose(out.elements, np.diag([1.0, 0.0]))
+        np.testing.assert_allclose(out.elements, np.diag([1.0, 0.0, 0.0, 0.0]))
 
     def test_vanishing_trace_rejected(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
+        cfg = HilbertConfig(n_max=1)
         with pytest.raises(HeraldingImpossibleError, match="vanishing") as err:
-            normalize(cfg, np.diag([1e-16, 0.0]))
+            normalize(cfg, np.diag([1e-16, 0.0, 0.0, 0.0]))
         assert isinstance(err.value, InvalidStateError)
         assert err.value.probability == 1e-16
 
     def test_trace_above_one_rejected(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
+        cfg = HilbertConfig(n_max=1)
         with pytest.raises(InvalidStateError, match="trace"):
-            normalize(cfg, np.diag([1.0, 2e-12]).astype(complex))
+            normalize(cfg, np.diag([1.0, 2e-12, 0.0, 0.0]).astype(complex))
 
     def test_stack_keeps_only_the_heralding_branches(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
-        vac = np.diag([1.0, 0.0])
+        cfg = HilbertConfig(n_max=1)
+        vac = np.diag([1.0, 0.0, 0.0, 0.0])
         states, probs, heralded = herald(cfg, np.stack([0.25 * vac, 1e-16 * vac, 0.5 * vac]))
         np.testing.assert_array_equal(probs, [0.25, 1e-16, 0.5])
         np.testing.assert_array_equal(heralded, [True, False, True])
         np.testing.assert_array_equal(states, [vac, vac])
         assert not states.flags.writeable
         with pytest.raises(InvalidStateError, match="trace"):
-            herald(cfg, np.stack([0.25 * vac, np.diag([1.0, 2e-12])]))
+            herald(cfg, np.stack([0.25 * vac, np.diag([1.0, 2e-12, 0.0, 0.0])]))
         with pytest.raises(InvalidStateError, match="eigenvalue"):
-            herald(cfg, np.stack([0.25 * vac, np.diag([0.6, -0.1])]))
+            herald(cfg, np.stack([0.25 * vac, np.diag([0.6, -0.1, 0.0, 0.0])]))
 
     def test_nothing_heralds(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
-        states, _, heralded = herald(cfg, np.zeros((3, 2, 2)))
-        assert states.shape == (0, 2, 2)
+        cfg = HilbertConfig(n_max=1)
+        states, _, heralded = herald(cfg, np.zeros((3, 4, 4)))
+        assert states.shape == (0, 4, 4)
         assert not heralded.any()
 
 
 class TestStateInvariants:
     def test_construction_rejects_non_hermitian(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
-        bad = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
+        cfg = HilbertConfig(n_max=1)
+        bad = padded(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
         with pytest.raises(InvalidStateError, match="Hermitian"):
             DensityMatrix(cfg, bad)
 
     def test_construction_rejects_negative_eigenvalue(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
-        bad = np.diag([1.2, -0.2]).astype(complex)
+        cfg = HilbertConfig(n_max=1)
+        bad = padded(np.diag([1.2, -0.2]).astype(complex))
         with pytest.raises(InvalidStateError, match="eigenvalue"):
             DensityMatrix(cfg, bad)
 
     def test_construction_rejects_trace_above_one(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
+        cfg = HilbertConfig(n_max=1)
         with pytest.raises(InvalidStateError, match="trace"):
-            DensityMatrix(cfg, np.diag([0.8, 0.8]).astype(complex))
+            DensityMatrix(cfg, padded(np.diag([0.8, 0.8]).astype(complex)))
 
     def test_real_input_stays_real(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
-        assert DensityMatrix(cfg, np.diag([0.75, 0.25])).elements.dtype == np.float64
-        assert pure_state(cfg, fock_vector(cfg, (0,))).elements.dtype == np.float64
+        cfg = HilbertConfig(n_max=1)
+        assert DensityMatrix(cfg, padded(np.diag([0.75, 0.25]))).elements.dtype == np.float64
+        assert pure_state(cfg, fock_vector(cfg.n_max, (0, 0))).elements.dtype == np.float64
 
     def test_complex_hermitian_state_accepted(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
-        rho = DensityMatrix(cfg, np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
+        cfg = HilbertConfig(n_max=1)
+        rho = DensityMatrix(cfg, padded(np.array([[0.5, 0.25j], [-0.25j, 0.5]])))
         assert rho.elements.dtype == np.complex128
         assert rho.elements[0, 1] == 0.25j
 
     def test_imaginary_part_breaking_hermiticity_rejected(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
+        cfg = HilbertConfig(n_max=1)
         with pytest.raises(InvalidStateError, match="Hermitian"):
-            DensityMatrix(cfg, np.array([[0.5, 0.25j], [0.25j, 0.5]]))
+            DensityMatrix(cfg, padded(np.array([[0.5, 0.25j], [0.25j, 0.5]])))
 
     def test_stack_check_names_the_failing_invariant(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
-        good = np.diag([0.75, 0.25])
+        cfg = HilbertConfig(n_max=1)
+        good = padded(np.diag([0.75, 0.25]))
         _check_states(cfg, np.stack([good, good]))
-        _check_states(cfg, np.empty((0, 2, 2)))  # nothing to validate
+        _check_states(cfg, np.empty((0, 4, 4)))  # nothing to validate
         cases = [
-            (np.diag([1.2, -0.2]), "eigenvalue"),
-            (np.diag([0.8, 0.8]), "trace 1.600e\\+00"),
-            (np.array([[0.5, 0.1], [0.3, 0.5]]), "Hermitian"),
+            (padded(np.diag([1.2, -0.2])), "eigenvalue"),
+            (padded(np.diag([0.8, 0.8])), "trace 1.600e\\+00"),
+            (padded(np.array([[0.5, 0.1], [0.3, 0.5]])), "Hermitian"),
             (np.eye(3) / 3, "shape"),
         ]
         for bad, message in cases:
@@ -297,23 +307,23 @@ class TestStateInvariants:
                 _check_states(cfg, stack)
 
     def test_elements_are_immutable(self):
-        cfg = HilbertConfig(n_max=1, mode_count=1)
-        rho = pure_state(cfg, fock_vector(cfg, (0,)))
+        cfg = HilbertConfig(n_max=1)
+        rho = pure_state(cfg, fock_vector(cfg.n_max, (0, 0)))
         with pytest.raises(ValueError):
             rho.elements[0, 0] = 0.0
 
     def test_disjoint_mode_operations_commute(self, rng):
-        cfg = HilbertConfig(n_max=2, mode_count=3)
+        cfg = HilbertConfig(n_max=2)
         rho = random_density_matrix(cfg, rng)
-        one = loss_channel(loss_channel(rho, 0, 0.8), 2, 0.6)
-        two = loss_channel(loss_channel(rho, 2, 0.6), 0, 0.8)
+        one = loss_channel(loss_channel(rho, 0, 0.8), 1, 0.6)
+        two = loss_channel(loss_channel(rho, 1, 0.6), 0, 0.8)
         assert np.max(np.abs(one.elements - two.elements)) < 1e-12
 
     def test_unitary_and_disjoint_loss_commute(self, rng):
-        cfg = HilbertConfig(n_max=2, mode_count=3)
+        cfg = HilbertConfig(n_max=2)
         rho = random_density_matrix(cfg, rng)
-        u = np.kron(beamsplitter_unitary(cfg.n_max, 0.4), np.eye(cfg.dim_per_mode))
-        one = loss_channel(apply_unitary(rho, u), 2, 0.7)
-        two = apply_unitary(loss_channel(rho, 2, 0.7), u)
-        assert np.max(np.abs(one.elements - two.elements)) < 1e-12
-
+        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        u = np.kron(expm(0.5j * (h + h.conj().T)), np.eye(cfg.dim_per_mode))  # on mode A
+        one = loss_channel(DensityMatrix(cfg, apply_unitary(rho.elements, u)), 1, 0.7)
+        two = apply_unitary(loss_channel(rho, 1, 0.7).elements, u)
+        assert np.max(np.abs(one.elements - two)) < 1e-12

@@ -101,7 +101,7 @@ class TestSinglePhotonModel:
         tau = np.sqrt(tau2)
         beta = BETA_OPTIMAL
         gain = 1.0 / (beta * gamma * tau)
-        cfg = HilbertConfig(3, 2)
+        cfg = HilbertConfig(3)
         state = loss_channel(tmsv_state(gamma, cfg), 1, tau)
         distilled, _ = nla_catalysis(state, 1.0 / gain, 0.65)
         numeric = covariance_summary(distilled)
@@ -143,7 +143,7 @@ class TestDeterministicBound:
 
 class TestTmsvCovariance:
     def test_matches_numeric_extraction(self):
-        cfg = HilbertConfig(6, 2)
+        cfg = HilbertConfig(6)
         for gamma in (0.05, 0.135, 0.18):
             closed = tmsv_covariance(gamma)
             numeric = covariance_summary(tmsv_state(gamma, cfg))
@@ -163,7 +163,7 @@ class TestDegradedVariances:
         # map on the numeric source state, unrotated and pump-rotated
         tau = np.sqrt(0.05)
         eta_a, eta_b = 0.5, 0.5
-        cfg = HilbertConfig(6, 2)
+        cfg = HilbertConfig(6)
         for gamma in (0.18, 0.18 * np.cos(np.radians(76.0))):
             state = loss_channel(tmsv_state(gamma, cfg), 1, tau)
             cov = apply_detection_efficiency(covariance_summary(state), eta_a, eta_b)
@@ -180,7 +180,7 @@ class TestDegradedVariances:
         # against 0.003 implied by the 0.993 / 1.010 loss reference pair, so
         # those references cannot come from one-sided loss on that source.
         eta_a, eta_b = 0.5, 0.5
-        cfg = HilbertConfig(6, 2)
+        cfg = HilbertConfig(6)
         source = tmsv_state(gamma, cfg)
         for tau in (0.0, np.sqrt(0.05), 0.5, 0.9, 1.0):
             state = loss_channel(source, 1, tau)
@@ -231,7 +231,7 @@ class TestModelAgreementOrdering:
         from eprdistill import nla_catalysis
 
         tau = np.sqrt(0.05)
-        cfg = HilbertConfig(3, 2)
+        cfg = HilbertConfig(3)
 
         def discrepancy(gamma, beta):
             gain = 1.0 / (beta * gamma * tau)

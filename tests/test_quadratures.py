@@ -29,7 +29,7 @@ from eprdistill.scenario import build_distilled_state
 
 from conftest import dense_envelope_bound, fock_vector, random_density_matrix
 
-CFG2 = HilbertConfig(n_max=3, mode_count=2)
+CFG2 = HilbertConfig(n_max=3)
 VACUUM = tmsv_state(0.0, CFG2)
 
 
@@ -58,7 +58,7 @@ def duan_objective(cov):
 
 
 def random_covariance(rng, positive_k=True):
-    cfg = HilbertConfig(3, 2)
+    cfg = HilbertConfig(3)
     cov = covariance_summary(random_density_matrix(cfg, rng, zero_mean=True))
     if positive_k and cov.xa_xb < 0:
         cov = CovarianceSummary(cov.xx_a, cov.xx_b, -cov.xa_xb)
@@ -73,7 +73,7 @@ def kron_reference_moments(state):
     """
     cfg = state.config
     d = cfg.dim_per_mode
-    big = HilbertConfig(cfg.n_max + 1, 2)
+    big = HilbertConfig(cfg.n_max + 1)
     tensor = state.elements.reshape(d, d, d, d) / state.trace
     rho = np.pad(tensor, [(0, 1)] * 4).reshape(big.dim, big.dim)
     ops = {}
@@ -119,11 +119,11 @@ class TestCovarianceSummary:
     @pytest.mark.parametrize("n_a, n_b", [(1, 0), (0, 1), (2, 3)])
     def test_fock_state_variances_are_n_plus_half(self, n_a, n_b):
         # one photon gives 3/2; a product of Fock states has no cross moment
-        cov = covariance_summary(pure_state(CFG2, fock_vector(CFG2, (n_a, n_b))))
+        cov = covariance_summary(pure_state(CFG2, fock_vector(CFG2.n_max, (n_a, n_b))))
         assert (cov.xx_a, cov.xx_b, cov.xa_xb) == (n_a + 0.5, n_b + 0.5, 0.0)
 
     def test_tmsv_oracle(self):
-        cfg = HilbertConfig(6, 2)
+        cfg = HilbertConfig(6)
         cov = covariance_summary(tmsv_state(0.18, cfg))
         assert cov.v_diff == pytest.approx(0.6949152542, abs=1e-6)
         assert cov.v_sum == pytest.approx(1.4390243902, abs=1e-6)
@@ -132,7 +132,7 @@ class TestCovarianceSummary:
         # (c0|00> + c1|11>): diagonals (beta^2+3)/(2(beta^2+1)) and cross
         # beta/(beta^2+1) with beta = c0/c1
         beta = 2.5
-        vec = beta * fock_vector(CFG2, (0, 0)) + fock_vector(CFG2, (1, 1))
+        vec = beta * fock_vector(CFG2.n_max, (0, 0)) + fock_vector(CFG2.n_max, (1, 1))
         cov = covariance_summary(pure_state(CFG2, vec))
         denom = beta**2 + 1.0
         assert cov.xx_a == pytest.approx((beta**2 + 3.0) / (2 * denom), abs=1e-12)
@@ -158,14 +158,14 @@ class TestCovarianceSummary:
     def test_nonzero_first_moment_rejected(self, occupations, phase):
         # |00> + phase |one photon>: only the named quadrature has a mean, and
         # the coherence between n_A - n_B = 0 and +-1 is 1/2
-        vec = fock_vector(CFG2, (0, 0)) + phase * fock_vector(CFG2, occupations)
+        vec = fock_vector(CFG2.n_max, (0, 0)) + phase * fock_vector(CFG2.n_max, occupations)
         with pytest.raises(ValueError, match=r"not phase-symmetric: off-block element 5\.000e-01"):
             covariance_summary(pure_state(CFG2, vec))
 
     def test_zero_mean_state_without_phase_symmetry_rejected(self):
         # (|00> + |20>)/sqrt(2) is parity-even, so every first moment vanishes,
         # but its coherence between n_A - n_B = 0 and 2 gives xx_a != pp_a
-        vec = fock_vector(CFG2, (0, 0)) + fock_vector(CFG2, (2, 0))
+        vec = fock_vector(CFG2.n_max, (0, 0)) + fock_vector(CFG2.n_max, (2, 0))
         state = pure_state(CFG2, vec)
         moments = kron_reference_moments(state)
         assert moments["xx_a"] != pytest.approx(moments["pp_a"])
@@ -174,13 +174,13 @@ class TestCovarianceSummary:
 
     @pytest.mark.parametrize("n_max", range(1, 7))
     def test_matches_kron_reference_on_random_states(self, rng, n_max):
-        cfg = HilbertConfig(n_max, 2)
+        cfg = HilbertConfig(n_max)
         for _ in range(5):
             assert_matches_kron_reference(random_density_matrix(cfg, rng, zero_mean=True))
 
     @pytest.mark.parametrize("n_max", [3, 6])
     def test_matches_kron_reference_on_pipeline_states(self, n_max):
-        source = tmsv_state(0.135, HilbertConfig(n_max, 2))
+        source = tmsv_state(0.135, HilbertConfig(n_max))
         lossy = loss_channel(source, 1, np.sqrt(0.05))
         for g in (2.0, 14.0, 30.0):
             assert_matches_kron_reference(nla_catalysis(lossy, 1.0 / g, 0.65)[0])
@@ -304,7 +304,7 @@ class TestJointQuadraturePdf:
 
     def test_single_photon_marginal_shape(self):
         # |1> (x) |0>: density 2 x^2 exp(-x^2)/sqrt(pi) in x_a times vacuum
-        state = pure_state(CFG2, fock_vector(CFG2, (1, 0)))
+        state = pure_state(CFG2, fock_vector(CFG2.n_max, (1, 0)))
         for xa, xb in ((0.0, 0.0), (0.5, -1.0), (2.0, 1.0)):
             expected = (
                 2.0 * xa * xa * np.exp(-xa * xa) / np.sqrt(np.pi)
@@ -377,7 +377,7 @@ class TestEnvelopeBound:
     @settings(max_examples=30, deadline=None)
     @given(n_max=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), weight=st.floats(0.0, 1.0))
     def test_matches_dense_oracle_on_random_states(self, wide, n_max, seed, weight):
-        cfg = HilbertConfig(n_max, 2)
+        cfg = HilbertConfig(n_max)
         noise = random_density_matrix(cfg, np.random.default_rng(seed), zero_mean=True)
         # at most 1/(6 n_max) of a random state keeps <n> < 1/6 per mode, so
         # env_var = 1.5 (<n> + 1/2) < 1; the unmixed random states are wider

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -118,6 +119,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             loss_scenario(**overrides)
         assert err.value.field == field
+
+    def test_no_invalid_instance_can_be_built(self):
+        # the checks run when an instance is built, however it is built
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(loss_scenario(), n_max=9)
+        assert err.value.field == "n_max"
+        with pytest.raises(ConfigError) as err:
+            GainSpec(g=0.5)
+        assert err.value.field == "gain.g"
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig()  # the default gain is a sweep with no endpoints
+        assert err.value.field == "gain"
 
     def test_non_object_config_rejected(self):
         for data in ([1], "loss", None, 3.0):
@@ -309,7 +322,8 @@ class TestRunScenario:
              "eta_ancilla": 0.0, "model": "full_numeric"}
 
     def test_mixed_grid_skips_the_impossible_gains(self):
-        result = run_scenario(ScenarioConfig.from_dict(self.MIXED))
+        config = ScenarioConfig.from_dict(self.MIXED)
+        result = run_scenario(config)
         assert [row.g for row in result.rows] == [2.0, 2.25, 2.5, 2.75, 3.0]
         assert result.skipped == [
             (1.0, "heralding probability 0.000e+00 is vanishing"),
@@ -319,7 +333,7 @@ class TestRunScenario:
         ]
         for g, reason in result.skipped:
             with pytest.raises(HeraldingImpossibleError) as err:
-                evaluate_gain_point(result.config, g)
+                evaluate_gain_point(config, g)
             assert str(err.value) == reason
 
     @pytest.mark.parametrize("config", [
@@ -468,7 +482,7 @@ SAMPLE_FLOAT = st.one_of(
        st.integers(1, 4))
 def test_sample_report_text_matches_json_layout(samples, chunk):
     report = {
-        "config": ScenarioConfig().to_dict(),
+        "config": loss_scenario().to_dict(),
         "metadata": {"gain": 14.0, "shot_noise_radius": 0.707106781187},
         "samples": np.array(samples),
     }
@@ -526,9 +540,11 @@ class TestCli:
             assert name in out
 
     def test_bundled_presets_validate(self):
+        # a ScenarioConfig checks itself when built, so rebuilding one from
+        # its own fields must pass the same checks again
         for name in ("lowsqueeze", "losschannel", "figS2a", "figS2b"):
             config = ScenarioConfig.from_dict(load_preset(name))
-            config.validate()
+            assert dataclasses.replace(config) == config
 
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -601,6 +617,23 @@ class TestCli:
         argv = ["sweep", "--preset", "lowsqueeze", "--tau2", "0.1", "--gain.g", "5"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: degrade.tau2:")
+
+    @pytest.mark.parametrize(
+        "document, flags, message",
+        [
+            ({"gain": {"g": 5.0}}, ["--tau2", "0.1"], "degrade.tau2: not used with mode 'none'"),
+            ({"gamma": 0.1}, ["--gain.steps", "4"],
+             "gain: provide either g or both g_min and g_max"),
+        ],
+        ids=["tau2-without-degrade", "steps-without-gain"],
+    )
+    def test_flag_into_an_absent_section_exits_2(self, tmp_path, capsys, document, flags,
+                                                  message):
+        # the flag edits the section's default, as if the document had it
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+        assert main(["sweep", "--config", str(path), *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_flags_mirror_schema_leaves(self, capsys):
         commands = build_parser()._subparsers._group_actions[0].choices
