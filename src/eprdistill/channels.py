@@ -4,9 +4,10 @@ Provides the two-mode squeezed vacuum source, photon loss, and the
 noiseless-amplification step (quantum catalysis), which composes a heralded
 single-photon ancilla, the mixing beamsplitter and the click detector into
 one heralded Kraus map on mode B, so every state stays a two-mode state.
-That map is built from the beamsplitter's binomial amplitudes.  The dense
-beamsplitter unitary and the click on a three-mode array are the parts of
-the tests' oracle, which writes the circuit out mode by mode.
+Loss and that map share one table of binomial beamsplitter amplitudes, loss
+being that beamsplitter with a vacuum ancilla.  The dense beamsplitter
+unitary and the click on a three-mode array are the parts of the tests'
+oracle, which writes the circuit out mode by mode.
 
 Sign conventions, pinned once so every downstream number is reproducible:
 
@@ -66,27 +67,40 @@ def pump_rotation_degrade(gamma: float, theta_deg: float) -> float:
     return gamma * cos(radians(theta_deg))
 
 
-def loss_kraus_operators(n_max: int, tau: float) -> list[np.ndarray]:
+def loss_kraus_operators(n_max: int, tau) -> np.ndarray:
     """Single-mode photon-loss Kraus family for amplitude transmissivity tau.
 
     K_k removes k photons: K_k[n-k, n] = sqrt(C(n,k)) tau^(n-k) (1-tau^2)^(k/2).
-    The family is complete on the truncated space (sum K^dag K = 1 exactly).
+    Returns the complete family as a (d, d, d) stack, or for a 1-D array of
+    G transmissivities the (G, d, d, d) stack, each slice its single call.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    taus = _check_unit(tau, "tau")
     d = n_max + 1
-    one_minus_t2 = max(0.0, 1.0 - tau * tau)
-    ops = []
-    for k in range(d):
-        mat = np.zeros((d, d))
-        for n in range(k, d):
-            mat[n - k, n] = np.sqrt(comb(n, k)) * tau ** (n - k) * one_minus_t2 ** (k / 2.0)
-        ops.append(mat)
-    completeness = sum(op.T @ op for op in ops)
-    defect = np.max(np.abs(completeness - np.eye(d)))
+    k, n = np.triu_indices(d)
+    power = np.frompyfunc(pow, 2, 1)  # numpy's SIMD power can differ from pow by an ulp
+    tau_powers = power.outer(taus, range(d)).astype(float)
+    lost_powers = power.outer(1.0 - taus * taus, np.arange(d) / 2.0).astype(float)
+    root_binomials = np.sqrt(np.frompyfunc(comb, 2, 1)(n, k).astype(float))
+    ops = np.zeros((len(taus), d, d, d))
+    ops[:, k, n - k, n] = root_binomials * tau_powers[:, n - k] * lost_powers[:, k]
+    _check_complete(ops)
+    return ops if np.ndim(tau) else ops[0]
+
+
+def _check_complete(families: np.ndarray) -> None:
+    """Raise unless every (..., n, d, d) family has sum_i K_i^T K_i = 1."""
+    d = families.shape[-1]
+    columns = families.reshape(*families.shape[:-3], -1, d)
+    defect = np.max(np.abs(columns.swapaxes(-1, -2) @ columns - np.eye(d)))
     if defect > tolerances.KRAUS_COMPLETENESS_ATOL:
         raise AssertionError(f"Kraus completeness defect {defect:.3e}")
-    return ops
+
+
+def _check_unit(value, name: str) -> np.ndarray:
+    values = np.atleast_1d(value)
+    if not np.all((0.0 <= values) & (values <= 1.0)):
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    return values
 
 
 def loss_channel(state: DensityMatrix, mode: int, tau: float) -> DensityMatrix:
@@ -106,17 +120,10 @@ def beamsplitter_unitary(n_max: int, r) -> np.ndarray:
     columns it reads), so it serves the tests as an oracle.  A 1-D array of
     G reflectivities gives the (G, D, D) stack, each slice its single call.
     """
-    rs = _check_reflectivities(r)
+    rs = _check_unit(r, "reflectivity")
     a = annihilation_operator(n_max)
     u = _expm(np.arcsin(rs)[:, None, None] * (np.kron(a.T, a) - np.kron(a, a.T)))
     return u if np.ndim(r) else u[0]
-
-
-def _check_reflectivities(r) -> np.ndarray:
-    rs = np.atleast_1d(r)
-    if not np.all((0.0 <= rs) & (rs <= 1.0)):
-        raise ValueError(f"reflectivity must be in [0, 1], got {r}")
-    return rs
 
 
 def _expm(generator: np.ndarray) -> np.ndarray:
@@ -159,27 +166,22 @@ def catalysis_kraus_operators(n_max: int, r, eta: float) -> np.ndarray:
     n >= 1 and ancilla j in {0, 1} with weights w = (1 - eta, eta).  The
     three-mode circuit unitary is I_A (x) U, so these operators reproduce it
     exactly, truncation at the cutoff included.  U itself is never built:
-    below the cutoff its amplitudes are binomial (Campos, Saleh & Teich, PRA
-    40, 1371 (1989)), and only the column b = n_max, j = 1 needs the
-    exponential of its truncated n_max x n_max block.  For each j the
-    unheralded family (n >= 0) must be complete.  Returns the stack of
-    2 * n_max operators, shape (2 n_max, d, d), or for G reflectivities the
-    G families, shape (G, 2 n_max, d, d).
+    its j = 0 half is the loss family of transmissivity r signed (-1)^k, and
+    below the cutoff the j = 1 half is binomial too (Campos, Saleh & Teich,
+    PRA 40, 1371 (1989)); only its column b = n_max needs the exponential of
+    the truncated n_max x n_max block.  For each j the unheralded family
+    (n >= 0) is complete.  Returns the stack of 2 * n_max operators, shape
+    (2 n_max, d, d), or for G reflectivities the G families, (G, 2 n_max, d, d).
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    rs = _check_reflectivities(r)
+    _check_unit(eta, "eta")
+    rs = _check_unit(r, "reflectivity")
     d = n_max + 1
-    n, k, b = np.indices((d, d, d))
-    root_binomial = np.sqrt([[comb(m, i) for m in range(d)] for i in range(d)])
-    binomials = np.where(n + k == b, root_binomial[n, b], 0.0)
     ladder = np.sqrt(np.arange(d))
     t = np.sqrt(1.0 - rs * rs)
-    tn, rk = (np.power.outer(x, np.arange(d)) for x in (t, -rs))
     # u[g, n, k, b, j] = <n, k|U|b, j> with detector n, surviving output k,
     # signal b and ancilla j.  A signal photon stays with t and crosses with -r,
     u = np.zeros((len(rs), d, d, d, 2))
-    u[..., 0] = binomials * tn[:, :, None, None] * rk[:, None, :, None]
+    u[..., 0] = (-1.0) ** np.arange(d)[:, None] * loss_kraus_operators(n_max, rs)
     # the ancilla photon crosses with r and stays with t,
     u[:, 1:, ..., 1] = rs[:, None, None, None] * ladder[1:, None, None] * u[:, :-1, ..., 0]
     u[:, :, 1:, :, 1] += t[:, None, None, None] * ladder[1:, None] * u[:, :, :-1, :, 0]
@@ -190,11 +192,7 @@ def catalysis_kraus_operators(n_max: int, r, eta: float) -> np.ndarray:
     block = np.arcsin(rs)[:, None, None] * (np.diag(hops, -1) - np.diag(hops, 1))
     top = np.arange(1, d)
     u[:, top, d - top, n_max, 1] = _expm(block)[:, :, -1]
-    columns = u.transpose(0, 4, 1, 2, 3).reshape(-1, 2, d * d, d)
-    gram = columns.transpose(0, 1, 3, 2) @ columns
-    defect = np.max(np.abs(gram - np.eye(d)))
-    if defect > tolerances.KRAUS_COMPLETENESS_ATOL:
-        raise AssertionError(f"Kraus completeness defect {defect:.3e}")
+    _check_complete(u[..., 1])  # loss_kraus_operators checked j = 0
     weighted = u[:, 1:] * np.sqrt([1.0 - eta, eta])
     ops = weighted.transpose(0, 1, 4, 2, 3).reshape(-1, 2 * n_max, d, d)
     return ops if np.ndim(r) else ops[0]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -15,7 +17,7 @@ from eprdistill import (
     pure_state,
     tmsv_state,
 )
-from eprdistill import channels
+from eprdistill import channels, tolerances
 from eprdistill.channels import beamsplitter_unitary, herald_click, nla_catalysis_stack
 from eprdistill.fock import annihilation_operator, tensor_product
 
@@ -171,6 +173,34 @@ class TestLossChannel:
                 np.testing.assert_allclose(
                     out.elements, kron_kraus_sum(rho, mode, ops), rtol=0.0, atol=1e-15
                 )
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_entries_match_the_closed_form(self, n_max):
+        # the same float operations in the same order, so equal bit for bit;
+        # the 1/g values catch numpy's SIMD power, which misses pow by an ulp
+        d = n_max + 1
+        for tau in (0.0, 0.12, math.sqrt(0.05), 0.5, 0.9, 1.0, *(1.0 / np.arange(2.0, 31.0))):
+            ops = loss_kraus_operators(n_max, tau)
+            expected = np.zeros((d, d, d))
+            for k in range(d):
+                for n in range(k, d):
+                    expected[k, n - k, n] = (
+                        math.sqrt(math.comb(n, k)) * tau ** (n - k) * (1 - tau * tau) ** (k / 2)
+                    )
+            np.testing.assert_array_equal(ops, expected)
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_stack_equals_single_calls(self, n_max):
+        taus = np.concatenate(
+            [[0.0, 0.12, np.sqrt(0.05), 0.5, 0.9, 1.0], 1.0 / np.linspace(1.0, 30.0, 57)]
+        )
+        stacked = loss_kraus_operators(n_max, taus)
+        assert stacked.shape == (len(taus), n_max + 1, n_max + 1, n_max + 1)
+        assert np.array_equal(stacked, [loss_kraus_operators(n_max, tau) for tau in taus])
+
+    def test_stack_rejects_any_tau_out_of_range(self):
+        with pytest.raises(ValueError, match=r"tau must be in \[0, 1\], got"):
+            loss_kraus_operators(CFG2.n_max, np.array([0.5, 1.2, 0.3]))
 
 
 class TestAncillaPhoton:
@@ -504,6 +534,14 @@ class TestCatalysisAmplitudes:
                     catalysis_kraus_operators(3, 0.3, 0.65)
             else:
                 catalysis_kraus_operators(3, 0.3, 0.65)
+
+    def test_both_families_check_completeness(self, monkeypatch):
+        # a negative tolerance fails every family that runs the check
+        monkeypatch.setattr(tolerances, "KRAUS_COMPLETENESS_ATOL", -1.0)
+        with pytest.raises(AssertionError, match="completeness defect"):
+            loss_kraus_operators(3, 0.5)
+        with pytest.raises(AssertionError, match="completeness defect"):
+            catalysis_kraus_operators(3, 0.3, 0.65)
 
 
 class TestDeltaBlockStructure:
