@@ -31,7 +31,6 @@ from . import tolerances
 from .fock import (
     DensityMatrix,
     HilbertConfig,
-    annihilation_operator,
     apply_mode_kraus,
     herald,
     normalize,
@@ -92,7 +91,7 @@ def _check_complete(families: np.ndarray) -> None:
     d = families.shape[-1]
     columns = families.reshape(*families.shape[:-3], -1, d)
     defect = np.max(np.abs(columns.swapaxes(-1, -2) @ columns - np.eye(d)))
-    if defect > tolerances.KRAUS_COMPLETENESS_ATOL:
+    if not defect <= tolerances.KRAUS_COMPLETENESS_ATOL:
         raise AssertionError(f"Kraus completeness defect {defect:.3e}")
 
 
@@ -121,7 +120,7 @@ def beamsplitter_unitary(n_max: int, r) -> np.ndarray:
     G reflectivities gives the (G, D, D) stack, each slice its single call.
     """
     rs = _check_unit(r, "reflectivity")
-    a = annihilation_operator(n_max)
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)  # the truncated ladder
     u = _expm(np.arcsin(rs)[:, None, None] * (np.kron(a.T, a) - np.kron(a, a.T)))
     return u if np.ndim(r) else u[0]
 

@@ -8,8 +8,8 @@ except the three degradation flags --degrade (degrade.mode), --theta
 their section afresh; --gain.g-min and --gain.g-max drop a single gain g.
 sweep, sample and equiv share one parser for the scenario: --config or
 --preset, the field flags and --output, the report path (default: stdout).
-Exit codes: 0 success, 2 configuration error, 3 infeasible equivalent-state
-solve under --strict.
+Exit codes: 0 success, 1 stdout closed before the report was written,
+2 configuration error, 3 infeasible equivalent-state solve under --strict.
 """
 
 from __future__ import annotations
@@ -209,10 +209,19 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "output", None):
             _check_output(args.output)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`... | head -1`): send what is still
+        # buffered to devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

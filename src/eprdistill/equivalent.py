@@ -27,7 +27,7 @@ class EquivalentState:
     eta_b_eq: float
 
     def __post_init__(self):
-        if self.gamma_eq < 0.0:
+        if not self.gamma_eq >= 0.0:
             raise ValueError(f"gamma_eq must be >= 0, got {self.gamma_eq}")
         for name in ("eta_a_eq", "eta_b_eq"):
             value = getattr(self, name)

@@ -43,12 +43,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def _check_states(config: HilbertConfig, stack: np.ndarray) -> None:
     """Raise InvalidStateError unless every matrix of a (G, dim, dim) stack is a
-    state: Hermitian, PSD (one stacked eigvalsh) and of trace in (0, 1].  An
-    empty stack passes."""
+    state: finite, Hermitian, PSD (one stacked eigvalsh) and of trace in
+    (0, 1].  An empty stack passes."""
     if stack.shape[1:] != (config.dim, config.dim):
         raise InvalidStateError(
             f"state shape {stack.shape[1:]} does not match dimension {config.dim}"
         )
+    if not np.all(np.isfinite(stack)):
+        raise InvalidStateError("state has a non-finite element")
     herm_defect = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)), initial=0.0)
     if herm_defect > tolerances.HERMITICITY_ATOL:
         raise InvalidStateError(f"not Hermitian: max defect {herm_defect:.3e}")
@@ -65,7 +67,7 @@ def _check_states(config: HilbertConfig, stack: np.ndarray) -> None:
 class HilbertConfig:
     """Shape of the truncated two-mode state space: the per-mode cutoff."""
 
-    n_max: int = 3
+    n_max: int
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -119,17 +121,6 @@ class DensityMatrix:
         return float(np.real(np.trace(self.elements)))
 
 
-def annihilation_operator(n_max: int) -> np.ndarray:
-    """One-mode ladder operator a|n> = sqrt(n) |n-1> on levels 0..n_max.
-
-    The real (float64) matrix has sqrt(1..n_max) on the first superdiagonal.
-    Nothing maps up past the cutoff, so a a^dag deviates from a^dag a + 1
-    only in the top level.  np.kron(a, I) and np.kron(I, a) act on mode 0
-    and mode 1 of a two-mode space.
-    """
-    return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
-
-
 def pure_state(config: HilbertConfig, amplitudes: np.ndarray) -> DensityMatrix:
     """Density matrix |psi><psi| of a normalized amplitude vector."""
     vec = np.asarray(amplitudes)
@@ -150,7 +141,7 @@ def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     if u.shape != rho.shape:
         raise ValueError(f"unitary shape {u.shape} does not match state shape {rho.shape}")
     defect = np.max(np.abs(u.conj().T @ u - np.eye(len(u))))
-    if defect > tolerances.UNITARITY_ATOL:
+    if not defect <= tolerances.UNITARITY_ATOL:
         raise ValueError(f"operator is not unitary: max defect {defect:.3e}")
     return u @ rho @ u.conj().T
 
@@ -207,7 +198,7 @@ def herald(
     strict as validating the branch).  Returns (states, all G p, heralded mask).
     """
     probs = np.real(np.trace(branches, axis1=1, axis2=2))
-    if np.any(probs > 1.0 + tolerances.TRACE_UPPER_SLACK):
+    if not np.all(probs <= 1.0 + tolerances.TRACE_UPPER_SLACK):
         raise InvalidStateError(f"trace {probs.max():.3e} outside (0, 1]")
     heralded = probs > tolerances.HERALD_MIN_PROBABILITY
     states = branches[heralded] / probs[heralded, None, None]

@@ -21,15 +21,15 @@ V_DIFF_OPTIMAL = 2.0 - np.sqrt(2.0)
 
 
 def _check_beta(beta: float) -> None:
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
 
 
 def beta_from_gain(gain: float, gamma: float, tau: float) -> float:
     """beta = r/(gamma tau) = 1/(g gamma tau) for NLA gain g = 1/r."""
-    if gain < 1.0:
+    if not gain >= 1.0:
         raise ValueError(f"gain must be >= 1, got {gain}")
-    if gamma * tau <= 0.0:
+    if not gamma * tau > 0.0:
         raise ValueError("gamma * tau must be positive")
     return 1.0 / (gain * gamma * tau)
 
@@ -50,7 +50,7 @@ def ideal_variances(beta: float) -> tuple[float, float]:
 
 def optimal_gain(gamma: float, tau: float) -> float:
     """Gain that minimizes the two-mode squeezing: g = 1/(gamma tau (1+sqrt 2))."""
-    if gamma * tau <= 0.0:
+    if not gamma * tau > 0.0:
         raise ValueError("gamma * tau must be positive")
     return 1.0 / (gamma * tau * BETA_OPTIMAL)
 

@@ -32,9 +32,9 @@ class CovarianceSummary:
 
     def __post_init__(self):
         for name in ("xx_a", "xx_b"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"diagonal moment {name} must be positive")
-        if abs(self.xa_xb) > np.sqrt(self.xx_a * self.xx_b) + tolerances.CROSS_MOMENT_SLACK:
+        if not abs(self.xa_xb) <= np.sqrt(self.xx_a * self.xx_b) + tolerances.CROSS_MOMENT_SLACK:
             raise ValueError("xa_xb violates the Cauchy-Schwarz bound")
 
     @property
@@ -77,7 +77,7 @@ def covariance_summaries(config: HilbertConfig, states: np.ndarray) -> list[Cova
     rho = states / np.real(np.trace(states, axis1=1, axis2=2))[:, None, None]
     delta = config.mode_occupations(0) - config.mode_occupations(1)
     off_block = np.max(np.abs(rho[:, delta[:, None] != delta[None, :]]), initial=0.0)
-    if off_block > tolerances.OFF_BLOCK_ATOL:
+    if not off_block <= tolerances.OFF_BLOCK_ATOL:
         raise ValueError(f"state is not phase-symmetric: off-block element {off_block:.3e}")
     levels = np.arange(d)
     populations = np.real(np.diagonal(rho, axis1=1, axis2=2)).reshape(-1, d, d)

@@ -5,7 +5,9 @@ A scenario is one JSON document: source squeezing, an optional degradation
 sweep), efficiencies, cutoff, model selection and sampling controls.
 Runners turn a scenario into a gain-sweep table, a quadrature-sample file,
 or an equivalent-state report.  Identical configurations (seed included)
-produce byte-identical output.
+produce byte-identical output on one machine.  Across CPUs the last bit of
+a result can differ (numpy's SIMD arcsin and exp against libm), and a
+printed 12th digit within a few ulp of a rounding midpoint can then flip.
 """
 
 import functools
@@ -187,15 +189,15 @@ class GainSpec:
 
     def __post_init__(self):
         if self.g is not None:
-            if self.g < 1.0:
+            if not self.g >= 1.0:
                 raise ConfigError("gain.g", f"gain must be >= 1, got {self.g}")
             _reject_ignored(self, "gain", "a single gain g")
             return
         if self.g_min is None or self.g_max is None:
             raise ConfigError("gain", "provide either g or both g_min and g_max")
-        if self.g_min < 1.0:
+        if not self.g_min >= 1.0:
             raise ConfigError("gain.g_min", f"must be >= 1, got {self.g_min}")
-        if self.g_max < self.g_min:
+        if not self.g_max >= self.g_min:
             raise ConfigError("gain.g_max", f"must be >= g_min, got {self.g_max}")
         if not 2 <= self.steps <= MAX_GAIN_STEPS:
             raise ConfigError(
@@ -379,27 +381,13 @@ def evaluate_gain_point(config: ScenarioConfig, g: float) -> SweepRow:
     return _sweep_row(config, g, sp_model_covariance(*args), sp_model_herald_probability(*args))
 
 
-def _distill_gains(
-    config: ScenarioConfig, source: DensityMatrix, gains: np.ndarray, result: SweepResult
-) -> None:
-    """`evaluate_gain_point` of full_numeric run as one batch over `gains` on
-    the lossy `source`; the rows and the gains that cannot herald are
-    appended to `result`."""
-    states, probs, heralded = nla_catalysis_stack(source, 1.0 / gains, config.eta_ancilla)
-    covs = iter(covariance_summaries(source.config, states))
-    for g, p, ok in zip(gains.tolist(), probs.tolist(), heralded.tolist()):
-        if ok:
-            result.rows.append(_sweep_row(config, g, next(covs), p))
-        else:
-            result.skipped.append((g, str(HeraldingImpossibleError(p))))
-
-
 def run_scenario(config: ScenarioConfig) -> SweepResult:
     """Evaluate the scenario over its gain grid, rows emitted in g order.
 
-    full_numeric evaluates its gains in stacks of _GAIN_CHUNK, the analytic
-    models one at a time.  Gains whose heralding probability vanishes are
-    reported in `skipped` rather than aborting the sweep.
+    full_numeric evaluates its gains in stacks of _GAIN_CHUNK on one lossy
+    source, the analytic models one at a time.  Gains whose heralding
+    probability vanishes are reported in `skipped` rather than aborting the
+    sweep.
     """
     gains = config.gain.values()
     if config.model != "full_numeric":
@@ -407,7 +395,14 @@ def run_scenario(config: ScenarioConfig) -> SweepResult:
     result = SweepResult([])
     source = _lossy_source(config)
     for start in range(0, len(gains), _GAIN_CHUNK):
-        _distill_gains(config, source, gains[start : start + _GAIN_CHUNK], result)
+        chunk = gains[start : start + _GAIN_CHUNK]
+        states, probs, heralded = nla_catalysis_stack(source, 1.0 / chunk, config.eta_ancilla)
+        covs = iter(covariance_summaries(source.config, states))
+        for g, p, ok in zip(chunk.tolist(), probs.tolist(), heralded.tolist()):
+            if ok:
+                result.rows.append(_sweep_row(config, g, next(covs), p))
+            else:
+                result.skipped.append((g, str(HeraldingImpossibleError(p))))
     return result
 
 

@@ -62,6 +62,17 @@ def fidelity(state: DensityMatrix, amplitudes: np.ndarray) -> float:
     return float(np.real(v.conj() @ state.elements @ v))
 
 
+def annihilation_operator(n_max: int) -> np.ndarray:
+    """One-mode ladder operator a|n> = sqrt(n) |n-1> on levels 0..n_max.
+
+    The real (float64) matrix has sqrt(1..n_max) on the first superdiagonal.
+    Nothing maps up past the cutoff, so a a^dag deviates from a^dag a + 1
+    only in the top level.  np.kron(a, I) and np.kron(I, a) act on mode 0
+    and mode 1 of a two-mode space.
+    """
+    return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
+
+
 # Three-mode oracle of the catalysis circuit, on plain arrays: the heralded
 # ancilla, the full-space beamsplitter and the click, which the library
 # replaces by one Kraus map on mode B.

@@ -19,10 +19,11 @@ from eprdistill import (
 )
 from eprdistill import channels, tolerances
 from eprdistill.channels import beamsplitter_unitary, herald_click, nla_catalysis_stack
-from eprdistill.fock import annihilation_operator, tensor_product
+from eprdistill.fock import tensor_product
 
 from conftest import (
     ancilla_photon,
+    annihilation_operator,
     beamsplitter,
     dense_catalysis_kraus,
     fidelity,

@@ -1,0 +1,68 @@
+"""Every invariant check fails closed: a NaN is outside every bound.
+
+A check written as "raise if value > bound" lets NaN through, since every
+comparison with NaN is false; these are written as "raise unless value is
+within bound" instead.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from eprdistill import (
+    ConfigError,
+    CovarianceSummary,
+    DensityMatrix,
+    EquivalentState,
+    GainSpec,
+    HilbertConfig,
+    InvalidStateError,
+    beta_from_gain,
+    ideal_variances,
+    optimal_gain,
+)
+from eprdistill.channels import _check_complete
+from eprdistill.fock import apply_unitary, herald
+from eprdistill.quadratures import covariance_summaries
+
+NAN = math.nan
+CFG1 = HilbertConfig(1)
+
+
+def vacuum_with(index, value) -> np.ndarray:
+    """|00><00| at n_max = 1 with one element set to `value`."""
+    rho = np.diag([1.0, 0.0, 0.0, 0.0])
+    rho[index] = value
+    return rho
+
+
+@pytest.mark.parametrize("make, error", [
+    pytest.param(lambda: DensityMatrix(CFG1, np.diag([NAN, 0.0, 0.0, 0.0])),
+                 InvalidStateError, id="state-nan-diagonal"),
+    pytest.param(lambda: DensityMatrix(CFG1, np.full((4, 4), NAN)),
+                 InvalidStateError, id="state-all-nan"),
+    pytest.param(lambda: DensityMatrix(CFG1, vacuum_with((0, 0), math.inf)),
+                 InvalidStateError, id="state-inf"),
+    pytest.param(lambda: herald(CFG1, np.diag([NAN, 0.0, 0.0, 0.0])[None]),
+                 InvalidStateError, id="herald-nan-probability"),
+    pytest.param(lambda: CovarianceSummary(NAN, NAN, NAN), ValueError, id="moments-nan"),
+    pytest.param(lambda: CovarianceSummary(0.5, 0.5, NAN), ValueError, id="cross-moment-nan"),
+    pytest.param(lambda: covariance_summaries(CFG1, vacuum_with((0, 1), NAN)[None]),
+                 ValueError, id="off-block-nan"),
+    pytest.param(lambda: EquivalentState(NAN, 0.5, 0.5), ValueError, id="gamma-eq-nan"),
+    pytest.param(lambda: beta_from_gain(NAN, 0.1, 1.0), ValueError, id="gain-nan"),
+    pytest.param(lambda: beta_from_gain(2.0, NAN, 1.0), ValueError, id="gamma-tau-nan"),
+    pytest.param(lambda: optimal_gain(NAN, 1.0), ValueError, id="optimal-gain-nan"),
+    pytest.param(lambda: ideal_variances(NAN), ValueError, id="beta-nan"),
+    pytest.param(lambda: _check_complete(np.full((1, 2, 2), NAN)),
+                 AssertionError, id="kraus-nan"),
+    pytest.param(lambda: apply_unitary(np.eye(4) / 4, np.full((4, 4), NAN)),
+                 ValueError, id="unitary-nan"),
+    pytest.param(lambda: GainSpec(g=NAN), ConfigError, id="gain-spec-g-nan"),
+    pytest.param(lambda: GainSpec(g_min=NAN, g_max=2.0), ConfigError, id="gain-spec-min-nan"),
+    pytest.param(lambda: GainSpec(g_min=1.0, g_max=NAN), ConfigError, id="gain-spec-max-nan"),
+])
+def test_nan_is_rejected(make, error):
+    with pytest.raises(error):
+        make()

@@ -15,14 +15,19 @@ from eprdistill import (
 from eprdistill.channels import beamsplitter_unitary
 from eprdistill.fock import (
     _check_states,
-    annihilation_operator,
     apply_unitary,
     herald,
     partial_trace,
     tensor_product,
 )
 
-from conftest import fock_vector, kron_kraus_sum, random_density_matrix, random_state_array
+from conftest import (
+    annihilation_operator,
+    fock_vector,
+    kron_kraus_sum,
+    random_density_matrix,
+    random_state_array,
+)
 
 
 def padded(block) -> np.ndarray:

@@ -23,11 +23,15 @@ from eprdistill import (
 )
 from eprdistill import quadratures
 from eprdistill.cli import load_preset
-from eprdistill.fock import annihilation_operator
 from eprdistill.quadratures import covariance_summaries, hermite_functions
 from eprdistill.scenario import build_distilled_state
 
-from conftest import dense_envelope_bound, fock_vector, random_density_matrix
+from conftest import (
+    annihilation_operator,
+    dense_envelope_bound,
+    fock_vector,
+    random_density_matrix,
+)
 
 CFG2 = HilbertConfig(n_max=3)
 VACUUM = tmsv_state(0.0, CFG2)
@@ -454,6 +458,13 @@ class TestSampleQuadratures:
         monkeypatch.setattr(quadratures, "_envelope_bound", lambda *args: bound(*args) / 2)
         with pytest.raises(ValueError, match=r"exceed the envelope bound .* P/\(M q\) = 1\."):
             sample_quadratures(tmsv_state(0.3, CFG2), 1000, seed=0)
+
+    def test_acceptance_rate_floor_raises(self, monkeypatch):
+        # a bound 1e4 times too loose accepts about one proposal in 30 000
+        bound = quadratures._envelope_bound
+        monkeypatch.setattr(quadratures, "_envelope_bound", lambda *args: bound(*args) * 1e4)
+        with pytest.raises(ValueError, match=r"envelope acceptance rate \d\.\d\de-0\d below 1e-3"):
+            sample_quadratures(sampled_state("losschannel", 14.0), 1000, seed=7)
 
     @pytest.mark.parametrize("preset, g, n_max", [
         ("losschannel", 14.0, 3), ("losschannel", 8.0, 6), ("losschannel", 30.0, 6),

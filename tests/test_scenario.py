@@ -533,6 +533,20 @@ class TestRunEquivalence:
 
 
 class TestCli:
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # 20000 pairs make about 1 MB of JSON, more than a pipe holds, so the
+        # report is still being written when the reader goes away
+        code = "import sys; from eprdistill.cli import main; sys.exit(main(sys.argv[1:]))"
+        args = ["sample", "--preset", "losschannel", "--gain.g", "14", "--sample-count", "20000"]
+        with subprocess.Popen([sys.executable, "-c", code, *args],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as run:
+            assert run.stdout.readline() == b"{\n"
+            run.stdout.close()
+            stderr = run.stderr.read()
+            assert run.wait(timeout=60) == 1
+        assert b"Traceback" not in stderr
+        assert b"BrokenPipeError" not in stderr
+
     def test_presets_listed(self, capsys):
         assert main(["presets"]) == 0
         out = capsys.readouterr().out
