@@ -114,6 +114,8 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
 def _write_output(write, path) -> None:
     try:
         write(path)
+    except BrokenPipeError:
+        raise  # the reader went away: main exits 1, as for stdout
     except OSError as exc:
         raise ConfigError("output", f"cannot write {path}: {exc.strerror}") from exc
 

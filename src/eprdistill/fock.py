@@ -192,11 +192,14 @@ def herald(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Condition a (G, dim, dim) stack of raw heralded branches on the herald.
 
-    Reads p = Tr(branch), raising InvalidStateError above 1 + TRACE_UPPER_SLACK.
-    A branch with p <= HERALD_MIN_PROBABILITY cannot herald; the others are
+    Reads p = Tr(branch), raising InvalidStateError for a non-finite element
+    in any branch, heralding or not, or for p above 1 + TRACE_UPPER_SLACK.  A
+    branch with p <= HERALD_MIN_PROBABILITY cannot herald; the others are
     divided by p and validated as one read-only stack (for p <= 1 at least as
     strict as validating the branch).  Returns (states, all G p, heralded mask).
     """
+    if not np.all(np.isfinite(branches)):
+        raise InvalidStateError("branch has a non-finite element")
     probs = np.real(np.trace(branches, axis1=1, axis2=2))
     if not np.all(probs <= 1.0 + tolerances.TRACE_UPPER_SLACK):
         raise InvalidStateError(f"trace {probs.max():.3e} outside (0, 1]")

@@ -491,22 +491,27 @@ def dump_json_report(report: dict, handle) -> None:
 
     A trailing "samples" array of shape (count, 2), the bulk of a sample
     report, is written directly (`indent` forces json's pure-Python encoder)
-    in chunks of _SAMPLE_CHUNK pairs, each coordinate x as json writes
-    _round12(x): `repr(float(s))` for s = f"{x:.12g}", which is s itself
-    when s has a "." and no exponent, as `.12g` strips trailing zeros and a
-    float round-trips every decimal of at most 15 significant digits.
+    in chunks of _SAMPLE_CHUNK pairs, each with one `%` format.  json writes
+    x as repr(_round12(x)), which is s = "%.12g" % x itself when s has a "."
+    and no exponent, or an exponent below 1e-4 on a normal float: .12g strips
+    trailing zeros, and a float round-trips every decimal of at most 15
+    significant digits.  Otherwise x is 0, a subnormal, or within 5e-12 |x| of
+    the integer s spells, so a chunk holding any x within 1e-9 max(|x|, 1) of
+    an integer is written as "%r" % _round12(x) instead.
     """
     if next(reversed(report), None) != "samples":
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+        handle.write(json.dumps(report, indent=2) + "\n")
         return
     samples = report["samples"]
     head = json.dumps({**report, "samples": []}, indent=2)
     handle.write(head[: -len("[]\n}")] + "[\n")
     for start in range(0, len(samples), _SAMPLE_CHUNK):
-        coords = [f"{x:.12g}" for x in samples[start : start + _SAMPLE_CHUNK].ravel().tolist()]
-        coords = iter([s if "." in s and "e" not in s else repr(float(s)) for s in coords])
-        text = ",\n".join([f"    [\n      {a},\n      {b}\n    ]" for a, b in zip(coords, coords)])
+        block = samples[start : start + _SAMPLE_CHUNK].ravel()
+        values, spec = block.tolist(), ".12g"
+        if np.any(np.abs(block - np.rint(block)) <= 1e-9 * np.maximum(np.abs(block), 1)):
+            values, spec = [_round12(x) for x in values], "r"
+        pair = f"    [\n      %{spec},\n      %{spec}\n    ]"
+        text = ",\n".join([pair] * (len(values) // 2)) % tuple(values)
         handle.write(",\n" + text if start else text)
     handle.write("\n  ]\n}\n")
 

@@ -46,6 +46,9 @@ def vacuum_with(index, value) -> np.ndarray:
                  InvalidStateError, id="state-inf"),
     pytest.param(lambda: herald(CFG1, np.diag([NAN, 0.0, 0.0, 0.0])[None]),
                  InvalidStateError, id="herald-nan-probability"),
+    # zero trace alone would mask this branch as one that cannot herald
+    pytest.param(lambda: herald(CFG1, np.triu(np.full((1, 4, 4), NAN), 1)),
+                 InvalidStateError, id="herald-nan-off-diagonal-zero-trace"),
     pytest.param(lambda: CovarianceSummary(NAN, NAN, NAN), ValueError, id="moments-nan"),
     pytest.param(lambda: CovarianceSummary(0.5, 0.5, NAN), ValueError, id="cross-moment-nan"),
     pytest.param(lambda: covariance_summaries(CFG1, vacuum_with((0, 1), NAN)[None]),

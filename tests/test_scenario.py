@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -497,6 +498,28 @@ def test_sample_report_text_matches_json_layout(samples, chunk):
     assert handle.getvalue() == json.dumps({**report, "samples": rounded}, indent=2) + "\n"
 
 
+# Values whose "%.12g" text is not json's: no "." (0.0, -0.0, 3.0, and those
+# that round to an integer) or .12g's exponent from 1e12 up; 5e-05 has an
+# exponent in both.
+FALLBACK_FLOATS = (0.0, -0.0, 3.0, 0.99999999999999, 2.0000000000001, 5e-05, 1e11, 1.5e12)
+
+
+@pytest.mark.parametrize("values", [FALLBACK_FLOATS] + [
+    (value,) for value in FALLBACK_FLOATS + (1234567890123.5, 5e-324, -1e-310)
+])
+def test_sample_report_falls_back_per_chunk(values):
+    # at the default chunk, ordinary values in the first and third chunks and
+    # the fallback ones among ordinary values in the second
+    samples = np.random.default_rng(5).normal(size=(10_000, 2))
+    second = 2 * scenario._SAMPLE_CHUNK + 15
+    samples.flat[second : second + len(values)] = values
+    report = {"config": loss_scenario().to_dict(), "samples": samples}
+    handle = io.StringIO()
+    dump_json_report(report, handle)
+    rounded = [[float(f"{x:.12g}") for x in pair] for pair in samples.tolist()]
+    assert handle.getvalue() == json.dumps({**report, "samples": rounded}, indent=2) + "\n"
+
+
 class TestRunEquivalence:
     def test_synthetic_variances_recovered(self):
         from eprdistill import EquivalentState, equivalent_variances
@@ -532,20 +555,36 @@ class TestRunEquivalence:
         assert loaded == report
 
 
+def sample_into_closed_pipe(*extra: str) -> tuple[int, bytes]:
+    """Exit code and stderr of a `sample` call whose stdout reader leaves
+    after the first line.
+
+    20000 pairs make about 1 MB of JSON, more than a pipe holds, so the
+    report is still being written when the reader goes away.
+    """
+    code = "import sys; from eprdistill.cli import main; sys.exit(main(sys.argv[1:]))"
+    args = ["sample", "--preset", "losschannel", "--gain.g", "14", "--sample-count", "20000"]
+    with subprocess.Popen([sys.executable, "-c", code, *args, *extra],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as run:
+        assert run.stdout.readline() == b"{\n"
+        run.stdout.close()
+        stderr = run.stderr.read()
+        return run.wait(timeout=60), stderr
+
+
 class TestCli:
     def test_closed_stdout_exits_1_without_traceback(self):
-        # 20000 pairs make about 1 MB of JSON, more than a pipe holds, so the
-        # report is still being written when the reader goes away
-        code = "import sys; from eprdistill.cli import main; sys.exit(main(sys.argv[1:]))"
-        args = ["sample", "--preset", "losschannel", "--gain.g", "14", "--sample-count", "20000"]
-        with subprocess.Popen([sys.executable, "-c", code, *args],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as run:
-            assert run.stdout.readline() == b"{\n"
-            run.stdout.close()
-            stderr = run.stderr.read()
-            assert run.wait(timeout=60) == 1
+        code, stderr = sample_into_closed_pipe()
+        assert code == 1
         assert b"Traceback" not in stderr
         assert b"BrokenPipeError" not in stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_closed_stdout_as_output_path_exits_1(self):
+        # a broken pipe is the reader's doing, not a config error (exit 2)
+        code, stderr = sample_into_closed_pipe("--output", "/dev/stdout")
+        assert code == 1
+        assert stderr == b""
 
     def test_presets_listed(self, capsys):
         assert main(["presets"]) == 0
