@@ -74,14 +74,26 @@ def equivalent_variances(eq: EquivalentState) -> tuple[float, float]:
     v_diff/sum = 1 + (eta_a + eta_b)/2 (cosh 2g - 1) -/+ sqrt(eta_a eta_b)
     sinh 2g, which reduces to (exp(-2g), exp(+2g)) at unit efficiencies.
     """
-    c = np.cosh(2.0 * eq.gamma_eq) - 1.0
-    s = np.sinh(2.0 * eq.gamma_eq)
-    mean_eta = 0.5 * (eq.eta_a_eq + eq.eta_b_eq)
-    root = np.sqrt(eq.eta_a_eq * eq.eta_b_eq)
+    return _forward(eq.gamma_eq, eq.eta_a_eq, eq.eta_b_eq)
+
+
+def _forward(gamma_eq, eta_a_eq, eta_b_eq):
+    """equivalent_variances of the parameters, elementwise on arrays."""
+    c = np.cosh(2.0 * gamma_eq) - 1.0
+    s = np.sinh(2.0 * gamma_eq)
+    mean_eta = 0.5 * (eta_a_eq + eta_b_eq)
+    root = np.sqrt(eta_a_eq * eta_b_eq)
     return 1.0 + mean_eta * c - root * s, 1.0 + mean_eta * c + root * s
 
 
 def solve_equivalent(v_diff: float, v_sum: float, eta_a_eq: float) -> EquivalentSolve:
+    """solve_equivalents of a single variance pair."""
+    return solve_equivalents(np.array([v_diff], float), np.array([v_sum], float), eta_a_eq)[0]
+
+
+def solve_equivalents(
+    v_diff: np.ndarray, v_sum: np.ndarray, eta_a_eq: float
+) -> list[EquivalentSolve]:
     """Invert the forward map for (gamma_eq, eta_b_eq) at fixed eta_a_eq.
 
     With k = v_sum + v_diff - 2, d = (v_sum - v_diff)/2 and
@@ -94,60 +106,54 @@ def solve_equivalent(v_diff: float, v_sum: float, eta_a_eq: float) -> Equivalent
     (0, GAMMA_EQ_MAX] become branches through gamma_eq = asinh(sqrt(u/2)),
     which keeps full precision near gamma_eq = 0.  Every returned branch
     round-trips through equivalent_variances to 1e-9.
+
+    Each element of the variance arrays is solved on its own, all in one
+    pass over (2, n) root arrays; gamma_eq is math.asinh per root, since
+    numpy's SIMD arcsinh can differ from libm in the last bit.
     """
     if not 0.0 < eta_a_eq <= 1.0:
-        return EquivalentSolve("infeasible", reason=f"eta_a_eq {eta_a_eq} outside (0, 1]")
-    if (
-        abs(v_diff - 1.0) < tolerances.EQUIV_SOLVER_ATOL
-        and abs(v_sum - 1.0) < tolerances.EQUIV_SOLVER_ATOL
-    ):
-        return EquivalentSolve(
-            "degenerate", reason="unit variances: gamma_eq = 0, eta_b_eq indeterminate"
-        )
-    k = v_sum + v_diff - 2.0
-    d = 0.5 * (v_sum - v_diff)
-    if d <= 0.0:
-        return EquivalentSolve(
-            "infeasible", reason=f"need v_sum > v_diff, got ({v_diff:.6g}, {v_sum:.6g})"
-        )
-    if k <= 0.0:
-        return EquivalentSolve(
-            "infeasible",
-            reason=f"need v_sum + v_diff > 2, got {v_sum + v_diff:.6g}",
-        )
-
-    b = 2.0 * eta_a_eq - k
-    c = d * d / eta_a_eq - 2.0 * k
-    disc = (2.0 * eta_a_eq + k - 2.0 * d) * (2.0 * eta_a_eq + k + 2.0 * d)
-    q = -0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
-    u_max = math.cosh(2.0 * GAMMA_EQ_MAX) - 1.0
-    roots = sorted({q / eta_a_eq, c / q}) if disc >= 0.0 and q != 0.0 else []
-    roots = [u for u in roots if 0.0 < u <= u_max]
-    if not roots:
-        return EquivalentSolve(
-            "infeasible",
-            reason=f"variance-sum equation has no root in (0, {GAMMA_EQ_MAX}]",
-        )
-
-    branches = []
-    rejected_eta = []
-    for u in roots:
+        reason = f"eta_a_eq {eta_a_eq} outside (0, 1]"
+        return [EquivalentSolve("infeasible", reason=reason)] * len(v_diff)
+    atol = tolerances.EQUIV_SOLVER_ATOL
+    with np.errstate(all="ignore"):  # rows that fail the checks first may overflow
+        degenerate = (np.abs(v_diff - 1.0) < atol) & (np.abs(v_sum - 1.0) < atol)
+        k = v_sum + v_diff - 2.0
+        d = 0.5 * (v_sum - v_diff)
+        b = 2.0 * eta_a_eq - k
+        c = d * d / eta_a_eq - 2.0 * k
+        disc = (2.0 * eta_a_eq + k - 2.0 * d) * (2.0 * eta_a_eq + k + 2.0 * d)
+        q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+        u = np.sort([q / eta_a_eq, c / q], axis=0)
+        u_max = math.cosh(2.0 * GAMMA_EQ_MAX) - 1.0
+        root = (disc >= 0.0) & (q != 0.0) & (0.0 < u) & (u <= u_max)
+        root[1] &= u[1] != u[0]
         eta_b = d * d / (eta_a_eq * u * (u + 2.0))
-        if not 0.0 < eta_b <= 1.0 + tolerances.CROSS_MOMENT_SLACK:
-            rejected_eta.append(eta_b)
+        in_range = root & (0.0 < eta_b) & (eta_b <= 1.0 + tolerances.CROSS_MOMENT_SLACK)
+        gamma_eq = np.frompyfunc(math.asinh, 1, 1)(np.sqrt(0.5 * u)).astype(float)
+        eta_b_eq = np.minimum(eta_b, 1.0)
+        back_diff, back_sum = _forward(gamma_eq, eta_a_eq, eta_b_eq)
+        close = (np.abs(back_diff - v_diff) <= atol) & (np.abs(back_sum - v_sum) <= atol)
+        branch = in_range & close & ~degenerate & (d > 0.0) & (k > 0.0)
+    # the branches of every element, in element order and ascending gamma_eq
+    kept = zip(gamma_eq.T[branch.T].tolist(), eta_b_eq.T[branch.T].tolist())
+    states = [EquivalentState(g, eta_a_eq, eta_b) for g, eta_b in kept]
+    solves, used = [], 0
+    for i, count in enumerate(branch.sum(axis=0).tolist()):
+        if count:
+            solves.append(EquivalentSolve("ok", tuple(states[used : used + count])))
+            used += count
             continue
-        state = EquivalentState(math.asinh(math.sqrt(0.5 * u)), eta_a_eq, min(eta_b, 1.0))
-        back_diff, back_sum = equivalent_variances(state)
-        if (
-            abs(back_diff - v_diff) <= tolerances.EQUIV_SOLVER_ATOL
-            and abs(back_sum - v_sum) <= tolerances.EQUIV_SOLVER_ATOL
-        ):
-            branches.append(state)
-    if not branches:
-        if rejected_eta:
-            return EquivalentSolve(
-                "infeasible",
-                reason=f"required eta_b_eq = {rejected_eta[0]:.6g} outside (0, 1]",
-            )
-        return EquivalentSolve("infeasible", reason="no root survives the round trip")
-    return EquivalentSolve("ok", branches=tuple(branches))
+        status, reason = "infeasible", "no root survives the round trip"
+        rejected = eta_b[:, i][root[:, i] & ~in_range[:, i]]
+        if degenerate[i]:
+            status, reason = "degenerate", "unit variances: gamma_eq = 0, eta_b_eq indeterminate"
+        elif d[i] <= 0.0:
+            reason = f"need v_sum > v_diff, got ({v_diff[i]:.6g}, {v_sum[i]:.6g})"
+        elif k[i] <= 0.0:
+            reason = f"need v_sum + v_diff > 2, got {v_sum[i] + v_diff[i]:.6g}"
+        elif not root[:, i].any():
+            reason = f"variance-sum equation has no root in (0, {GAMMA_EQ_MAX}]"
+        elif rejected.size:
+            reason = f"required eta_b_eq = {rejected[0]:.6g} outside (0, 1]"
+        solves.append(EquivalentSolve(status, reason=reason))
+    return solves

@@ -26,8 +26,11 @@ def _check_beta(beta: float) -> None:
 
 
 def beta_from_gain(gain: float, gamma: float, tau: float) -> float:
-    """beta = r/(gamma tau) = 1/(g gamma tau) for NLA gain g = 1/r."""
-    if not gain >= 1.0:
+    """beta = r/(gamma tau) = 1/(g gamma tau) for NLA gain g = 1/r.
+
+    `gain` may be an array of gains, giving one beta per gain.
+    """
+    if not np.all(gain >= 1.0):
         raise ValueError(f"gain must be >= 1, got {gain}")
     if not gamma * tau > 0.0:
         raise ValueError("gamma * tau must be positive")
@@ -55,16 +58,20 @@ def optimal_gain(gamma: float, tau: float) -> float:
     return 1.0 / (gamma * tau * BETA_OPTIMAL)
 
 
-def sp_model_covariance(
+def sp_model(
     gamma: float, tau: float, gain: float, eta: float
-) -> CovarianceSummary:
-    """Distilled-state covariance in the single-photon-level model.
+) -> tuple[CovarianceSummary, float]:
+    """Distilled-state covariance and click probability in the single-photon-level model.
 
     Valid deep in the 0/1-photon regime (gamma, tau << 1, r ~ gamma tau);
     eta is the ancilla preparation efficiency.  The returned moments do not
     include detector efficiencies; compose with apply_detection_efficiency
-    for the full prediction.  At eta = 1 this reduces exactly to
-    ideal_variances.
+    for the full prediction.  At eta = 1 they reduce exactly to
+    ideal_variances.  The heralded branch has unnormalized weight
+    eta (r^2 + (gamma tau)^2) from the coherent paths plus
+    (1 - eta) (gamma tau)^2 from the ancilla-vacuum branch, relative to the
+    input norm 1 + (gamma tau)^2.  `gain` may be an array of gains: the
+    moments and the probability are then columns, one element per gain.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
@@ -73,21 +80,24 @@ def sp_model_covariance(
     diag_a = (eta * (beta * beta + 3.0) + 3.0 * (1.0 - eta)) / denom
     diag_b = (eta * (beta * beta + 3.0) + (1.0 - eta)) / denom
     cross = eta * beta / (1.0 + eta * beta * beta)
-    return CovarianceSummary(xx_a=diag_a, xx_b=diag_b, xa_xb=cross)
+    r = 1.0 / gain
+    gt2 = (gamma * tau) ** 2
+    herald_p = (eta * (r * r + gt2) + (1.0 - eta) * gt2) / (1.0 + gt2)
+    return CovarianceSummary(xx_a=diag_a, xx_b=diag_b, xa_xb=cross), herald_p
+
+
+def sp_model_covariance(
+    gamma: float, tau: float, gain: float, eta: float
+) -> CovarianceSummary:
+    """The covariance of sp_model."""
+    return sp_model(gamma, tau, gain, eta)[0]
 
 
 def sp_model_herald_probability(
     gamma: float, tau: float, gain: float, eta: float
 ) -> float:
-    """Click probability in the single-photon bookkeeping.
-
-    The heralded branch has unnormalized weight eta (r^2 + (gamma tau)^2)
-    from the coherent paths plus (1 - eta) (gamma tau)^2 from the
-    ancilla-vacuum branch, relative to the input norm 1 + (gamma tau)^2.
-    """
-    r = 1.0 / gain
-    gt2 = (gamma * tau) ** 2
-    return (eta * (r * r + gt2) + (1.0 - eta) * gt2) / (1.0 + gt2)
+    """The click probability of sp_model."""
+    return sp_model(gamma, tau, gain, eta)[1]
 
 
 def deterministic_bound(tau: float) -> float:

@@ -24,6 +24,8 @@ class CovarianceSummary:
 
     Phase symmetry gives <P_i^2> = xx_i and <P_A P_B> = -xa_xb.  v_diff =
     xx_a + xx_b - 2 xa_xb and v_sum = xx_a + xx_b + 2 xa_xb, shot noise at 1.
+    The fields may be equal-length arrays, one element per state of a
+    batch; the checks and properties then hold elementwise.
     """
 
     xx_a: float
@@ -32,9 +34,10 @@ class CovarianceSummary:
 
     def __post_init__(self):
         for name in ("xx_a", "xx_b"):
-            if not getattr(self, name) > 0.0:
+            if not np.all(getattr(self, name) > 0.0):
                 raise ValueError(f"diagonal moment {name} must be positive")
-        if not abs(self.xa_xb) <= np.sqrt(self.xx_a * self.xx_b) + tolerances.CROSS_MOMENT_SLACK:
+        bound = np.sqrt(self.xx_a * self.xx_b) + tolerances.CROSS_MOMENT_SLACK
+        if not np.all(np.abs(self.xa_xb) <= bound):
             raise ValueError("xa_xb violates the Cauchy-Schwarz bound")
 
     @property
@@ -51,7 +54,8 @@ class DuanResult:
     """Inseparability value I and the gain factor a that attains it.
 
     I < 1 certifies inseparability in this normalization (the vacuum and
-    every product state sit at the boundary I = 1).
+    every product state sit at the boundary I = 1).  Columns when the
+    CovarianceSummary it came from holds columns.
     """
 
     value: float
@@ -124,19 +128,26 @@ def duan_inseparability(cov: CovarianceSummary) -> DuanResult:
     where the catalysis output is dominated by the signal reflected with
     amplitude -r (losschannel at n_max = 3 gives a* < 0 for g = 1 and 1.25,
     a* > 0 for g = 1.5).  When both k vanishes and n_A = n_B every a is
-    optimal and a* = 1 is returned by convention.
+    optimal and a* = 1 is returned by convention.  On a CovarianceSummary
+    of columns the two cases are masks over the elements.
     """
     n_a = cov.xx_a + cov.xx_a
     n_b = cov.xx_b + cov.xx_b
     k = cov.xa_xb + cov.xa_xb
     gap = np.hypot(n_a - n_b, 2.0 * k)
     value = 0.5 * (n_a + n_b - gap)
-    if abs(k) < 1e-15 * max(n_a, n_b):
-        if abs(n_a - n_b) < 1e-12 * max(n_a, n_b):
-            return DuanResult(0.5 * (n_a + n_b), 1.0)
-        # uncorrelated and asymmetric: the infimum sits at a boundary
-        return DuanResult(min(n_a, n_b), 0.0 if n_a <= n_b else np.inf)
-    return DuanResult(value, (n_a - value) / k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_star = (n_a - value) / k
+    scale = np.maximum(n_a, n_b)
+    uncorrelated = np.abs(k) < 1e-15 * scale
+    symmetric = uncorrelated & (np.abs(n_a - n_b) < 1e-12 * scale)
+    # uncorrelated and asymmetric: the infimum sits at a boundary
+    value = np.where(uncorrelated, np.minimum(n_a, n_b), value)
+    a_star = np.where(uncorrelated, np.where(n_a <= n_b, 0.0, np.inf), a_star)
+    value = np.where(symmetric, 0.5 * (n_a + n_b), value)
+    a_star = np.where(symmetric, 1.0, a_star)
+    # [()] turns the 0-d results of a single summary back into scalars
+    return DuanResult(value[()], a_star[()])
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:

@@ -25,13 +25,9 @@ from .channels import (
     pump_rotation_degrade,
     tmsv_state,
 )
-from .equivalent import solve_equivalent
+from .equivalent import solve_equivalents
 from .fock import DensityMatrix, HeraldingImpossibleError, HilbertConfig
-from .models import (
-    beta_from_gain,
-    sp_model_covariance,
-    sp_model_herald_probability,
-)
+from .models import beta_from_gain, sp_model
 from .quadratures import (
     CovarianceSummary,
     apply_detection_efficiency,
@@ -336,8 +332,9 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _round12(value: float) -> float:
-    return float(_fmt(value))
+def _round12(values: list[float]) -> list[float]:
+    """float(_fmt(x)) of each x, formatted with one `%`."""
+    return list(map(float, ("%.12g " * len(values) % tuple(values)).split()))
 
 
 def _lossy_source(config: ScenarioConfig) -> DensityMatrix:
@@ -357,13 +354,31 @@ def build_distilled_state(config: ScenarioConfig, g: float) -> tuple[DensityMatr
     return nla_catalysis(_lossy_source(config), 1.0 / g, config.eta_ancilla)
 
 
-def _sweep_row(
-    config: ScenarioConfig, g: float, cov: CovarianceSummary, herald_p: float
-) -> SweepRow:
+def _sweep_columns(
+    config: ScenarioConfig, gains: np.ndarray, cov: CovarianceSummary, herald_p: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The numeric columns of the rows at `gains`, in SweepRow's order, from
+    the model moments (a summary of columns) and herald probabilities there:
+    detector efficiencies, then the inseparability minimum, each over the
+    whole column."""
     cov = apply_detection_efficiency(cov, config.eta_a, config.eta_b)
     duan = duan_inseparability(cov)
-    beta = beta_from_gain(g, config.effective_gamma, config.tau)
-    return SweepRow(g, beta, cov.v_diff, cov.v_sum, duan.value, duan.a_star, herald_p, config.model)
+    beta = beta_from_gain(gains, config.effective_gamma, config.tau)
+    return gains, beta, cov.v_diff, cov.v_sum, duan.value, duan.a_star, herald_p
+
+
+def _rows(config: ScenarioConfig, columns: tuple[np.ndarray, ...]) -> list[SweepRow]:
+    return [SweepRow(*row, config.model) for row in zip(*(c.tolist() for c in columns))]
+
+
+def _stacked(covs: list[CovarianceSummary]) -> CovarianceSummary:
+    """One summary whose fields are the columns of `covs`."""
+    return CovarianceSummary(*np.reshape([(c.xx_a, c.xx_b, c.xa_xb) for c in covs], (-1, 3)).T)
+
+
+def _analytic_columns(config: ScenarioConfig, gains: np.ndarray) -> tuple[np.ndarray, ...]:
+    eta = 1.0 if config.model == "ideal" else config.eta_ancilla
+    return _sweep_columns(config, gains, *sp_model(config.effective_gamma, config.tau, gains, eta))
 
 
 def evaluate_gain_point(config: ScenarioConfig, g: float) -> SweepRow:
@@ -372,38 +387,47 @@ def evaluate_gain_point(config: ScenarioConfig, g: float) -> SweepRow:
     The covariance pipeline is uniform across models: model-specific second
     moments, then detector efficiencies, then the inseparability minimum.
     Analytic models report the single-photon-level heralding probability.
+    Both run the columns of a sweep, on the one gain.
     """
-    if config.model == "full_numeric":
-        distilled, herald_p = build_distilled_state(config, g)
-        return _sweep_row(config, g, covariance_summary(distilled), herald_p)
-    eta = 1.0 if config.model == "ideal" else config.eta_ancilla
-    args = (config.effective_gamma, config.tau, g, eta)
-    return _sweep_row(config, g, sp_model_covariance(*args), sp_model_herald_probability(*args))
+    gains = np.array([g], dtype=float)
+    if config.model != "full_numeric":
+        return _rows(config, _analytic_columns(config, gains))[0]
+    distilled, herald_p = build_distilled_state(config, g)
+    cov = _stacked([covariance_summary(distilled)])
+    return _rows(config, _sweep_columns(config, gains, cov, np.array([herald_p])))[0]
+
+
+def _sweep(config: ScenarioConfig) -> tuple[tuple[np.ndarray, ...], list[tuple[float, str]]]:
+    """The columns of the scenario's rows, in g order, and its skipped gains.
+
+    The analytic models evaluate the whole grid as one batch, full_numeric
+    its gains in stacks of _GAIN_CHUNK on one lossy source.
+    """
+    gains = config.gain.values()
+    if config.model != "full_numeric":
+        return _analytic_columns(config, gains), []
+    source = _lossy_source(config)
+    parts, skipped = [], []
+    for start in range(0, len(gains), _GAIN_CHUNK):
+        chunk = gains[start : start + _GAIN_CHUNK]
+        states, probs, heralded = nla_catalysis_stack(source, 1.0 / chunk, config.eta_ancilla)
+        cov = _stacked(covariance_summaries(source.config, states))
+        parts.append(_sweep_columns(config, chunk[heralded], cov, probs[heralded]))
+        skipped += [
+            (g, str(HeraldingImpossibleError(p)))
+            for g, p in zip(chunk[~heralded].tolist(), probs[~heralded].tolist())
+        ]
+    return tuple(map(np.concatenate, zip(*parts))), skipped
 
 
 def run_scenario(config: ScenarioConfig) -> SweepResult:
     """Evaluate the scenario over its gain grid, rows emitted in g order.
 
-    full_numeric evaluates its gains in stacks of _GAIN_CHUNK on one lossy
-    source, the analytic models one at a time.  Gains whose heralding
-    probability vanishes are reported in `skipped` rather than aborting the
-    sweep.
+    Gains whose heralding probability vanishes are reported in `skipped`
+    rather than aborting the sweep.
     """
-    gains = config.gain.values()
-    if config.model != "full_numeric":
-        return SweepResult([evaluate_gain_point(config, g) for g in gains.tolist()])
-    result = SweepResult([])
-    source = _lossy_source(config)
-    for start in range(0, len(gains), _GAIN_CHUNK):
-        chunk = gains[start : start + _GAIN_CHUNK]
-        states, probs, heralded = nla_catalysis_stack(source, 1.0 / chunk, config.eta_ancilla)
-        covs = iter(covariance_summaries(source.config, states))
-        for g, p, ok in zip(chunk.tolist(), probs.tolist(), heralded.tolist()):
-            if ok:
-                result.rows.append(_sweep_row(config, g, next(covs), p))
-            else:
-                result.skipped.append((g, str(HeraldingImpossibleError(p))))
-    return result
+    columns, skipped = _sweep(config)
+    return SweepResult(_rows(config, columns), skipped)
 
 
 def run_sampling(config: ScenarioConfig) -> dict:
@@ -431,12 +455,12 @@ def run_sampling(config: ScenarioConfig) -> dict:
     return {
         "config": config.to_dict(),
         "metadata": {
-            "gain": _round12(g),
-            "beta": _round12(beta_from_gain(g, config.effective_gamma, config.tau)),
-            "herald_probability": _round12(herald_p),
-            "shot_noise_radius": _round12(SHOT_NOISE_RADIUS),
-            "model_v_diff": _round12(cov.v_diff),
-            "model_v_sum": _round12(cov.v_sum),
+            "gain": float(_fmt(g)),
+            "beta": float(_fmt(beta_from_gain(g, config.effective_gamma, config.tau))),
+            "herald_probability": float(_fmt(herald_p)),
+            "shot_noise_radius": float(_fmt(SHOT_NOISE_RADIUS)),
+            "model_v_diff": float(_fmt(cov.v_diff)),
+            "model_v_sum": float(_fmt(cov.v_sum)),
         },
         "samples": sample_quadratures(detected, config.sample_count, config.seed),
     }
@@ -458,32 +482,53 @@ def run_equivalence(
         v_diff, v_sum = variances
         if not (math.isfinite(v_diff) and math.isfinite(v_sum)):
             raise ConfigError("variances", f"must be finite, got ({v_diff}, {v_sum})")
-        points = [(None, None, v_diff, v_sum)]
+        g = beta = [None]
+        v_diff, v_sum = np.array([v_diff], dtype=float), np.array([v_sum], dtype=float)
     else:
-        sweep = run_scenario(config)
-        points = [(row.g, row.beta, row.v_diff, row.v_sum) for row in sweep.rows]
-        skipped = [{"g": _round12(g), "reason": reason} for g, reason in sweep.skipped]
+        (g, beta, v_diff, v_sum, *_), skipped_gains = _sweep(config)
+        g, beta = _round12(g.tolist()), _round12(beta.tolist())
+        skipped = [{"g": float(_fmt(gain)), "reason": reason} for gain, reason in skipped_gains]
+    solves = solve_equivalents(v_diff, v_sum, config.eta_a)
+    # each column rounded at once; the ok rows' (gamma_eq, eta_b_eq) in turn
+    states = [s.state for s in solves if s.ok]
+    fits = iter(_round12([x for state in states for x in (state.gamma_eq, state.eta_b_eq)]))
     table = []
-    for g, beta, v_diff, v_sum in points:
-        solved = solve_equivalent(v_diff, v_sum, config.eta_a)
+    for g_row, beta_row, v_diff_row, v_sum_row, solved in zip(
+        g, beta, _round12(v_diff.tolist()), _round12(v_sum.tolist()), solves
+    ):
         record = {
-            "g": None if g is None else _round12(g),
-            "beta": None if beta is None else _round12(beta),
-            "v_diff": _round12(v_diff),
-            "v_sum": _round12(v_sum),
+            "g": g_row,
+            "beta": beta_row,
+            "v_diff": v_diff_row,
+            "v_sum": v_sum_row,
             "status": solved.status,
-            "gamma_eq": _round12(solved.state.gamma_eq) if solved.ok else None,
-            "eta_b_eq": _round12(solved.state.eta_b_eq) if solved.ok else None,
+            "gamma_eq": next(fits) if solved.ok else None,
+            "eta_b_eq": next(fits) if solved.ok else None,
         }
         if not solved.ok:
             record["reason"] = solved.reason
         table.append(record)
     return {
         "config": config.to_dict(),
-        "eta_a_eq": _round12(config.eta_a),
+        "eta_a_eq": float(_fmt(config.eta_a)),
         "rows": table,
         **({"skipped": skipped} if skipped else {}),
     }
+
+
+def _rows_text(rows) -> str | None:
+    """The items of a top-level "rows" list as json.dumps(report, indent=2)
+    writes them, or None unless `rows` is a non-empty list of non-empty
+    dicts of scalars.  json's C encoder (no indent) writes the list with the
+    depth-2 separator between all items; as no string holds a raw newline,
+    "},\\n      {" only joins rows, and one replace lays those out."""
+    if not (isinstance(rows, list) and rows and all(type(row) is dict and row for row in rows)):
+        return None
+    scalars = {str, int, float, bool, type(None)}
+    if not set(map(type, [v for row in rows for v in row.values()])) <= scalars:
+        return None
+    text = json.dumps(rows, separators=(",\n      ", ": "))[2:-2]
+    return "    {\n      " + text.replace("},\n      {", "\n    },\n    {\n      ") + "\n    }"
 
 
 def dump_json_report(report: dict, handle) -> None:
@@ -492,15 +537,23 @@ def dump_json_report(report: dict, handle) -> None:
     A trailing "samples" array of shape (count, 2), the bulk of a sample
     report, is written directly (`indent` forces json's pure-Python encoder)
     in chunks of _SAMPLE_CHUNK pairs, each with one `%` format.  json writes
-    x as repr(_round12(x)), which is s = "%.12g" % x itself when s has a "."
-    and no exponent, or an exponent below 1e-4 on a normal float: .12g strips
+    x as repr(float(s)) with s = "%.12g" % x, which is s itself when s has a
+    "." and no exponent, or an exponent below 1e-4 on a normal float: .12g strips
     trailing zeros, and a float round-trips every decimal of at most 15
     significant digits.  Otherwise x is 0, a subnormal, or within 5e-12 |x| of
     the integer s spells, so a chunk holding any x within 1e-9 max(|x|, 1) of
-    an integer is written as "%r" % _round12(x) instead.
+    an integer is written as "%r" % float(s) instead.
+
+    A "rows" list of flat objects, the bulk of an equivalent-state report,
+    is written by _rows_text without that encoder.
     """
     if next(reversed(report), None) != "samples":
-        handle.write(json.dumps(report, indent=2) + "\n")
+        rows = _rows_text(report.get("rows"))
+        text = json.dumps(report if rows is None else {**report, "rows": []}, indent=2)
+        if rows is not None:
+            # json writes a newline inside a string as \\n: only the key's own line matches
+            text = text.replace('\n  "rows": []', '\n  "rows": [\n' + rows + "\n  ]", 1)
+        handle.write(text + "\n")
         return
     samples = report["samples"]
     head = json.dumps({**report, "samples": []}, indent=2)
@@ -509,7 +562,7 @@ def dump_json_report(report: dict, handle) -> None:
         block = samples[start : start + _SAMPLE_CHUNK].ravel()
         values, spec = block.tolist(), ".12g"
         if np.any(np.abs(block - np.rint(block)) <= 1e-9 * np.maximum(np.abs(block), 1)):
-            values, spec = [_round12(x) for x in values], "r"
+            values, spec = _round12(values), "r"
         pair = f"    [\n      %{spec},\n      %{spec}\n    ]"
         text = ",\n".join([pair] * (len(values) // 2)) % tuple(values)
         handle.write(",\n" + text if start else text)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,9 @@ from eprdistill import (
     EquivalentState,
     equivalent_variances,
     solve_equivalent,
+    tolerances,
 )
+from eprdistill.equivalent import GAMMA_EQ_MAX, solve_equivalents
 
 FIXTURE = EquivalentState(gamma_eq=0.3, eta_a_eq=0.45, eta_b_eq=0.3)
 # forward values of FIXTURE, frozen from direct evaluation of the formula
@@ -123,12 +126,14 @@ class TestSolveEquivalent:
         assert "no root" in solved.reason
 
     def test_never_nan(self):
-        for v_diff, v_sum in ((1.0, 1.0), (0.5, 1.1), (1.2, 1.1), (0.9, 1.2)):
-            solved = solve_equivalent(v_diff, v_sum, 0.45)
-            assert isinstance(solved, EquivalentSolve)
-            if solved.state is not None:
-                assert np.isfinite(solved.state.gamma_eq)
-                assert np.isfinite(solved.state.eta_b_eq)
+        pairs = ((1.0, 1.0), (0.5, 1.1), (1.2, 1.1), (0.9, 1.2), (math.nan, 1.2), (0.5, 1e308))
+        batch = solve_equivalents(*np.array(pairs).T, 0.45)
+        for (v_diff, v_sum), batched in zip(pairs, batch):
+            for solved in (solve_equivalent(v_diff, v_sum, 0.45), batched):
+                assert isinstance(solved, EquivalentSolve)
+                for branch in solved.branches:
+                    assert np.isfinite(branch.gamma_eq)
+                    assert np.isfinite(branch.eta_b_eq)
 
     def test_solution_continuity(self):
         # small input perturbations move the solution a little, away from
@@ -164,6 +169,127 @@ class TestSolveEquivalent:
         solved = solve_equivalent(0.5, 2.5, 0.5)
         assert solved.status == "infeasible"
         assert "no root" in solved.reason
+
+
+def reference_solve(v_diff: float, v_sum: float, eta_a_eq: float) -> EquivalentSolve:
+    """The inversion of solve_equivalents for one pair, in Python floats: the
+    oracle of the batched solve (same checks, reasons and branch order)."""
+    if not 0.0 < eta_a_eq <= 1.0:
+        return EquivalentSolve("infeasible", reason=f"eta_a_eq {eta_a_eq} outside (0, 1]")
+    atol = tolerances.EQUIV_SOLVER_ATOL
+    if abs(v_diff - 1.0) < atol and abs(v_sum - 1.0) < atol:
+        return EquivalentSolve(
+            "degenerate", reason="unit variances: gamma_eq = 0, eta_b_eq indeterminate"
+        )
+    k = v_sum + v_diff - 2.0
+    d = 0.5 * (v_sum - v_diff)
+    if d <= 0.0:
+        return EquivalentSolve(
+            "infeasible", reason=f"need v_sum > v_diff, got ({v_diff:.6g}, {v_sum:.6g})"
+        )
+    if k <= 0.0:
+        return EquivalentSolve(
+            "infeasible", reason=f"need v_sum + v_diff > 2, got {v_sum + v_diff:.6g}"
+        )
+    b = 2.0 * eta_a_eq - k
+    c = d * d / eta_a_eq - 2.0 * k
+    disc = (2.0 * eta_a_eq + k - 2.0 * d) * (2.0 * eta_a_eq + k + 2.0 * d)
+    q = -0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
+    u_max = math.cosh(2.0 * GAMMA_EQ_MAX) - 1.0
+    roots = sorted({q / eta_a_eq, c / q}) if disc >= 0.0 and q != 0.0 else []
+    roots = [u for u in roots if 0.0 < u <= u_max]
+    if not roots:
+        return EquivalentSolve(
+            "infeasible", reason=f"variance-sum equation has no root in (0, {GAMMA_EQ_MAX}]"
+        )
+    branches, rejected_eta = [], []
+    for u in roots:
+        eta_b = d * d / (eta_a_eq * u * (u + 2.0))
+        if not 0.0 < eta_b <= 1.0 + tolerances.CROSS_MOMENT_SLACK:
+            rejected_eta.append(eta_b)
+            continue
+        state = EquivalentState(math.asinh(math.sqrt(0.5 * u)), eta_a_eq, min(eta_b, 1.0))
+        back_diff, back_sum = equivalent_variances(state)
+        if abs(back_diff - v_diff) <= atol and abs(back_sum - v_sum) <= atol:
+            branches.append(state)
+    if branches:
+        return EquivalentSolve("ok", branches=tuple(branches))
+    if rejected_eta:
+        return EquivalentSolve(
+            "infeasible", reason=f"required eta_b_eq = {rejected_eta[0]:.6g} outside (0, 1]"
+        )
+    return EquivalentSolve("infeasible", reason="no root survives the round trip")
+
+
+# (v_diff, v_sum) at eta_a_eq = 0.3, each with its outcome
+MIXED = (
+    ((0.8276112152005637, 1.3207609593932506), "ok"),  # gamma_eq 0.3, eta_b_eq 0.5
+    ((0.7 + 1e-9, 3.3 - 1e-9), "ok"),  # two branches
+    ((1.0, 1.0), "degenerate"),
+    ((1.2, 1.1), "need v_sum > v_diff"),
+    ((0.5, 1.1), "need v_sum + v_diff > 2"),
+    ((0.55, 1.5), "no root"),
+    ((0.757106764392756, 1.5210910629706453), "required eta_b_eq = 1.2"),  # from eta_b 1.2
+    ((0.5, 1e308), "no root"),  # overflows
+)
+
+
+class TestBatchedSolve:
+    PAIRS = np.array([pair for pair, _ in MIXED])
+
+    def test_every_outcome_in_one_batch(self):
+        solves = solve_equivalents(*self.PAIRS.T, 0.3)
+        assert [len(s.branches) for s in solves] == [1, 2, 0, 0, 0, 0, 0, 0]
+        for ((v_diff, v_sum), outcome), solved in zip(MIXED, solves):
+            assert outcome in (solved.status + solved.reason)
+            assert solved == solve_equivalent(v_diff, v_sum, 0.3)
+            assert solved == reference_solve(v_diff, v_sum, 0.3)
+
+    @pytest.mark.parametrize("order", ["reversed", "rolled", "repeated"])
+    def test_rows_do_not_affect_their_neighbours(self, order):
+        alone = [solve_equivalent(v_diff, v_sum, 0.3) for v_diff, v_sum in self.PAIRS]
+        index = {
+            "reversed": np.arange(len(MIXED))[::-1],
+            "rolled": np.roll(np.arange(len(MIXED)), 3),
+            "repeated": np.repeat(np.arange(len(MIXED)), 3),
+        }[order]
+        solves = solve_equivalents(*self.PAIRS[index].T, 0.3)
+        assert solves == [alone[i] for i in index]
+
+    @pytest.mark.parametrize("eta_a_eq", [0.0, -0.1, 1.5, math.nan])
+    def test_eta_a_outside_the_unit_interval(self, eta_a_eq):
+        solves = solve_equivalents(*self.PAIRS.T, eta_a_eq)
+        assert {s.reason for s in solves} == {f"eta_a_eq {eta_a_eq} outside (0, 1]"}
+        for (v_diff, v_sum), solved in zip(self.PAIRS.tolist(), solves):
+            assert solved == solve_equivalent(v_diff, v_sum, eta_a_eq)
+            assert solved == reference_solve(v_diff, v_sum, eta_a_eq)
+
+    def test_double_root_is_one_branch(self):
+        # k = 1.5 and d = 1 at eta_a = 0.25 make the discriminant exactly 0:
+        # the two roots coincide at u = 2, one branch with eta_b_eq = 0.5
+        (solved,) = solve_equivalents(np.array([0.75]), np.array([2.75]), 0.25)
+        assert len(solved.branches) == 1
+        assert solved.state.eta_b_eq == 0.5
+        assert solved == reference_solve(0.75, 2.75, 0.25)
+
+    def test_empty_batch(self):
+        assert solve_equivalents(np.array([]), np.array([]), 0.3) == []
+
+    @pytest.mark.parametrize("eta_a_eq", [0.1, 0.3, 0.45, 1.0])
+    def test_batch_equals_the_scalar_oracle(self, eta_a_eq):
+        # random pairs over every region, and forward images of random states
+        # (gamma_eq up to past GAMMA_EQ_MAX, eta_b_eq up to 1.2)
+        rng = np.random.default_rng(11)
+        pairs = [rng.uniform(0.0, 3.0, 1500), rng.uniform(0.0, 6.0, 1500)]
+        gamma, eta_b = rng.uniform(0.0, 5.5, 1500), rng.uniform(0.01, 1.2, 1500)
+        mean, root = 0.5 * (eta_a_eq + eta_b), np.sqrt(eta_a_eq * eta_b)
+        c, s = np.cosh(2.0 * gamma) - 1.0, np.sinh(2.0 * gamma)
+        v_diff = np.concatenate([pairs[0], 1.0 + mean * c - root * s])
+        v_sum = np.concatenate([pairs[1], 1.0 + mean * c + root * s])
+        solves = solve_equivalents(v_diff, v_sum, eta_a_eq)
+        pairs = zip(v_diff.tolist(), v_sum.tolist())
+        assert solves == [reference_solve(*pair, eta_a_eq) for pair in pairs]
+        assert {solved.status for solved in solves} == {"ok", "infeasible"}
 
 
 def test_cli_runners_load_no_scipy(tmp_path):

@@ -21,6 +21,8 @@ from eprdistill import (
     beta_from_gain,
     ideal_variances,
     optimal_gain,
+    sp_model_covariance,
+    sp_model_herald_probability,
 )
 from eprdistill.channels import _check_complete
 from eprdistill.fock import apply_unitary, herald
@@ -56,6 +58,14 @@ def vacuum_with(index, value) -> np.ndarray:
     pytest.param(lambda: EquivalentState(NAN, 0.5, 0.5), ValueError, id="gamma-eq-nan"),
     pytest.param(lambda: beta_from_gain(NAN, 0.1, 1.0), ValueError, id="gain-nan"),
     pytest.param(lambda: beta_from_gain(2.0, NAN, 1.0), ValueError, id="gamma-tau-nan"),
+    pytest.param(lambda: beta_from_gain(np.array([2.0, NAN]), 0.1, 1.0), ValueError,
+                 id="gain-column-nan"),
+    pytest.param(lambda: CovarianceSummary(np.array([0.5, NAN]), np.full(2, 0.5), np.zeros(2)),
+                 ValueError, id="moment-column-nan"),
+    pytest.param(lambda: sp_model_herald_probability(0.1, 0.2, 2.0, NAN), ValueError,
+                 id="herald-eta-nan"),
+    pytest.param(lambda: sp_model_herald_probability(0.1, 0.2, NAN, 0.5), ValueError,
+                 id="herald-gain-nan"),
     pytest.param(lambda: optimal_gain(NAN, 1.0), ValueError, id="optimal-gain-nan"),
     pytest.param(lambda: ideal_variances(NAN), ValueError, id="beta-nan"),
     pytest.param(lambda: _check_complete(np.full((1, 2, 2), NAN)),
@@ -69,3 +79,14 @@ def vacuum_with(index, value) -> np.ndarray:
 def test_nan_is_rejected(make, error):
     with pytest.raises(error):
         make()
+
+
+@pytest.mark.parametrize("model", [sp_model_covariance, sp_model_herald_probability])
+@pytest.mark.parametrize("gain, eta", [(0.5, 1.5), (0.5, 0.5), (2.0, 1.5), (2.0, -0.1)])
+def test_single_photon_model_checks_gain_and_eta(model, gain, eta):
+    # the covariance and the click probability share one check of g >= 1
+    # and eta in [0, 1]
+    with pytest.raises(ValueError, match="must be"):
+        model(0.1, 0.2, gain, eta)
+    with pytest.raises(ValueError, match="must be"):
+        model(0.1, 0.2, np.array([2.0, gain, 3.0]), eta)

@@ -295,6 +295,22 @@ class TestDuanInseparability:
         assert result.value == pytest.approx(1.4)
         assert result.a_star == 1.0
 
+    def test_columns_equal_the_single_summaries(self, rng):
+        # a batch of summaries mixing correlated rows of both signs with the
+        # two uncorrelated cases: each element is the single summary's result
+        covs = [random_covariance(rng) for _ in range(4)] + [
+            CovarianceSummary(0.6, 0.9, 0.0), CovarianceSummary(0.9, 0.6, 0.0),
+            CovarianceSummary(0.7, 0.7, 0.0), CovarianceSummary(0.515, 0.515, 0.085),
+            CovarianceSummary(0.515, 0.515, -0.085),
+        ]
+        columns = CovarianceSummary(*(np.array(c) for c in zip(
+            *[(cov.xx_a, cov.xx_b, cov.xa_xb) for cov in covs]
+        )))
+        batch = duan_inseparability(columns)
+        singles = [duan_inseparability(cov) for cov in covs]
+        assert batch.value.tolist() == [result.value for result in singles]
+        assert batch.a_star.tolist() == [result.a_star for result in singles]
+
 
 class TestJointQuadraturePdf:
     def test_vacuum_is_product_gaussian(self):

@@ -42,6 +42,14 @@ SCENARIO_FLAGS = (
 COMMAND_FLAGS = {"-h", "--config", "--preset", "--output", "--v-diff", "--v-sum", "--strict"}
 
 
+def row_bits(rows) -> list[tuple]:
+    """The fields of each row with every float as its exact hex spelling."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row))
+        for row in rows
+    ]
+
+
 def loss_scenario(**overrides) -> ScenarioConfig:
     data = {
         "gamma": 0.135,
@@ -314,7 +322,29 @@ class TestRunScenario:
         config = ScenarioConfig.from_dict({**load_preset(preset), "n_max": n_max})
         result = run_scenario(config)
         assert len(result.rows) == config.gain.steps
-        assert result.rows == [evaluate_gain_point(config, row.g) for row in result.rows]
+        singles = [evaluate_gain_point(config, row.g) for row in result.rows]
+        assert result.rows == singles
+        assert row_bits(result.rows) == row_bits(singles)
+
+    @pytest.mark.parametrize("model", ["single_photon", "ideal"])
+    @pytest.mark.parametrize("grid", [
+        *({"preset": preset} for preset in cli.PRESET_NAMES),
+        {"preset": "losschannel", "gain": {"g_min": 1.0, "g_max": 40.0, "steps": 300,
+                                           "log_spacing": True}},
+        {"preset": "figS2a", "gain": {"g_min": 2.0, "g_max": 30.0, "steps": 300},
+         "gamma": 0.6, "eta_a": 0.9},
+    ], ids=lambda grid: f"{grid['preset']}-{grid.get('gain', {}).get('steps', 'preset')}")
+    def test_analytic_batch_rows_equal_single_gain_rows(self, model, grid):
+        # the analytic models evaluate the grid as one batch of columns; each
+        # row equals the single-gain row bit for bit
+        data = {**load_preset(grid["preset"]), "model": model}
+        data.update((key, value) for key, value in grid.items() if key != "preset")
+        config = ScenarioConfig.from_dict(data)
+        result = run_scenario(config)
+        assert [row.model for row in result.rows] == [model] * config.gain.steps
+        assert row_bits(result.rows) == row_bits(
+            [evaluate_gain_point(config, row.g) for row in result.rows]
+        )
 
     # gamma 1.2e-7 without an ancilla photon: the herald probability crosses
     # the impossible-branch floor between g = 1.75 and g = 2
@@ -553,6 +583,81 @@ class TestRunEquivalence:
         write_json_report(report, path)
         loaded = json.loads(path.read_text())
         assert loaded == report
+
+
+def dumped(report: dict) -> str:
+    handle = io.StringIO()
+    dump_json_report(report, handle)
+    return handle.getvalue()
+
+
+class TestEquivalenceReportText:
+    """dump_json_report writes an equivalent-state report's rows without
+    json's indenting encoder; the text must be json's, byte for byte."""
+
+    @pytest.mark.parametrize("model", ["single_photon", "ideal"])
+    def test_300_ok_rows(self, model):
+        config = loss_scenario(model=model, gain={"g_min": 2.0, "g_max": 30.0, "steps": 300})
+        report = run_equivalence(config)
+        assert [row["status"] for row in report["rows"]] == ["ok"] * 300
+        assert dumped(report) == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("variances, status", [
+        ((0.9, 1.2), "ok"), ((1.0, 1.0), "degenerate"), ((1.2, 1.1), "infeasible"),
+        ((0.5, 1.1), "infeasible"), ((0.5, 1e308), "infeasible"),
+    ])
+    def test_given_variance_rows(self, variances, status):
+        report = run_equivalence(loss_scenario(), variances=variances)
+        (row,) = report["rows"]
+        assert (row["g"], row["beta"], row["status"]) == (None, None, status)
+        assert ("reason" in row) == (status != "ok")
+        assert dumped(report) == json.dumps(report, indent=2) + "\n"
+
+    # gamma 1.2e-7 without an ancilla photon: gains up to 1.75 cannot herald
+    IMPOSSIBLE = {"gamma": 1.2e-7, "degrade": {"mode": "none"}, "eta_ancilla": 0.0}
+
+    @pytest.mark.parametrize("gain, rows", [
+        ({"g_min": 1.0, "g_max": 1.75, "steps": 4}, 0),
+        ({"g_min": 1.0, "g_max": 3.0, "steps": 9}, 5),
+    ], ids=["zero-rows", "rows-and-skipped"])
+    def test_trailing_skipped_key(self, gain, rows):
+        report = run_equivalence(loss_scenario(**self.IMPOSSIBLE, gain=gain))
+        assert len(report["rows"]) == rows
+        assert list(report)[-1] == "skipped"
+        assert dumped(report) == json.dumps(report, indent=2) + "\n"
+
+    def test_exponent_floats_and_escaped_strings(self):
+        rows = [
+            {"g": 1e308, "beta": 1e-300, "v_diff": 5e-324, "v_sum": -0.0, "status": "ok"},
+            {"g": None, "beta": 1e16, "v_diff": 1e-05, "v_sum": 2.0, "status": "infeasible",
+             "reason": 'need "x" }\n,\t{ \0 \u00e9 100%'},
+            {"g": math.inf, "beta": -math.inf, "v_diff": math.nan, "v_sum": 3,
+             "status": True, "%s": False},
+        ]
+        report = {"config": {"rows": []}, "eta_a_eq": 0.45, "rows": rows, "skipped": []}
+        assert dumped(report) == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("rows", [
+        [], [{}], [{"a": 1.0}, {}], [{"a": [1.0, 2.0]}], [{"a": {"b": 1.0}}], [1.0, 2.0],
+        "rows", None,
+    ])
+    def test_other_rows_fall_back_to_json(self, rows):
+        report = {"eta_a_eq": 0.45, "rows": rows}
+        assert dumped(report) == json.dumps(report, indent=2) + "\n"
+
+
+JSON_SCALAR = st.one_of(
+    st.floats(), st.sampled_from(EDGE_FLOATS), st.text(), st.none(), st.booleans(),
+    st.integers(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.one_of(st.text(), st.integers()), JSON_SCALAR, max_size=8),
+                max_size=12))
+def test_equivalence_rows_text_matches_json_layout(rows):
+    report = {"config": {"gamma": 0.135}, "rows": rows, "skipped": [{"g": 1.0, "reason": "x"}]}
+    assert dumped(report) == json.dumps(report, indent=2) + "\n"
 
 
 def sample_into_closed_pipe(*extra: str) -> tuple[int, bytes]:
