@@ -29,7 +29,6 @@ from .models import (
     ideal_variances,
     optimal_gain,
     sp_model_covariance,
-    sp_model_herald_probability,
     tmsv_covariance,
 )
 from .quadratures import (

@@ -12,6 +12,10 @@ of |n_A, n_B> is n_A d + n_B with d = n_max + 1.
 Operators are plain truncations of their infinite-dimensional counterparts;
 cutoff artifacts (e.g. the commutator defect in the top Fock level) are
 quantified in tests rather than hidden behind renormalization.
+
+Each state is checked on its own where it is built; phase symmetry (block
+structure in n_A - n_B), which moments read from photon numbers rely on, is
+checked apart by `check_phase_symmetric`.
 """
 
 from __future__ import annotations
@@ -33,34 +37,6 @@ class HeraldingImpossibleError(InvalidStateError):
     def __init__(self, probability: float):
         self.probability = probability
         super().__init__(f"heralding probability {probability:.3e} is vanishing")
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex if np.iscomplexobj(arr) else float)
-    out.setflags(write=False)
-    return out
-
-
-def _check_states(config: HilbertConfig, stack: np.ndarray) -> None:
-    """Raise InvalidStateError unless every matrix of a (G, dim, dim) stack is a
-    state: finite, Hermitian, PSD (one stacked eigvalsh) and of trace in
-    (0, 1].  An empty stack passes."""
-    if stack.shape[1:] != (config.dim, config.dim):
-        raise InvalidStateError(
-            f"state shape {stack.shape[1:]} does not match dimension {config.dim}"
-        )
-    if not np.all(np.isfinite(stack)):
-        raise InvalidStateError("state has a non-finite element")
-    herm_defect = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)), initial=0.0)
-    if herm_defect > tolerances.HERMITICITY_ATOL:
-        raise InvalidStateError(f"not Hermitian: max defect {herm_defect:.3e}")
-    lowest = np.linalg.eigvalsh(stack).min(initial=np.inf)
-    if lowest < tolerances.EIGENVALUE_FLOOR:
-        raise InvalidStateError(f"negative eigenvalue {lowest:.3e}")
-    traces = np.real(np.trace(stack, axis1=1, axis2=2))
-    outside = (traces <= 0.0) | (traces > 1.0 + tolerances.TRACE_UPPER_SLACK)
-    if np.any(outside):
-        raise InvalidStateError(f"trace {traces[outside][0]:.3e} outside (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -97,24 +73,30 @@ class DensityMatrix:
     """Hermitian PSD matrix over the two-mode Fock basis, trace in (0, 1].
 
     A trace below one encodes a sub-normalized state; :func:`normalize` turns
-    a raw heralded branch into a conditional state plus probability, and
-    :func:`herald` a stack of them.
+    a raw heralded branch into a conditional state plus probability.
     """
 
     config: HilbertConfig
     elements: np.ndarray
 
     def __post_init__(self):
-        elems = _frozen(self.elements)
-        _check_states(self.config, elems[None])
-        object.__setattr__(self, "elements", elems)
-
-    @classmethod
-    def _checked(cls, config: HilbertConfig, elements: np.ndarray) -> DensityMatrix:
-        """Wrap read-only elements that _check_states has passed, unchecked."""
-        state = object.__new__(cls)
-        state.__dict__.update(config=config, elements=elements)
-        return state
+        rho = np.array(self.elements, dtype=complex if np.iscomplexobj(self.elements) else float)
+        rho.setflags(write=False)
+        dim = self.config.dim
+        if rho.shape != (dim, dim):
+            raise InvalidStateError(f"state shape {rho.shape} does not match dimension {dim}")
+        if not np.all(np.isfinite(rho)):
+            raise InvalidStateError("state has a non-finite element")
+        herm_defect = np.max(np.abs(rho - rho.conj().T))
+        if not herm_defect <= tolerances.HERMITICITY_ATOL:
+            raise InvalidStateError(f"not Hermitian: max defect {herm_defect:.3e}")
+        lowest = np.linalg.eigvalsh(rho)[0]
+        if not lowest >= tolerances.EIGENVALUE_FLOOR:
+            raise InvalidStateError(f"negative eigenvalue {lowest:.3e}")
+        trace = np.real(np.trace(rho))
+        if not 0.0 < trace <= 1.0 + tolerances.TRACE_UPPER_SLACK:
+            raise InvalidStateError(f"trace {trace:.3e} outside (0, 1]")
+        object.__setattr__(self, "elements", rho)
 
     @property
     def trace(self) -> float:
@@ -187,35 +169,29 @@ def apply_mode_kraus(state: DensityMatrix, mode: int, ops) -> np.ndarray:
     return out if kraus.ndim == 4 else out[0]
 
 
-def herald(
-    config: HilbertConfig, branches: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Condition a (G, dim, dim) stack of raw heralded branches on the herald.
-
-    Reads p = Tr(branch), raising InvalidStateError for a non-finite element
-    in any branch, heralding or not, or for p above 1 + TRACE_UPPER_SLACK.  A
-    branch with p <= HERALD_MIN_PROBABILITY cannot herald; the others are
-    divided by p and validated as one read-only stack (for p <= 1 at least as
-    strict as validating the branch).  Returns (states, all G p, heralded mask).
-    """
-    if not np.all(np.isfinite(branches)):
-        raise InvalidStateError("branch has a non-finite element")
-    probs = np.real(np.trace(branches, axis1=1, axis2=2))
-    if not np.all(probs <= 1.0 + tolerances.TRACE_UPPER_SLACK):
-        raise InvalidStateError(f"trace {probs.max():.3e} outside (0, 1]")
-    heralded = probs > tolerances.HERALD_MIN_PROBABILITY
-    states = branches[heralded] / probs[heralded, None, None]
-    states.setflags(write=False)
-    _check_states(config, states)
-    return states, probs, heralded
-
-
 def normalize(config: HilbertConfig, branch: np.ndarray) -> tuple[DensityMatrix, float]:
-    """`herald` of one raw branch: (conditional state, probability).
+    """Condition a raw heralded branch on its herald: (conditional state, p).
 
-    Raises HeraldingImpossibleError when the branch cannot herald.
+    Reads p = Tr(branch).  Raises InvalidStateError for a non-finite element
+    or for p above 1 + TRACE_UPPER_SLACK, and HeraldingImpossibleError when
+    p <= HERALD_MIN_PROBABILITY; otherwise the branch divided by p must be a
+    state.  For p <= 1 that check is at least as strict as checking the branch.
     """
-    states, (prob,), (heralded,) = herald(config, branch[None])
-    if not heralded:
-        raise HeraldingImpossibleError(float(prob))
-    return DensityMatrix._checked(config, states[0]), float(prob)
+    if not np.all(np.isfinite(branch)):
+        raise InvalidStateError("branch has a non-finite element")
+    prob = float(np.real(np.trace(branch)))
+    if not prob <= 1.0 + tolerances.TRACE_UPPER_SLACK:
+        raise InvalidStateError(f"trace {prob:.3e} outside (0, 1]")
+    if not prob > tolerances.HERALD_MIN_PROBABILITY:
+        raise HeraldingImpossibleError(prob)
+    return DensityMatrix(config, branch / prob), prob
+
+
+def check_phase_symmetric(config: HilbertConfig, rho: np.ndarray) -> None:
+    """Raise InvalidStateError unless the trace-normalized state array `rho`
+    is block diagonal in Delta = n_A - n_B: every element between blocks
+    within OFF_BLOCK_ATOL.  A NaN fails."""
+    delta = config.mode_occupations(0) - config.mode_occupations(1)
+    off_block = np.max(np.abs(rho[delta[:, None] != delta[None, :]]), initial=0.0)
+    if not off_block <= tolerances.OFF_BLOCK_ATOL:
+        raise InvalidStateError(f"state is not phase-symmetric: off-block element {off_block:.3e}")

@@ -93,13 +93,6 @@ def sp_model_covariance(
     return sp_model(gamma, tau, gain, eta)[0]
 
 
-def sp_model_herald_probability(
-    gamma: float, tau: float, gain: float, eta: float
-) -> float:
-    """The click probability of sp_model."""
-    return sp_model(gamma, tau, gain, eta)[1]
-
-
 def deterministic_bound(tau: float) -> float:
     """Best inseparability achievable by any state after one-sided loss.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .fock import DensityMatrix, HilbertConfig
+from .fock import DensityMatrix, check_phase_symmetric
 
 
 @dataclass(frozen=True)
@@ -72,30 +72,17 @@ def covariance_summary(state: DensityMatrix) -> CovarianceSummary:
     Moments are taken relative to the trace.  Raises if an element between
     Delta blocks exceeds OFF_BLOCK_ATOL, which signals a circuit bug.
     """
-    return covariance_summaries(state.config, state.elements[None])[0]
-
-
-def covariance_summaries(config: HilbertConfig, states: np.ndarray) -> list[CovarianceSummary]:
-    """`covariance_summary` of each state of a (G, dim, dim) stack, in one pass."""
-    d = config.dim_per_mode
-    rho = states / np.real(np.trace(states, axis1=1, axis2=2))[:, None, None]
-    delta = config.mode_occupations(0) - config.mode_occupations(1)
-    off_block = np.max(np.abs(rho[:, delta[:, None] != delta[None, :]]), initial=0.0)
-    if not off_block <= tolerances.OFF_BLOCK_ATOL:
-        raise ValueError(f"state is not phase-symmetric: off-block element {off_block:.3e}")
+    d = state.config.dim_per_mode
+    rho = state.elements / state.trace
+    check_phase_symmetric(state.config, rho)
     levels = np.arange(d)
-    populations = np.real(np.diagonal(rho, axis1=1, axis2=2)).reshape(-1, d, d)
-    # sums, not matmuls: the latter's order of summation varies with G
-    n_a = (populations.sum(axis=2) * levels).sum(axis=1)
-    n_b = (populations.sum(axis=1) * levels).sum(axis=1)
+    populations = np.real(np.diagonal(rho)).reshape(d, d)
+    n_a = (populations.sum(axis=1) * levels).sum()
+    n_b = (populations.sum(axis=0) * levels).sum()
     # Re<ab> = sum over m, n >= 1 of sqrt(m n) Re rho[(m-1, n-1), (m, n)]
-    shifted = np.einsum("gijij->gij", rho.reshape(-1, d, d, d, d)[:, :-1, :-1, 1:, 1:])
-    weights = np.sqrt(np.outer(levels[1:], levels[1:]))
-    ab = np.sum(weights * np.real(shifted), axis=(1, 2))
-    return [
-        CovarianceSummary(na + 0.5, nb + 0.5, x)
-        for na, nb, x in zip(n_a.tolist(), n_b.tolist(), ab.tolist())
-    ]
+    shifted = np.einsum("ijij->ij", rho.reshape(d, d, d, d)[:-1, :-1, 1:, 1:])
+    ab = np.sum(np.sqrt(np.outer(levels[1:], levels[1:])) * np.real(shifted))
+    return CovarianceSummary(float(n_a) + 0.5, float(n_b) + 0.5, float(ab))
 
 
 def apply_detection_efficiency(

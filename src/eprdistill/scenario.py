@@ -18,10 +18,11 @@ from dataclasses import MISSING, Field, asdict, dataclass, field, fields, is_dat
 
 import numpy as np
 
+from . import tolerances
 from .channels import (
+    catalysis_moments,
     loss_channel,
     nla_catalysis,
-    nla_catalysis_stack,
     pump_rotation_degrade,
     tmsv_state,
 )
@@ -31,7 +32,6 @@ from .models import beta_from_gain, sp_model
 from .quadratures import (
     CovarianceSummary,
     apply_detection_efficiency,
-    covariance_summaries,
     covariance_summary,
     duan_inseparability,
     sample_quadratures,
@@ -51,8 +51,9 @@ MAX_SAMPLE_COUNT = 1_000_000
 # standard deviation, sqrt(1/2), in these units.
 SHOT_NOISE_RADIUS = float(np.sqrt(0.5))
 
-# Gains of a full_numeric sweep evaluated as one stack: about 115 KB each at
-# n_max = 6, so a stack peaks near 7 MB however long the sweep.
+# Gains of a full_numeric sweep evaluated as one stack: catalysis_moments
+# peaks at about 15 KB per gain at n_max = 6 (tracemalloc), so a stack stays
+# near 1 MB however long the sweep.
 _GAIN_CHUNK = 64
 
 # Sample pairs formatted per write of a sample report: large enough to
@@ -371,51 +372,50 @@ def _rows(config: ScenarioConfig, columns: tuple[np.ndarray, ...]) -> list[Sweep
     return [SweepRow(*row, config.model) for row in zip(*(c.tolist() for c in columns))]
 
 
-def _stacked(covs: list[CovarianceSummary]) -> CovarianceSummary:
-    """One summary whose fields are the columns of `covs`."""
-    return CovarianceSummary(*np.reshape([(c.xx_a, c.xx_b, c.xa_xb) for c in covs], (-1, 3)).T)
-
-
 def _analytic_columns(config: ScenarioConfig, gains: np.ndarray) -> tuple[np.ndarray, ...]:
     eta = 1.0 if config.model == "ideal" else config.eta_ancilla
     return _sweep_columns(config, gains, *sp_model(config.effective_gamma, config.tau, gains, eta))
 
 
 def evaluate_gain_point(config: ScenarioConfig, g: float) -> SweepRow:
-    """Evaluate the configured model at a single gain value.
+    """Evaluate the configured model at a single gain value: the sweep of
+    that one gain.
 
     The covariance pipeline is uniform across models: model-specific second
     moments, then detector efficiencies, then the inseparability minimum.
     Analytic models report the single-photon-level heralding probability.
-    Both run the columns of a sweep, on the one gain.
+    Raises HeraldingImpossibleError where a sweep would skip the gain.
     """
-    gains = np.array([g], dtype=float)
-    if config.model != "full_numeric":
-        return _rows(config, _analytic_columns(config, gains))[0]
-    distilled, herald_p = build_distilled_state(config, g)
-    cov = _stacked([covariance_summary(distilled)])
-    return _rows(config, _sweep_columns(config, gains, cov, np.array([herald_p])))[0]
+    columns, skipped = _sweep(config, np.array([g], dtype=float))
+    if skipped:
+        raise skipped[0][1]
+    return _rows(config, columns)[0]
 
 
-def _sweep(config: ScenarioConfig) -> tuple[tuple[np.ndarray, ...], list[tuple[float, str]]]:
-    """The columns of the scenario's rows, in g order, and its skipped gains.
+def _sweep(
+    config: ScenarioConfig, gains: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], list[tuple[float, HeraldingImpossibleError]]]:
+    """The columns of the rows at `gains`, in g order, and the skipped gains
+    with the error each would raise.
 
     The analytic models evaluate the whole grid as one batch, full_numeric
-    its gains in stacks of _GAIN_CHUNK on one lossy source.
+    its gains in stacks of _GAIN_CHUNK on one lossy source, reading each
+    stack's moments from `catalysis_moments`.  A gain whose herald
+    probability is at or below HERALD_MIN_PROBABILITY is skipped.
     """
-    gains = config.gain.values()
     if config.model != "full_numeric":
         return _analytic_columns(config, gains), []
     source = _lossy_source(config)
     parts, skipped = [], []
     for start in range(0, len(gains), _GAIN_CHUNK):
         chunk = gains[start : start + _GAIN_CHUNK]
-        states, probs, heralded = nla_catalysis_stack(source, 1.0 / chunk, config.eta_ancilla)
-        cov = _stacked(covariance_summaries(source.config, states))
-        parts.append(_sweep_columns(config, chunk[heralded], cov, probs[heralded]))
+        p, n_a, n_b, ab = catalysis_moments(source, 1.0 / chunk, config.eta_ancilla)
+        ok = p > tolerances.HERALD_MIN_PROBABILITY
+        p_ok = p[ok]
+        cov = CovarianceSummary(n_a[ok] / p_ok + 0.5, n_b[ok] / p_ok + 0.5, ab[ok] / p_ok)
+        parts.append(_sweep_columns(config, chunk[ok], cov, p_ok))
         skipped += [
-            (g, str(HeraldingImpossibleError(p)))
-            for g, p in zip(chunk[~heralded].tolist(), probs[~heralded].tolist())
+            (g, HeraldingImpossibleError(q)) for g, q in zip(chunk[~ok].tolist(), p[~ok].tolist())
         ]
     return tuple(map(np.concatenate, zip(*parts))), skipped
 
@@ -426,8 +426,8 @@ def run_scenario(config: ScenarioConfig) -> SweepResult:
     Gains whose heralding probability vanishes are reported in `skipped`
     rather than aborting the sweep.
     """
-    columns, skipped = _sweep(config)
-    return SweepResult(_rows(config, columns), skipped)
+    columns, skipped = _sweep(config, config.gain.values())
+    return SweepResult(_rows(config, columns), [(g, str(err)) for g, err in skipped])
 
 
 def run_sampling(config: ScenarioConfig) -> dict:
@@ -485,9 +485,9 @@ def run_equivalence(
         g = beta = [None]
         v_diff, v_sum = np.array([v_diff], dtype=float), np.array([v_sum], dtype=float)
     else:
-        (g, beta, v_diff, v_sum, *_), skipped_gains = _sweep(config)
+        (g, beta, v_diff, v_sum, *_), skipped_gains = _sweep(config, config.gain.values())
         g, beta = _round12(g.tolist()), _round12(beta.tolist())
-        skipped = [{"g": float(_fmt(gain)), "reason": reason} for gain, reason in skipped_gains]
+        skipped = [{"g": float(_fmt(gain)), "reason": str(err)} for gain, err in skipped_gains]
     solves = solve_equivalents(v_diff, v_sum, config.eta_a)
     # each column rounded at once; the ok rows' (gamma_eq, eta_b_eq) in turn
     states = [s.state for s in solves if s.ok]

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from eprdistill import (
     HeraldingImpossibleError,
     HilbertConfig,
+    InvalidStateError,
     apply_mode_kraus,
     catalysis_kraus_operators,
     covariance_summary,
@@ -18,7 +21,7 @@ from eprdistill import (
     tmsv_state,
 )
 from eprdistill import channels, tolerances
-from eprdistill.channels import beamsplitter_unitary, herald_click, nla_catalysis_stack
+from eprdistill.channels import beamsplitter_unitary, catalysis_moments, herald_click
 from eprdistill.fock import tensor_product
 
 from conftest import (
@@ -379,20 +382,21 @@ class TestNlaCatalysis:
             assert np.array_equal(stacked, singles)
 
     def test_stack_equals_single_calls_and_masks_impossible_gains(self):
-        # a vacuum signal without an ancilla photon never clicks
+        # each gain's moments are those of its own single-gain call, bit for
+        # bit; p stays above the herald floor exactly where nla_catalysis
+        # heralds, and a vacuum signal without an ancilla photon never clicks
         rs = np.array([0.1, 0.3, 0.5])
         for epr, eta in ((tmsv_state(0.135, CFG2), 0.65), (tmsv_state(0.0, CFG2), 0.0)):
-            states, probs, heralded = nla_catalysis_stack(epr, rs, eta)
-            for r, p, ok in zip(rs, probs, heralded):
-                if ok:
-                    state, prob = nla_catalysis(epr, r, eta)
-                    assert (prob, state.elements.tolist()) == (p, states[0].tolist())
-                    states = states[1:]
+            columns = np.array(catalysis_moments(epr, rs, eta))
+            singles = np.hstack([catalysis_moments(epr, rs[i : i + 1], eta) for i in range(3)])
+            assert columns.tobytes() == singles.tobytes()
+            for r, p in zip(rs, columns[0]):
+                if p > tolerances.HERALD_MIN_PROBABILITY:
+                    assert nla_catalysis(epr, r, eta)[1] == pytest.approx(p, rel=1e-14)
                 else:
                     with pytest.raises(HeraldingImpossibleError):
                         nla_catalysis(epr, r, eta)
-            assert len(states) == 0
-        assert heralded.tolist() == [False] * 3
+        assert columns.tolist() == [[0.0] * 3] * 4
 
     def test_vacuum_signal_heralds_at_eta_r_squared(self):
         for eta in (0.5, 0.65, 1.0):
@@ -522,9 +526,10 @@ class TestCatalysisAmplitudes:
     def test_full_reflection_without_ancilla_photon_never_clicks(self, n_max):
         # at r = 1 only the ancilla photon reaches the detector, and there is none
         epr = loss_channel(tmsv_state(0.5, HilbertConfig(n_max)), 1, 0.7)
-        _, probs, heralded = nla_catalysis_stack(epr, np.array([1.0]), 0.0)
-        assert probs.tolist() == [0.0]
-        assert not heralded.any()
+        assert [c.tolist() for c in catalysis_moments(epr, np.array([1.0]), 0.0)] == [[0.0]] * 4
+        with pytest.raises(HeraldingImpossibleError) as err:
+            nla_catalysis(epr, 1.0, 0.0)
+        assert err.value.probability == 0.0
 
     def test_completeness_defect_raises(self, monkeypatch):
         expm = channels._expm
@@ -543,6 +548,76 @@ class TestCatalysisAmplitudes:
             loss_kraus_operators(3, 0.5)
         with pytest.raises(AssertionError, match="completeness defect"):
             catalysis_kraus_operators(3, 0.3, 0.65)
+
+
+def dense_moments(epr, r: float, eta: float) -> tuple[float, ...]:
+    """(p, xx_a, xx_b, xa_xb) of nla_catalysis' state, by covariance_summary."""
+    state, p = nla_catalysis(epr, r, eta)
+    cov = covariance_summary(state)
+    return p, cov.xx_a, cov.xx_b, cov.xa_xb
+
+
+def heisenberg_moments(epr, rs, eta: float) -> tuple[np.ndarray, ...]:
+    """The same four numbers from catalysis_moments, one column per gain."""
+    p, n_a, n_b, ab = catalysis_moments(epr, rs, eta)
+    return p, n_a / p + 0.5, n_b / p + 0.5, ab / p
+
+
+class TestCatalysisMoments:
+    """The Heisenberg-picture moments against the state nla_catalysis builds."""
+
+    # (gamma, tau, eta): the losschannel preset, strong squeezing, no loss,
+    # no ancilla photon, and a middle point
+    POINTS = [(0.135, math.sqrt(0.05), 0.65), (0.9, 0.7, 0.9), (0.3, 1.0, 1.0),
+              (0.05, 0.2, 0.0), (0.6, 0.4, 0.3)]
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    @pytest.mark.parametrize("gamma, tau, eta", POINTS)
+    def test_match_the_dense_state(self, n_max, gamma, tau, eta):
+        epr = loss_channel(tmsv_state(gamma, HilbertConfig(n_max)), 1, tau)
+        gains = np.array([1.5, 8.0, 30.0, 1000.0])
+        columns = heisenberg_moments(epr, 1.0 / gains, eta)
+        for i, g in enumerate(gains):
+            expected = dense_moments(epr, 1.0 / g, eta)
+            for column, value in zip(columns, expected):
+                assert column[i] == pytest.approx(value, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_max=st.integers(1, 6),
+        gamma=st.floats(0.0, 0.95),
+        tau=st.floats(0.0, 1.0),
+        g=st.floats(1.0, 1e4),
+        eta=st.floats(0.0, 1.0),
+    )
+    def test_match_the_dense_state_anywhere(self, n_max, gamma, tau, eta, g):
+        # the cross moment can pass through zero, so its error is measured
+        # against its Cauchy-Schwarz scale sqrt(xx_a xx_b)
+        epr = loss_channel(tmsv_state(gamma, HilbertConfig(n_max)), 1, tau)
+        (p,), *_ = catalysis_moments(epr, np.array([1.0 / g]), eta)
+        if not p > tolerances.HERALD_MIN_PROBABILITY:
+            with pytest.raises(HeraldingImpossibleError):
+                nla_catalysis(epr, 1.0 / g, eta)
+            return
+        p, xx_a, xx_b, xa_xb = (c[0] for c in heisenberg_moments(epr, np.array([1.0 / g]), eta))
+        expected = dense_moments(epr, 1.0 / g, eta)
+        assert (p, xx_a, xx_b) == pytest.approx(expected[:3], rel=1e-14, abs=0.0)
+        assert abs(xa_xb - expected[3]) <= 1e-14 * math.sqrt(xx_a * xx_b)
+
+    def test_source_without_phase_symmetry_is_refused(self):
+        vec = fock_vector(CFG2.n_max, (0, 0)) + fock_vector(CFG2.n_max, (0, 1))
+        with pytest.raises(InvalidStateError, match="not phase-symmetric"):
+            catalysis_moments(pure_state(CFG2, vec), np.array([0.3]), 0.65)
+
+    @pytest.mark.parametrize("name, value", [("EIGENVALUE_FLOOR", 2.0),
+                                             ("TRACE_UPPER_SLACK", -1.0)])
+    def test_effect_outside_zero_and_one_is_refused(self, monkeypatch, name, value):
+        # a tolerance no effect can meet stands in for a broken Kraus family
+        epr = loss_channel(tmsv_state(0.135, CFG2), 1, 0.5)
+        catalysis_moments(epr, np.array([0.3]), 0.65)
+        monkeypatch.setattr(tolerances, name, value)
+        with pytest.raises(InvalidStateError, match="herald effect spectrum"):
+            catalysis_moments(epr, np.array([0.3]), 0.65)
 
 
 class TestDeltaBlockStructure:

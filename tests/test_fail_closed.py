@@ -20,13 +20,14 @@ from eprdistill import (
     InvalidStateError,
     beta_from_gain,
     ideal_variances,
+    normalize,
     optimal_gain,
     sp_model_covariance,
-    sp_model_herald_probability,
+    tmsv_state,
 )
-from eprdistill.channels import _check_complete
-from eprdistill.fock import apply_unitary, herald
-from eprdistill.quadratures import covariance_summaries
+from eprdistill.channels import _check_complete, catalysis_moments
+from eprdistill.fock import apply_unitary, check_phase_symmetric
+from eprdistill.models import sp_model
 
 NAN = math.nan
 CFG1 = HilbertConfig(1)
@@ -46,15 +47,17 @@ def vacuum_with(index, value) -> np.ndarray:
                  InvalidStateError, id="state-all-nan"),
     pytest.param(lambda: DensityMatrix(CFG1, vacuum_with((0, 0), math.inf)),
                  InvalidStateError, id="state-inf"),
-    pytest.param(lambda: herald(CFG1, np.diag([NAN, 0.0, 0.0, 0.0])[None]),
+    pytest.param(lambda: normalize(CFG1, np.diag([NAN, 0.0, 0.0, 0.0])),
                  InvalidStateError, id="herald-nan-probability"),
-    # zero trace alone would mask this branch as one that cannot herald
-    pytest.param(lambda: herald(CFG1, np.triu(np.full((1, 4, 4), NAN), 1)),
+    # zero trace alone would reject this branch as one that cannot herald
+    pytest.param(lambda: normalize(CFG1, np.triu(np.full((4, 4), NAN), 1)),
                  InvalidStateError, id="herald-nan-off-diagonal-zero-trace"),
     pytest.param(lambda: CovarianceSummary(NAN, NAN, NAN), ValueError, id="moments-nan"),
     pytest.param(lambda: CovarianceSummary(0.5, 0.5, NAN), ValueError, id="cross-moment-nan"),
-    pytest.param(lambda: covariance_summaries(CFG1, vacuum_with((0, 1), NAN)[None]),
+    pytest.param(lambda: check_phase_symmetric(CFG1, vacuum_with((0, 1), NAN)),
                  ValueError, id="off-block-nan"),
+    pytest.param(lambda: catalysis_moments(tmsv_state(0.1, CFG1), np.array([0.5, NAN]), 0.65),
+                 ValueError, id="catalysis-moments-r-nan"),
     pytest.param(lambda: EquivalentState(NAN, 0.5, 0.5), ValueError, id="gamma-eq-nan"),
     pytest.param(lambda: beta_from_gain(NAN, 0.1, 1.0), ValueError, id="gain-nan"),
     pytest.param(lambda: beta_from_gain(2.0, NAN, 1.0), ValueError, id="gamma-tau-nan"),
@@ -62,10 +65,8 @@ def vacuum_with(index, value) -> np.ndarray:
                  id="gain-column-nan"),
     pytest.param(lambda: CovarianceSummary(np.array([0.5, NAN]), np.full(2, 0.5), np.zeros(2)),
                  ValueError, id="moment-column-nan"),
-    pytest.param(lambda: sp_model_herald_probability(0.1, 0.2, 2.0, NAN), ValueError,
-                 id="herald-eta-nan"),
-    pytest.param(lambda: sp_model_herald_probability(0.1, 0.2, NAN, 0.5), ValueError,
-                 id="herald-gain-nan"),
+    pytest.param(lambda: sp_model(0.1, 0.2, 2.0, NAN)[1], ValueError, id="herald-eta-nan"),
+    pytest.param(lambda: sp_model(0.1, 0.2, NAN, 0.5)[1], ValueError, id="herald-gain-nan"),
     pytest.param(lambda: optimal_gain(NAN, 1.0), ValueError, id="optimal-gain-nan"),
     pytest.param(lambda: ideal_variances(NAN), ValueError, id="beta-nan"),
     pytest.param(lambda: _check_complete(np.full((1, 2, 2), NAN)),
@@ -81,7 +82,10 @@ def test_nan_is_rejected(make, error):
         make()
 
 
-@pytest.mark.parametrize("model", [sp_model_covariance, sp_model_herald_probability])
+@pytest.mark.parametrize("model", [
+    sp_model_covariance,
+    pytest.param(lambda *args: sp_model(*args)[1], id="sp_model_herald_probability"),
+])
 @pytest.mark.parametrize("gain, eta", [(0.5, 1.5), (0.5, 0.5), (2.0, 1.5), (2.0, -0.1)])
 def test_single_photon_model_checks_gain_and_eta(model, gain, eta):
     # the covariance and the click probability share one check of g >= 1

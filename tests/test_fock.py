@@ -13,13 +13,7 @@ from eprdistill import (
     pure_state,
 )
 from eprdistill.channels import beamsplitter_unitary
-from eprdistill.fock import (
-    _check_states,
-    apply_unitary,
-    herald,
-    partial_trace,
-    tensor_product,
-)
+from eprdistill.fock import apply_unitary, partial_trace, tensor_product
 
 from conftest import (
     annihilation_operator,
@@ -242,23 +236,27 @@ class TestNormalize:
             normalize(cfg, np.diag([1.0, 2e-12, 0.0, 0.0]).astype(complex))
 
     def test_stack_keeps_only_the_heralding_branches(self):
+        # of a stack of branches, each that can herald becomes a read-only
+        # state, and each other one raises
         cfg = HilbertConfig(n_max=1)
         vac = np.diag([1.0, 0.0, 0.0, 0.0])
-        states, probs, heralded = herald(cfg, np.stack([0.25 * vac, 1e-16 * vac, 0.5 * vac]))
-        np.testing.assert_array_equal(probs, [0.25, 1e-16, 0.5])
-        np.testing.assert_array_equal(heralded, [True, False, True])
-        np.testing.assert_array_equal(states, [vac, vac])
-        assert not states.flags.writeable
+        for branch, prob in ((0.25 * vac, 0.25), (0.5 * vac, 0.5)):
+            state, p = normalize(cfg, branch)
+            assert p == prob
+            np.testing.assert_array_equal(state.elements, vac)
+            assert not state.elements.flags.writeable
+        with pytest.raises(HeraldingImpossibleError):
+            normalize(cfg, 1e-16 * vac)
         with pytest.raises(InvalidStateError, match="trace"):
-            herald(cfg, np.stack([0.25 * vac, np.diag([1.0, 2e-12, 0.0, 0.0])]))
+            normalize(cfg, np.diag([1.0, 2e-12, 0.0, 0.0]))
         with pytest.raises(InvalidStateError, match="eigenvalue"):
-            herald(cfg, np.stack([0.25 * vac, np.diag([0.6, -0.1, 0.0, 0.0])]))
+            normalize(cfg, np.diag([0.6, -0.1, 0.0, 0.0]))
 
     def test_nothing_heralds(self):
         cfg = HilbertConfig(n_max=1)
-        states, _, heralded = herald(cfg, np.zeros((3, 4, 4)))
-        assert states.shape == (0, 4, 4)
-        assert not heralded.any()
+        with pytest.raises(HeraldingImpossibleError) as err:
+            normalize(cfg, np.zeros((4, 4)))
+        assert err.value.probability == 0.0
 
 
 class TestStateInvariants:
@@ -295,11 +293,9 @@ class TestStateInvariants:
         with pytest.raises(InvalidStateError, match="Hermitian"):
             DensityMatrix(cfg, padded(np.array([[0.5, 0.25j], [0.25j, 0.5]])))
 
-    def test_stack_check_names_the_failing_invariant(self):
+    def test_state_check_names_the_failing_invariant(self):
         cfg = HilbertConfig(n_max=1)
-        good = padded(np.diag([0.75, 0.25]))
-        _check_states(cfg, np.stack([good, good]))
-        _check_states(cfg, np.empty((0, 4, 4)))  # nothing to validate
+        DensityMatrix(cfg, padded(np.diag([0.75, 0.25])))
         cases = [
             (padded(np.diag([1.2, -0.2])), "eigenvalue"),
             (padded(np.diag([0.8, 0.8])), "trace 1.600e\\+00"),
@@ -307,9 +303,8 @@ class TestStateInvariants:
             (np.eye(3) / 3, "shape"),
         ]
         for bad, message in cases:
-            stack = np.stack([good, bad]) if bad.shape == good.shape else bad[None]
             with pytest.raises(InvalidStateError, match=message):
-                _check_states(cfg, stack)
+                DensityMatrix(cfg, bad)
 
     def test_elements_are_immutable(self):
         cfg = HilbertConfig(n_max=1)

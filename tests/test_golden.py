@@ -11,6 +11,9 @@ significant digits, must match exactly.  Regenerate only for a deliberate change
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from eprdistill.cli import PRESET_NAMES, load_preset, main
 from eprdistill.scenario import dump_json_report
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 ROW_FIELDS = ("g", "beta", "v_diff", "v_sum", "duan_i", "duan_a_star", "herald_p")
 RTOL = 1e-12
 
@@ -100,6 +104,28 @@ def test_cli_sample_report_matches_golden(tmp_path):
 def test_equiv_report_matches_golden(stem, args):
     golden = json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))
     assert equiv_report(args) == golden
+
+
+# numpy's AVX-512 arcsin and exp can differ from libm in the last bit, and
+# OpenBLAS picks its kernels by CPU.  These variables make a child process
+# run numpy's AVX2 loops and OpenBLAS's Haswell kernels instead.  On a CPU
+# without AVX-512 both runs take the same paths, so the test passes trivially.
+SECOND_DISPATCH = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_CORETYPE": "Haswell",
+}
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_sweep_bytes_do_not_depend_on_the_dispatch(tmp_path, preset):
+    argv = [sys.executable, "-m", "eprdistill.cli", "sweep", "--preset", preset, "--n-max", "6"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    default, second = (
+        subprocess.run(argv, env=child_env, cwd=tmp_path, capture_output=True, check=True).stdout
+        for child_env in (env, {**env, **SECOND_DISPATCH})
+    )
+    assert default.startswith(b"g,beta,")
+    assert second == default
 
 
 if __name__ == "__main__":

@@ -15,10 +15,10 @@ from eprdistill import (
     loss_channel,
     optimal_gain,
     sp_model_covariance,
-    sp_model_herald_probability,
     tmsv_covariance,
     tmsv_state,
 )
+from eprdistill.models import sp_model
 
 
 class TestIdealVariances:
@@ -111,13 +111,13 @@ class TestSinglePhotonModel:
 
     def test_herald_probability_limits(self):
         # eta = 1, vanishing squeezing: p -> r^2
-        assert sp_model_herald_probability(1e-9, 1.0, 10.0, 1.0) == pytest.approx(
+        assert sp_model(1e-9, 1.0, 10.0, 1.0)[1] == pytest.approx(
             0.01, rel=1e-6
         )
         # eta = 0: only the transmitted signal photon clicks
         gamma, tau = 0.1, 0.5
         expected = (gamma * tau) ** 2 / (1.0 + (gamma * tau) ** 2)
-        assert sp_model_herald_probability(gamma, tau, 10.0, 0.0) == pytest.approx(expected)
+        assert sp_model(gamma, tau, 10.0, 0.0)[1] == pytest.approx(expected)
 
 
 class TestDeterministicBound:

@@ -15,7 +15,10 @@ from eprdistill import (
     ConfigError,
     GainSpec,
     HeraldingImpossibleError,
+    HilbertConfig,
+    InvalidStateError,
     ScenarioConfig,
+    pure_state,
     run_equivalence,
     run_sampling,
     run_scenario,
@@ -315,6 +318,24 @@ class TestRunScenario:
         result = run_scenario(loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": 8}))
         assert len(result.rows) == 8
         assert len(calls) == 1
+
+    def test_sweep_checks_each_herald_effect(self, monkeypatch):
+        # a family scaled past completeness has an effect above 1
+        original = channels.catalysis_kraus_operators
+        monkeypatch.setattr(
+            channels, "catalysis_kraus_operators", lambda *args: 2.0 * original(*args)
+        )
+        with pytest.raises(InvalidStateError, match="herald effect spectrum"):
+            run_scenario(loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": 8}))
+
+    def test_sweep_refuses_a_source_without_phase_symmetry(self, monkeypatch):
+        # (|00> + |01>)/sqrt(2) has a coherence between n_A - n_B = 0 and -1
+        vec = np.zeros(16)
+        vec[[0, 1]] = 1.0
+        source = pure_state(HilbertConfig(3), vec)
+        monkeypatch.setattr(scenario, "_lossy_source", lambda config: source)
+        with pytest.raises(InvalidStateError, match="not phase-symmetric"):
+            run_scenario(loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": 8}))
 
     @pytest.mark.parametrize("n_max", [3, 6])
     @pytest.mark.parametrize("preset", cli.PRESET_NAMES)
