@@ -6,9 +6,10 @@ single-photon ancilla, the mixing beamsplitter and the click detector into
 one heralded Kraus map on mode B, so every state stays a two-mode state.
 Loss and that map share one table of binomial beamsplitter amplitudes, loss
 being that beamsplitter with a vacuum ancilla.  A gain sweep reads that map
-in the Heisenberg picture (`catalysis_moments`) and builds no heralded state.
-The dense beamsplitter unitary and the click on a three-mode array are the
-parts of the tests' oracle, which writes the circuit out mode by mode.
+in the Heisenberg picture (`quadratures.kraus_moments` on the families of
+`catalysis_kraus_operators`) and builds no heralded state.  The dense
+beamsplitter unitary and the click on a three-mode array are the parts of
+the tests' oracle, which writes the circuit out mode by mode.
 
 Sign conventions, pinned once so every downstream number is reproducible:
 
@@ -32,9 +33,7 @@ from . import tolerances
 from .fock import (
     DensityMatrix,
     HilbertConfig,
-    InvalidStateError,
     apply_mode_kraus,
-    check_phase_symmetric,
     normalize,
     partial_trace,
     pure_state,
@@ -218,56 +217,7 @@ def nla_catalysis(
 
     Returns the distilled state and the heralding probability.  For a
     vacuum-signal input the probability is exactly eta_ancilla * r^2.  A
-    gain sweep reads the same map through `catalysis_moments` instead.
+    gain sweep reads the same map through `quadratures.kraus_moments` instead.
     """
     kraus = catalysis_kraus_operators(epr.config.n_max, r, eta_ancilla)
     return normalize(epr.config, apply_mode_kraus(epr, 1, kraus))
-
-
-def catalysis_moments(
-    epr: DensityMatrix, rs: np.ndarray, eta_ancilla: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Moments of `nla_catalysis`' raw branch sigma at a 1-D array of G
-    reflectivities: (G,) columns Tr sigma, <n_A>, <n_B>, Re<ab>, unnormalized.
-
-    With K on mode B, Tr[sigma (O_A (x) O_B)] = Tr[rho (O_A (x) sum K^T O_B K)],
-    so per gain E = sum K^T K, N = sum K^T n K and B = sum K^T b K suffice;
-    with rho_mm' the mode-B block of the source, Tr sigma = sum_m Tr(rho_mm E),
-    <n_A> = sum_m m Tr(rho_mm E), <n_B> = sum_m Tr(rho_mm N) and <ab> =
-    sum_m sqrt(m) Tr(rho_m,m-1 B).  Each K shifts the photon number by a fixed
-    amount, so a phase-symmetric source, the only kind accepted, keeps <ab>
-    the one two-mode ladder moment.  Each E must lie in [0, 1] (the branch
-    is a state of trace <= 1).  A gain's columns do not depend on G.
-    """
-    cfg = epr.config
-    check_phase_symmetric(cfg, epr.elements / epr.trace)
-    d = cfg.dim_per_mode
-    kraus = catalysis_kraus_operators(cfg.n_max, rs, eta_ancilla)
-    levels = np.arange(d)
-    ladder = np.sqrt(levels)
-    lowered = np.zeros_like(kraus)  # b K: row k moves to k - 1 with sqrt(k)
-    lowered[..., :-1, :] = ladder[1:, None] * kraus[..., 1:, :]
-    rows = kraus.reshape(len(kraus), -1, d)
-    # sum_i (O K_i)^T K_i, the transpose of each Heisenberg operator
-    effect, number, lowering = (
-        op.reshape(rows.shape).swapaxes(1, 2) @ rows
-        for op in (kraus, levels[:, None] * kraus, lowered)
-    )
-    spectrum = np.linalg.eigvalsh(effect)
-    low, high = spectrum[:, 0].min(), spectrum[:, -1].max()
-    if not (low >= tolerances.EIGENVALUE_FLOOR and high <= 1.0 + tolerances.TRACE_UPPER_SLACK):
-        raise InvalidStateError(f"herald effect spectrum [{low:.3e}, {high:.3e}] outside [0, 1]")
-    rho = epr.elements.reshape(d, d, d, d)
-    diagonal = rho[levels, :, levels, :]  # rho_mm
-    below = ladder[1:, None, None] * rho[levels[1:], :, levels[:-1], :]  # sqrt(m) rho_m,m-1
-
-    def traces(block, transposed):  # Tr(block O) per gain, O^T given
-        return np.real(block * transposed).reshape(len(transposed), -1).sum(axis=1)
-
-    reduced = diagonal.sum(axis=0)
-    return (
-        traces(reduced, effect),
-        traces((levels[:, None, None] * diagonal).sum(axis=0), effect),
-        traces(reduced, number),
-        traces(below.sum(axis=0), lowering),
-    )

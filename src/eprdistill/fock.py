@@ -14,8 +14,8 @@ cutoff artifacts (e.g. the commutator defect in the top Fock level) are
 quantified in tests rather than hidden behind renormalization.
 
 Each state is checked on its own where it is built; phase symmetry (block
-structure in n_A - n_B), which moments read from photon numbers rely on, is
-checked apart by `check_phase_symmetric`.
+structure in n_A - n_B), which `quadratures.kraus_moments` relies on to read
+moments from photon numbers, is checked apart by `check_phase_symmetric`.
 """
 
 from __future__ import annotations
@@ -145,11 +145,10 @@ def partial_trace(rho: np.ndarray, d: int, mode: int) -> np.ndarray:
 def apply_mode_kraus(state: DensityMatrix, mode: int, ops) -> np.ndarray:
     """Apply rho -> sum_i K_i rho K_i^dag with single-mode operators on `mode`.
 
-    The d x d operators are stacked into the one-mode superoperator
+    The (n, d, d) family is stacked into the one-mode superoperator
     S[k, l, b, c] = sum_i K_i[k, b] conj(K_i[l, c]), which is contracted with
     the row and column indices of `mode` in the reshaped state tensor; no
-    full-size kron(I, K) is formed.  G families, shape (G, n, d, d), give the
-    (G, dim, dim) stack of their images.  Returns the raw matrix, which is
+    full-size kron(I, K) is formed.  Returns the raw matrix, which is
     sub-normalized for a heralded branch, so the caller can read its trace
     before validating it as a state.
     """
@@ -157,16 +156,14 @@ def apply_mode_kraus(state: DensityMatrix, mode: int, ops) -> np.ndarray:
     cfg.check_mode(mode)
     d = cfg.dim_per_mode
     kraus = np.asarray(ops)
-    if kraus.ndim not in (3, 4) or kraus.shape[-2:] != (d, d):
+    if kraus.ndim != 3 or kraus.shape[-2:] != (d, d):
         raise ValueError(f"expected a stack of {d}x{d} operators, got shape {kraus.shape}")
-    flat = kraus.reshape(-1, kraus.shape[-3], d * d)
-    superop = flat.transpose(0, 2, 1) @ flat.conj()
-    superop = superop.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
+    flat = kraus.reshape(len(kraus), d * d)
+    superop = (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3)
     pre, post = d**mode, d ** (1 - mode)
     tensor = state.elements.reshape(pre, d, post, pre, d, post)
-    out = np.tensordot(superop, tensor, axes=([3, 4], [1, 4]))
-    out = out.transpose(0, 3, 1, 4, 5, 2, 6).reshape(-1, cfg.dim, cfg.dim)
-    return out if kraus.ndim == 4 else out[0]
+    out = np.tensordot(superop, tensor, axes=([2, 3], [1, 4]))
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(cfg.dim, cfg.dim)
 
 
 def normalize(config: HilbertConfig, branch: np.ndarray) -> tuple[DensityMatrix, float]:

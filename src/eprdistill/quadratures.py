@@ -6,6 +6,9 @@ vacuum variance is 1/2 per quadrature and the shot-noise level of the
 sum/difference combinations equals 1.  All states handled here are
 phase-symmetric (block diagonal in n_A - n_B), hence zero-mean; measurements
 are evaluated at the canonical phase pair (no local-oscillator phase scanning).
+
+Every second moment is read by `kraus_moments` in the Heisenberg picture of
+mode-B Kraus families: catalysis in a gain sweep, the identity otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .fock import DensityMatrix, check_phase_symmetric
+from .fock import DensityMatrix, InvalidStateError, check_phase_symmetric
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,53 @@ class DuanResult:
     a_star: float
 
 
+def kraus_moments(state: DensityMatrix, kraus: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Moments of the raw branch sigma = sum_i K_i rho K_i^T for each of G
+    real Kraus families on mode B, shape (G, n, d, d): (G,) columns Tr sigma,
+    <n_A>, <n_B>, Re<ab>, unnormalized.  No sigma is built.
+
+    With K on mode B, Tr[sigma (O_A (x) O_B)] = Tr[rho (O_A (x) sum K^T O_B K)],
+    so per family E = sum K^T K, N = sum K^T n K and B = sum K^T b K suffice;
+    with rho_mm' the mode-B block of the state, Tr sigma = sum_m Tr(rho_mm E),
+    <n_A> = sum_m m Tr(rho_mm E), <n_B> = sum_m Tr(rho_mm N) and <ab> =
+    sum_m sqrt(m) Tr(rho_m,m-1 B).  A K of loss, catalysis or the identity
+    shifts the photon number by a fixed amount, so a phase-symmetric state,
+    the only kind accepted, keeps <ab> the one two-mode ladder moment of
+    sigma.  Each E must lie in [0, 1] (the branch is a state of trace <= 1).
+    A family's columns do not depend on G.
+    """
+    check_phase_symmetric(state.config, state.elements / state.trace)
+    d = state.config.dim_per_mode
+    levels = np.arange(d)
+    ladder = np.sqrt(levels)
+    lowered = np.zeros_like(kraus)  # b K: row k moves to k - 1 with sqrt(k)
+    lowered[..., :-1, :] = ladder[1:, None] * kraus[..., 1:, :]
+    rows = kraus.reshape(len(kraus), -1, d)
+    # sum_i (O K_i)^T K_i, the transpose of each Heisenberg operator
+    effect, number, lowering = (
+        op.reshape(rows.shape).swapaxes(1, 2) @ rows
+        for op in (kraus, levels[:, None] * kraus, lowered)
+    )
+    spectrum = np.linalg.eigvalsh(effect)
+    low, high = spectrum[:, 0].min(), spectrum[:, -1].max()
+    if not (low >= tolerances.EIGENVALUE_FLOOR and high <= 1.0 + tolerances.TRACE_UPPER_SLACK):
+        raise InvalidStateError(f"herald effect spectrum [{low:.3e}, {high:.3e}] outside [0, 1]")
+    rho = state.elements.reshape(d, d, d, d)
+    diagonal = rho[levels, :, levels, :]  # rho_mm
+    below = ladder[1:, None, None] * rho[levels[1:], :, levels[:-1], :]  # sqrt(m) rho_m,m-1
+
+    def traces(block, transposed):  # Tr(block O) per family, O^T given
+        return np.real(block * transposed).reshape(len(transposed), -1).sum(axis=1)
+
+    reduced = diagonal.sum(axis=0)
+    return (
+        traces(reduced, effect),
+        traces((levels[:, None, None] * diagonal).sum(axis=0), effect),
+        traces(reduced, number),
+        traces(below.sum(axis=0), lowering),
+    )
+
+
 def covariance_summary(state: DensityMatrix) -> CovarianceSummary:
     """Second moments of a phase-symmetric two-mode state.
 
@@ -69,20 +119,13 @@ def covariance_summary(state: DensityMatrix) -> CovarianceSummary:
     this library builds is.  Then the reduced states are diagonal and <ab> is
     the one two-mode ladder moment left, so xx = <P^2> = <n> + 1/2 per mode
     and xa_xb = -<P_A P_B> = Re<ab> (Weedbrook et al., RMP 84, 621 (2012)).
-    Moments are taken relative to the trace.  Raises if an element between
-    Delta blocks exceeds OFF_BLOCK_ATOL, which signals a circuit bug.
+    Moments are `kraus_moments` of the identity family, taken relative to
+    the trace.  Raises if an element between Delta blocks exceeds
+    OFF_BLOCK_ATOL, which signals a circuit bug.
     """
-    d = state.config.dim_per_mode
-    rho = state.elements / state.trace
-    check_phase_symmetric(state.config, rho)
-    levels = np.arange(d)
-    populations = np.real(np.diagonal(rho)).reshape(d, d)
-    n_a = (populations.sum(axis=1) * levels).sum()
-    n_b = (populations.sum(axis=0) * levels).sum()
-    # Re<ab> = sum over m, n >= 1 of sqrt(m n) Re rho[(m-1, n-1), (m, n)]
-    shifted = np.einsum("ijij->ij", rho.reshape(d, d, d, d)[:-1, :-1, 1:, 1:])
-    ab = np.sum(np.sqrt(np.outer(levels[1:], levels[1:])) * np.real(shifted))
-    return CovarianceSummary(float(n_a) + 0.5, float(n_b) + 0.5, float(ab))
+    identity = np.eye(state.config.dim_per_mode)[None, None]
+    p, n_a, n_b, ab = (float(column[0]) for column in kraus_moments(state, identity))
+    return CovarianceSummary(n_a / p + 0.5, n_b / p + 0.5, ab / p)
 
 
 def apply_detection_efficiency(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tolerances
 from .channels import (
-    catalysis_moments,
+    catalysis_kraus_operators,
     loss_channel,
     nla_catalysis,
     pump_rotation_degrade,
@@ -34,6 +34,7 @@ from .quadratures import (
     apply_detection_efficiency,
     covariance_summary,
     duan_inseparability,
+    kraus_moments,
     sample_quadratures,
 )
 
@@ -51,9 +52,9 @@ MAX_SAMPLE_COUNT = 1_000_000
 # standard deviation, sqrt(1/2), in these units.
 SHOT_NOISE_RADIUS = float(np.sqrt(0.5))
 
-# Gains of a full_numeric sweep evaluated as one stack: catalysis_moments
-# peaks at about 15 KB per gain at n_max = 6 (tracemalloc), so a stack stays
-# near 1 MB however long the sweep.
+# Gains of a full_numeric sweep evaluated as one stack: their catalysis
+# families and kraus_moments peak at about 15 KB per gain at n_max = 6
+# (tracemalloc), so a stack stays near 1 MB however long the sweep.
 _GAIN_CHUNK = 64
 
 # Sample pairs formatted per write of a sample report: large enough to
@@ -400,8 +401,9 @@ def _sweep(
 
     The analytic models evaluate the whole grid as one batch, full_numeric
     its gains in stacks of _GAIN_CHUNK on one lossy source, reading each
-    stack's moments from `catalysis_moments`.  A gain whose herald
-    probability is at or below HERALD_MIN_PROBABILITY is skipped.
+    stack's moments with `kraus_moments` from its catalysis families.  A
+    gain whose herald probability is at or below HERALD_MIN_PROBABILITY is
+    skipped.
     """
     if config.model != "full_numeric":
         return _analytic_columns(config, gains), []
@@ -409,7 +411,8 @@ def _sweep(
     parts, skipped = [], []
     for start in range(0, len(gains), _GAIN_CHUNK):
         chunk = gains[start : start + _GAIN_CHUNK]
-        p, n_a, n_b, ab = catalysis_moments(source, 1.0 / chunk, config.eta_ancilla)
+        kraus = catalysis_kraus_operators(config.n_max, 1.0 / chunk, config.eta_ancilla)
+        p, n_a, n_b, ab = kraus_moments(source, kraus)
         ok = p > tolerances.HERALD_MIN_PROBABILITY
         p_ok = p[ok]
         cov = CovarianceSummary(n_a[ok] / p_ok + 0.5, n_b[ok] / p_ok + 0.5, ab[ok] / p_ok)

@@ -21,8 +21,9 @@ from eprdistill import (
     tmsv_state,
 )
 from eprdistill import channels, tolerances
-from eprdistill.channels import beamsplitter_unitary, catalysis_moments, herald_click
+from eprdistill.channels import beamsplitter_unitary, herald_click
 from eprdistill.fock import tensor_product
+from eprdistill.quadratures import kraus_moments
 
 from conftest import (
     ancilla_photon,
@@ -548,6 +549,11 @@ class TestCatalysisAmplitudes:
             loss_kraus_operators(3, 0.5)
         with pytest.raises(AssertionError, match="completeness defect"):
             catalysis_kraus_operators(3, 0.3, 0.65)
+
+
+def catalysis_moments(epr, rs, eta: float) -> tuple[np.ndarray, ...]:
+    """kraus_moments of the catalysis families at the reflectivities rs."""
+    return kraus_moments(epr, catalysis_kraus_operators(epr.config.n_max, rs, eta))
 
 
 def dense_moments(epr, r: float, eta: float) -> tuple[float, ...]:

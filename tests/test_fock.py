@@ -189,17 +189,6 @@ class TestApplyModeKraus:
             out = DensityMatrix(cfg, apply_mode_kraus(rho, mode, ops))
             assert out.trace == pytest.approx(rho.trace, abs=1e-13)
 
-    def test_gain_axis_stacks_each_family(self, rng):
-        cfg = HilbertConfig(n_max=2)
-        d = cfg.dim_per_mode
-        rho = random_density_matrix(cfg, rng)
-        families = rng.normal(size=(4, 3, d, d)) + 1j * rng.normal(size=(4, 3, d, d))
-        for mode in (0, 1):
-            stacked = apply_mode_kraus(rho, mode, families)
-            assert stacked.shape == (4, cfg.dim, cfg.dim)
-            for out, ops in zip(stacked, families):
-                np.testing.assert_array_equal(out, apply_mode_kraus(rho, mode, ops))
-
     def test_rejects_wrong_operator_shape(self):
         cfg = HilbertConfig(n_max=2)
         vac = pure_state(cfg, fock_vector(cfg.n_max, (0, 0)))
@@ -207,6 +196,8 @@ class TestApplyModeKraus:
             apply_mode_kraus(vac, 0, [np.eye(4)])
         with pytest.raises(ValueError):
             apply_mode_kraus(vac, 2, [np.eye(3)])
+        with pytest.raises(ValueError):
+            apply_mode_kraus(vac, 0, np.eye(3)[None, None])
 
 
 class TestNormalize:

@@ -16,6 +16,7 @@ from eprdistill import (
     duan_inseparability,
     joint_quadrature_pdf,
     loss_channel,
+    loss_kraus_operators,
     nla_catalysis,
     pure_state,
     sample_quadratures,
@@ -23,7 +24,7 @@ from eprdistill import (
 )
 from eprdistill import quadratures
 from eprdistill.cli import load_preset
-from eprdistill.quadratures import hermite_functions
+from eprdistill.quadratures import hermite_functions, kraus_moments
 from eprdistill.scenario import build_distilled_state
 
 from conftest import (
@@ -194,6 +195,31 @@ class TestCovarianceSummary:
     def test_cauchy_schwarz_enforced(self):
         with pytest.raises(ValueError, match="Cauchy-Schwarz"):
             CovarianceSummary(0.5, 0.5, 0.9)
+
+
+class TestKrausMoments:
+    """The moment reader on a family other than the identity and catalysis."""
+
+    TAUS = np.array([0.0, 0.3, np.sqrt(0.05), 0.9, 1.0])
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_loss_families_match_the_lossy_state(self, rng, n_max):
+        # the loss family is complete, so p = 1; a stack of G families gives
+        # each family's single-call columns bit for bit.  The cross moment can
+        # pass through zero, so its error is measured against sqrt(xx_a xx_b)
+        state = random_density_matrix(HilbertConfig(n_max), rng, zero_mean=True)
+        columns = np.array(kraus_moments(state, loss_kraus_operators(n_max, self.TAUS)))
+        singles = np.hstack(
+            [kraus_moments(state, loss_kraus_operators(n_max, tau)[None]) for tau in self.TAUS]
+        )
+        assert columns.tobytes() == singles.tobytes()
+        for (p, n_a, n_b, ab), tau in zip(columns.T, self.TAUS):
+            cov = covariance_summary(loss_channel(state, 1, tau))
+            assert p == pytest.approx(1.0, rel=1e-14)
+            assert (n_a / p + 0.5, n_b / p + 0.5) == pytest.approx(
+                (cov.xx_a, cov.xx_b), rel=1e-14, abs=0.0
+            )
+            assert abs(ab / p - cov.xa_xb) <= 1e-14 * np.sqrt(cov.xx_a * cov.xx_b)
 
 
 class TestDetectionEfficiency:

@@ -310,9 +310,9 @@ class TestRunScenario:
 
     def test_one_catalysis_family_stack_per_sweep(self, monkeypatch):
         calls = []
-        original = channels.catalysis_kraus_operators
+        original = scenario.catalysis_kraus_operators
         monkeypatch.setattr(
-            channels, "catalysis_kraus_operators",
+            scenario, "catalysis_kraus_operators",
             lambda *args: calls.append(args) or original(*args),
         )
         result = run_scenario(loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": 8}))
@@ -321,9 +321,9 @@ class TestRunScenario:
 
     def test_sweep_checks_each_herald_effect(self, monkeypatch):
         # a family scaled past completeness has an effect above 1
-        original = channels.catalysis_kraus_operators
+        original = scenario.catalysis_kraus_operators
         monkeypatch.setattr(
-            channels, "catalysis_kraus_operators", lambda *args: 2.0 * original(*args)
+            scenario, "catalysis_kraus_operators", lambda *args: 2.0 * original(*args)
         )
         with pytest.raises(InvalidStateError, match="herald effect spectrum"):
             run_scenario(loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": 8}))
@@ -420,7 +420,7 @@ class TestRunScenario:
             for n_max in range(1, 7)
         ]
         texts = [run_scenario(config).to_csv_text() for config in configs]
-        monkeypatch.setattr(channels, "catalysis_kraus_operators", dense_catalysis_kraus)
+        monkeypatch.setattr(scenario, "catalysis_kraus_operators", dense_catalysis_kraus)
         assert texts == [run_scenario(config).to_csv_text() for config in configs]
 
 
@@ -501,6 +501,22 @@ class TestRunSampling:
         written = json.loads(path.read_text(encoding="utf-8"))["samples"]
         assert written == [[float(f"{x:.12g}") for x in pair] for pair in samples.tolist()]
         assert written != samples.tolist()  # the writer rounded them
+
+    @pytest.mark.parametrize("preset", cli.PRESET_NAMES)
+    @pytest.mark.parametrize("g", [3.0, 14.0, 30.0])
+    def test_metadata_equals_the_sweep_at_its_gain(self, preset, g):
+        # the dense path (heralded state, detector loss channels,
+        # covariance_summary) against the sweep's Heisenberg-picture moments
+        # and moment-level detector efficiencies; the report keeps 12 digits
+        config = ScenarioConfig.from_dict(
+            {**load_preset(preset), "n_max": 3, "gain": {"g": g}, "sample_count": 1}
+        )
+        meta = run_sampling(config)["metadata"]
+        row = evaluate_gain_point(config, g)
+        sampled = (meta["herald_probability"], meta["model_v_diff"], meta["model_v_sum"],
+                   meta["beta"])
+        assert sampled == pytest.approx((row.herald_p, row.v_diff, row.v_sum, row.beta),
+                                        rel=1e-11, abs=0.0)
 
     def test_sweep_gain_rejected(self):
         with pytest.raises(ConfigError):
