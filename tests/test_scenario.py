@@ -25,10 +25,13 @@ from eprdistill import (
 )
 from eprdistill import channels, cli, scenario
 from eprdistill.cli import build_parser, load_preset, main
+from eprdistill.quadratures import covariance_summary
 from eprdistill.scenario import (
     CSV_HEADER,
     MAX_GAIN_STEPS,
     MAX_SAMPLE_COUNT,
+    SweepResult,
+    SweepRow,
     build_distilled_state,
     dump_json_report,
     evaluate_gain_point,
@@ -440,6 +443,26 @@ class TestCsvOutput:
         # 12 significant digits
         assert first[2] == f"{result.rows[0].v_diff:.12g}"
 
+    def test_rows_match_the_per_field_format(self):
+        # every edge float and non-finite value in every numeric column
+        values = [*EDGE_FLOATS, math.inf, -math.inf, math.nan]
+        rows = [
+            SweepRow(*(values[(i + k) % len(values)] for k in range(7)), model)
+            for i in range(len(values)) for model in scenario.MODELS
+        ]
+        lines = [
+            ",".join([format(x, ".12g") for x in dataclasses.astuple(row)[:7]] + [row.model])
+            for row in rows
+        ]
+        assert SweepResult(rows).to_csv_text() == "\n".join([CSV_HEADER, *lines]) + "\n"
+        assert SweepResult([]).to_csv_text() == CSV_HEADER + "\n"
+
+    def test_infinite_field_prints_inf(self, capsys):
+        # at g = 1e308 the Duan minimiser a* overflows; the row still prints
+        assert main(["sweep", "--preset", "lowsqueeze", "--gain.g", "1e308"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[CSV_HEADER.split(",").index("duan_a_star")] == "inf"
+
     def test_reproducible_bytes(self, tmp_path):
         config = loss_scenario(gain={"g_min": 5.0, "g_max": 15.0, "steps": 5})
         one, two = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -502,21 +525,54 @@ class TestRunSampling:
         assert written == [[float(f"{x:.12g}") for x in pair] for pair in samples.tolist()]
         assert written != samples.tolist()  # the writer rounded them
 
+    @staticmethod
+    def preset_config(preset, g):
+        return ScenarioConfig.from_dict(
+            {**load_preset(preset), "n_max": 3, "gain": {"g": g}, "sample_count": 1}
+        )
+
     @pytest.mark.parametrize("preset", cli.PRESET_NAMES)
     @pytest.mark.parametrize("g", [3.0, 14.0, 30.0])
     def test_metadata_equals_the_sweep_at_its_gain(self, preset, g):
-        # the dense path (heralded state, detector loss channels,
-        # covariance_summary) against the sweep's Heisenberg-picture moments
-        # and moment-level detector efficiencies; the report keeps 12 digits
-        config = ScenarioConfig.from_dict(
-            {**load_preset(preset), "n_max": 3, "gain": {"g": g}, "sample_count": 1}
-        )
+        config = self.preset_config(preset, g)
         meta = run_sampling(config)["metadata"]
         row = evaluate_gain_point(config, g)
-        sampled = (meta["herald_probability"], meta["model_v_diff"], meta["model_v_sum"],
-                   meta["beta"])
-        assert sampled == pytest.approx((row.herald_p, row.v_diff, row.v_sum, row.beta),
-                                        rel=1e-11, abs=0.0)
+        sampled = [meta["gain"], meta["herald_probability"], meta["model_v_diff"],
+                   meta["model_v_sum"], meta["beta"]]
+        assert sampled == scenario._round12([row.g, row.herald_p, row.v_diff, row.v_sum, row.beta])
+
+    @pytest.mark.parametrize("preset", cli.PRESET_NAMES)
+    @pytest.mark.parametrize("g", [3.0, 14.0, 30.0])
+    def test_sampled_state_has_the_reported_variances(self, monkeypatch, preset, g):
+        # the sampler draws from the dense path (heralded state, detector loss
+        # channels); the metadata is the sweep's Heisenberg-picture moments and
+        # moment-level detector efficiencies, kept to 12 digits
+        states = []
+
+        def capturing_sampler(state, count, seed):
+            states.append(state)
+            return np.zeros((count, 2))
+
+        monkeypatch.setattr(scenario, "sample_quadratures", capturing_sampler)
+        meta = run_sampling(self.preset_config(preset, g))["metadata"]
+        cov = covariance_summary(states[0])
+        assert (float(cov.v_diff), float(cov.v_sum)) == pytest.approx(
+            (meta["model_v_diff"], meta["model_v_sum"]), rel=1e-11, abs=0.0
+        )
+
+    def test_herald_the_state_path_refuses_is_a_config_error(self, monkeypatch, capsys):
+        # near HERALD_MIN_PROBABILITY the sweep's p and the state's own
+        # normalisation may disagree on a gain; either refusal exits 2
+        def refuse(config, g):
+            raise HeraldingImpossibleError(1e-15)
+
+        monkeypatch.setattr(scenario, "build_distilled_state", refuse)
+        with pytest.raises(ConfigError, match="cannot sample at g=6.5: heralding probability"):
+            run_sampling(self.sampling_config())
+        assert main(["sample", "--preset", "losschannel", "--gain.g", "14"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: gain.g: cannot sample at g=14:")
+        assert "heralding probability 1.000e-15 is vanishing" in err
 
     def test_sweep_gain_rejected(self):
         with pytest.raises(ConfigError):
