@@ -7,9 +7,10 @@ one heralded Kraus map on mode B, so every state stays a two-mode state.
 Loss and that map share one table of binomial beamsplitter amplitudes, loss
 being that beamsplitter with a vacuum ancilla.  A gain sweep reads that map
 in the Heisenberg picture (`quadratures.kraus_moments` on the families of
-`catalysis_kraus_operators`) and builds no heralded state.  The dense
-beamsplitter unitary and the click on a three-mode array are the parts of
-the tests' oracle, which writes the circuit out mode by mode.
+`catalysis_kraus_operators`) and builds no heralded state.  Each real Kraus
+operator shifts its mode's photon number by a fixed amount, so every state
+stays block diagonal in n_A - n_B, as its `DensityMatrix` checks.  The dense
+beamsplitter unitary and the three-mode click serve the tests' oracle.
 
 Sign conventions, pinned once so every downstream number is reproducible:
 

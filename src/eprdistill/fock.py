@@ -13,9 +13,9 @@ Operators are plain truncations of their infinite-dimensional counterparts;
 cutoff artifacts (e.g. the commutator defect in the top Fock level) are
 quantified in tests rather than hidden behind renormalization.
 
-Each state is checked on its own where it is built; phase symmetry (block
-structure in n_A - n_B), which `quadratures.kraus_moments` relies on to read
-moments from photon numbers, is checked apart by `check_phase_symmetric`.
+Every state is real and phase-symmetric (block diagonal in Delta = n_A - n_B),
+as a `DensityMatrix` checks where it is built; so its first moments vanish,
+and `quadratures` reads its second moments from photon numbers.
 """
 
 from __future__ import annotations
@@ -57,20 +57,16 @@ class HilbertConfig:
     def dim(self) -> int:
         return self.dim_per_mode**2
 
-    def check_mode(self, mode: int) -> None:
-        if mode not in (0, 1):
-            raise ValueError(f"mode {mode} out of range for a 2-mode space")
 
-    def mode_occupations(self, mode: int) -> np.ndarray:
-        """Occupation number of `mode` for each flat basis index."""
-        self.check_mode(mode)
-        d = self.dim_per_mode
-        return (np.arange(self.dim) // d ** (1 - mode)) % d
+def _check_real(elements) -> None:
+    if np.iscomplexobj(elements):
+        raise InvalidStateError("state is complex; every state of this model is real")
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian PSD matrix over the two-mode Fock basis, trace in (0, 1].
+    """Real symmetric PSD matrix over the two-mode Fock basis, trace in (0, 1],
+    with no element between Delta blocks above OFF_BLOCK_ATOL times the trace.
 
     A trace below one encodes a sub-normalized state; :func:`normalize` turns
     a raw heralded branch into a conditional state plus probability.
@@ -80,27 +76,33 @@ class DensityMatrix:
     elements: np.ndarray
 
     def __post_init__(self):
-        rho = np.array(self.elements, dtype=complex if np.iscomplexobj(self.elements) else float)
+        _check_real(self.elements)
+        rho = np.array(self.elements, dtype=float)
         rho.setflags(write=False)
         dim = self.config.dim
         if rho.shape != (dim, dim):
             raise InvalidStateError(f"state shape {rho.shape} does not match dimension {dim}")
         if not np.all(np.isfinite(rho)):
             raise InvalidStateError("state has a non-finite element")
-        herm_defect = np.max(np.abs(rho - rho.conj().T))
+        herm_defect = np.max(np.abs(rho - rho.T))
         if not herm_defect <= tolerances.HERMITICITY_ATOL:
             raise InvalidStateError(f"not Hermitian: max defect {herm_defect:.3e}")
         lowest = np.linalg.eigvalsh(rho)[0]
         if not lowest >= tolerances.EIGENVALUE_FLOOR:
             raise InvalidStateError(f"negative eigenvalue {lowest:.3e}")
-        trace = np.real(np.trace(rho))
+        trace = np.trace(rho)
         if not 0.0 < trace <= 1.0 + tolerances.TRACE_UPPER_SLACK:
             raise InvalidStateError(f"trace {trace:.3e} outside (0, 1]")
+        levels = np.arange(self.config.dim_per_mode)
+        delta = np.subtract.outer(levels, levels).ravel()  # n_A - n_B per flat index
+        off_block = np.max(np.abs(rho), where=delta[:, None] != delta, initial=0.0) / trace
+        if not off_block <= tolerances.OFF_BLOCK_ATOL:
+            raise InvalidStateError(f"state is not phase-symmetric: off-block element {off_block:.3e}")
         object.__setattr__(self, "elements", rho)
 
     @property
     def trace(self) -> float:
-        return float(np.real(np.trace(self.elements)))
+        return float(np.trace(self.elements))
 
 
 def pure_state(config: HilbertConfig, amplitudes: np.ndarray) -> DensityMatrix:
@@ -110,7 +112,7 @@ def pure_state(config: HilbertConfig, amplitudes: np.ndarray) -> DensityMatrix:
     if norm < tolerances.HERALD_MIN_PROBABILITY:
         raise ValueError("cannot normalize a zero amplitude vector")
     vec = vec / norm
-    return DensityMatrix(config, np.outer(vec, vec.conj()))
+    return DensityMatrix(config, np.outer(vec, vec))
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,8 +154,9 @@ def apply_mode_kraus(state: DensityMatrix, mode: int, ops) -> np.ndarray:
     sub-normalized for a heralded branch, so the caller can read its trace
     before validating it as a state.
     """
+    if mode not in (0, 1):
+        raise ValueError(f"mode {mode} out of range for a 2-mode space")
     cfg = state.config
-    cfg.check_mode(mode)
     d = cfg.dim_per_mode
     kraus = np.asarray(ops)
     if kraus.ndim != 3 or kraus.shape[-2:] != (d, d):
@@ -169,26 +172,19 @@ def apply_mode_kraus(state: DensityMatrix, mode: int, ops) -> np.ndarray:
 def normalize(config: HilbertConfig, branch: np.ndarray) -> tuple[DensityMatrix, float]:
     """Condition a raw heralded branch on its herald: (conditional state, p).
 
-    Reads p = Tr(branch).  Raises InvalidStateError for a non-finite element
-    or for p above 1 + TRACE_UPPER_SLACK, and HeraldingImpossibleError when
-    p <= HERALD_MIN_PROBABILITY; otherwise the branch divided by p must be a
-    state.  For p <= 1 that check is at least as strict as checking the branch.
+    Reads p = Tr(branch).  Raises InvalidStateError for a complex branch, a
+    non-finite element or p above 1 + TRACE_UPPER_SLACK, and
+    HeraldingImpossibleError when p <= HERALD_MIN_PROBABILITY; otherwise the
+    branch divided by p must be a state.  For p <= 1 that check is at least
+    as strict as checking the branch.
     """
+    _check_real(branch)
     if not np.all(np.isfinite(branch)):
         raise InvalidStateError("branch has a non-finite element")
-    prob = float(np.real(np.trace(branch)))
+    prob = float(np.trace(branch))
     if not prob <= 1.0 + tolerances.TRACE_UPPER_SLACK:
         raise InvalidStateError(f"trace {prob:.3e} outside (0, 1]")
     if not prob > tolerances.HERALD_MIN_PROBABILITY:
         raise HeraldingImpossibleError(prob)
     return DensityMatrix(config, branch / prob), prob
 
-
-def check_phase_symmetric(config: HilbertConfig, rho: np.ndarray) -> None:
-    """Raise InvalidStateError unless the trace-normalized state array `rho`
-    is block diagonal in Delta = n_A - n_B: every element between blocks
-    within OFF_BLOCK_ATOL.  A NaN fails."""
-    delta = config.mode_occupations(0) - config.mode_occupations(1)
-    off_block = np.max(np.abs(rho[delta[:, None] != delta[None, :]]), initial=0.0)
-    if not off_block <= tolerances.OFF_BLOCK_ATOL:
-        raise InvalidStateError(f"state is not phase-symmetric: off-block element {off_block:.3e}")

@@ -3,9 +3,10 @@ Monte-Carlo homodyne sampling.
 
 Conventions: X = (a + a^dag)/sqrt(2), P = (a - a^dag)/(i sqrt(2)), so the
 vacuum variance is 1/2 per quadrature and the shot-noise level of the
-sum/difference combinations equals 1.  All states handled here are
-phase-symmetric (block diagonal in n_A - n_B), hence zero-mean; measurements
-are evaluated at the canonical phase pair (no local-oscillator phase scanning).
+sum/difference combinations equals 1.  Every `DensityMatrix` is real and
+phase-symmetric (block diagonal in n_A - n_B, checked where it is built), hence
+zero-mean; measurements are evaluated at the canonical phase pair (no
+local-oscillator phase scanning).
 
 Every second moment is read by `kraus_moments` in the Heisenberg picture of
 mode-B Kraus families: catalysis in a gain sweep, the identity otherwise.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .fock import DensityMatrix, InvalidStateError, check_phase_symmetric
+from .fock import DensityMatrix, InvalidStateError
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,11 @@ def kraus_moments(state: DensityMatrix, kraus: np.ndarray) -> tuple[np.ndarray, 
     with rho_mm' the mode-B block of the state, Tr sigma = sum_m Tr(rho_mm E),
     <n_A> = sum_m m Tr(rho_mm E), <n_B> = sum_m Tr(rho_mm N) and <ab> =
     sum_m sqrt(m) Tr(rho_m,m-1 B).  A K of loss, catalysis or the identity
-    shifts the photon number by a fixed amount, so a phase-symmetric state,
-    the only kind accepted, keeps <ab> the one two-mode ladder moment of
-    sigma.  Each E must lie in [0, 1] (the branch is a state of trace <= 1).
-    A family's columns do not depend on G.
+    shifts the photon number by a fixed amount, so sigma stays phase-symmetric
+    like every `DensityMatrix`, and <ab> is its one two-mode ladder moment.
+    Each E must lie in [0, 1] (the branch is a state of trace <= 1).  A
+    family's columns do not depend on G.
     """
-    check_phase_symmetric(state.config, state.elements / state.trace)
     d = state.config.dim_per_mode
     levels = np.arange(d)
     ladder = np.sqrt(levels)
@@ -101,7 +101,7 @@ def kraus_moments(state: DensityMatrix, kraus: np.ndarray) -> tuple[np.ndarray, 
     below = ladder[1:, None, None] * rho[levels[1:], :, levels[:-1], :]  # sqrt(m) rho_m,m-1
 
     def traces(block, transposed):  # Tr(block O) per family, O^T given
-        return np.real(block * transposed).reshape(len(transposed), -1).sum(axis=1)
+        return (block * transposed).reshape(len(transposed), -1).sum(axis=1)
 
     reduced = diagonal.sum(axis=0)
     return (
@@ -115,13 +115,12 @@ def kraus_moments(state: DensityMatrix, kraus: np.ndarray) -> tuple[np.ndarray, 
 def covariance_summary(state: DensityMatrix) -> CovarianceSummary:
     """Second moments of a phase-symmetric two-mode state.
 
-    Phase-symmetric means block diagonal in Delta = n_A - n_B, as every state
-    this library builds is.  Then the reduced states are diagonal and <ab> is
-    the one two-mode ladder moment left, so xx = <P^2> = <n> + 1/2 per mode
-    and xa_xb = -<P_A P_B> = Re<ab> (Weedbrook et al., RMP 84, 621 (2012)).
-    Moments are `kraus_moments` of the identity family, taken relative to
-    the trace.  Raises if an element between Delta blocks exceeds
-    OFF_BLOCK_ATOL, which signals a circuit bug.
+    Phase-symmetric means block diagonal in Delta = n_A - n_B, which every
+    `DensityMatrix` checks when it is built.  Then the reduced states are
+    diagonal and <ab> is the one two-mode ladder moment left, so xx = <P^2> =
+    <n> + 1/2 per mode and xa_xb = -<P_A P_B> = Re<ab> (Weedbrook et al., RMP
+    84, 621 (2012)).  Moments are `kraus_moments` of the identity family,
+    taken relative to the trace.
     """
     identity = np.eye(state.config.dim_per_mode)[None, None]
     p, n_a, n_b, ab = (float(column[0]) for column in kraus_moments(state, identity))
@@ -212,7 +211,7 @@ def joint_quadrature_pdf(state: DensityMatrix, x_a, x_b) -> np.ndarray | float:
     psi_b = hermite_functions(cfg.n_max, xb_arr.ravel())
     # t_j(i) = psi_a (x) psi_b per point; P_i = t(i)^T rho t(i)
     t = (psi_a[:, None, :] * psi_b[None, :, :]).reshape(-1, psi_a.shape[1])
-    values = np.einsum("ji,ji->i", t, np.real(state.elements).copy() @ t)
+    values = np.einsum("ji,ji->i", t, state.elements @ t)
     if shape == ():
         return float(values[0])
     return values.reshape(shape)
@@ -233,7 +232,7 @@ def _envelope_bound(state: DensityMatrix, env_var: float) -> float:
     d = state.config.dim_per_mode
     psi = hermite_functions(state.config.n_max, axis)
     b = (psi[:, None, :] * psi[None, :, :]).reshape(d * d, -1) * np.exp(axis**2 / (2.0 * env_var))
-    r = np.real(state.elements).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    r = state.elements.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     return float(np.max(b.T @ r @ b)) * 2.0 * np.pi * env_var * 1.15
 
 

@@ -24,9 +24,9 @@ UNITARITY_ATOL = 1e-10
 # impossible (conditioning on them is meaningless).
 HERALD_MIN_PROBABILITY = 1e-14
 
-# Elements between n_A - n_B blocks of a trace-normalized two-mode state must
-# stay below this before its moments are read from phase symmetry; a
-# violation signals a circuit bug upstream.
+# Every DensityMatrix is block diagonal in n_A - n_B: an element between
+# blocks may reach this times the trace, and a larger one signals a circuit
+# bug upstream.  The moments are read from photon numbers on that condition.
 OFF_BLOCK_ATOL = 1e-9
 
 # Cauchy-Schwarz slack allowed on cross moments.

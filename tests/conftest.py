@@ -13,16 +13,12 @@ def random_state_array(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.real(np.trace(rho))
 
 
-def random_density_matrix(
-    config: HilbertConfig, rng: np.random.Generator, zero_mean: bool = False
-) -> DensityMatrix:
-    """Random full-rank two-mode state; zero_mean keeps only the blocks that
-    are diagonal in n_A - n_B, so it is phase-symmetric and all first
-    quadrature moments vanish."""
-    rho = random_state_array(config.dim, rng)
-    if zero_mean:
-        rho = rho * ~off_block_mask(config)
-    return DensityMatrix(config, rho)
+def random_density_matrix(config: HilbertConfig, rng: np.random.Generator) -> DensityMatrix:
+    """Random full-rank two-mode state: the real part of a random state with
+    only its blocks diagonal in n_A - n_B kept, so it is phase-symmetric and
+    all first quadrature moments vanish."""
+    rho = np.real(random_state_array(config.dim, rng))
+    return DensityMatrix(config, rho * ~off_block_mask(config))
 
 
 def fock_vector(n_max: int, occupations) -> np.ndarray:
@@ -41,14 +37,14 @@ def mode_occupations(n_max: int, modes: int, mode: int) -> np.ndarray:
 
 def off_block_mask(config: HilbertConfig) -> np.ndarray:
     """True where the row and column n_A - n_B of a two-mode state differ."""
-    delta = config.mode_occupations(0) - config.mode_occupations(1)
+    delta = mode_occupations(config.n_max, 2, 0) - mode_occupations(config.n_max, 2, 1)
     return delta[:, None] != delta[None, :]
 
 
 def kron_kraus_sum(state: DensityMatrix, mode: int, ops) -> np.ndarray:
     """Reference: sum_i E_i rho E_i^dag with E_i = K_i on `mode`, I on the other."""
     eye = np.eye(state.config.dim_per_mode)
-    out = np.zeros_like(state.elements)
+    out = np.zeros(state.elements.shape, np.result_type(state.elements, *ops))
     for op in ops:
         full = np.kron(op, eye) if mode == 0 else np.kron(eye, op)
         out += full @ state.elements @ full.conj().T

@@ -235,7 +235,7 @@ def test_criterion_6_channel_algebra(rng):
     # detector-efficiency map vs physical loss channels
     moment_ok = True
     for _ in range(4):
-        state = random_density_matrix(cfg, rng, zero_mean=True)
+        state = random_density_matrix(cfg, rng)
         eta_a, eta_b = rng.uniform(0.2, 1.0, size=2)
         mapped = apply_detection_efficiency(covariance_summary(state), eta_a, eta_b)
         lossy = loss_channel(loss_channel(state, 0, np.sqrt(eta_a)), 1, np.sqrt(eta_b))

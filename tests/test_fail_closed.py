@@ -27,7 +27,7 @@ from eprdistill import (
     tmsv_state,
 )
 from eprdistill.channels import _check_complete
-from eprdistill.fock import apply_unitary, check_phase_symmetric
+from eprdistill.fock import apply_unitary
 from eprdistill.models import sp_model
 from eprdistill.quadratures import kraus_moments
 
@@ -56,7 +56,7 @@ def vacuum_with(index, value) -> np.ndarray:
                  InvalidStateError, id="herald-nan-off-diagonal-zero-trace"),
     pytest.param(lambda: CovarianceSummary(NAN, NAN, NAN), ValueError, id="moments-nan"),
     pytest.param(lambda: CovarianceSummary(0.5, 0.5, NAN), ValueError, id="cross-moment-nan"),
-    pytest.param(lambda: check_phase_symmetric(CFG1, vacuum_with((0, 1), NAN)),
+    pytest.param(lambda: DensityMatrix(CFG1, vacuum_with((0, 1), NAN)),
                  ValueError, id="off-block-nan"),
     pytest.param(lambda: kraus_moments(tmsv_state(0.1, CFG1),
                                        catalysis_kraus_operators(1, np.array([0.5, NAN]), 0.65)),

@@ -9,6 +9,7 @@ from eprdistill import (
     InvalidStateError,
     apply_mode_kraus,
     loss_channel,
+    loss_kraus_operators,
     normalize,
     pure_state,
 )
@@ -19,6 +20,7 @@ from conftest import (
     annihilation_operator,
     fock_vector,
     kron_kraus_sum,
+    mode_occupations,
     random_density_matrix,
     random_state_array,
 )
@@ -40,7 +42,7 @@ class TestHilbertConfig:
 
     def test_mode_zero_is_slowest_index(self):
         cfg = HilbertConfig(n_max=3)
-        occupations = np.stack([cfg.mode_occupations(0), cfg.mode_occupations(1)], axis=1)
+        occupations = np.stack([mode_occupations(cfg.n_max, 2, m) for m in (0, 1)], axis=1)
         assert tuple(occupations[4]) == (1, 0)
         assert tuple(occupations[1]) == (0, 1)
         assert tuple(occupations[11]) == (2, 3)
@@ -48,10 +50,10 @@ class TestHilbertConfig:
     def test_mode_occupations(self):
         cfg = HilbertConfig(n_max=2)
         np.testing.assert_array_equal(
-            cfg.mode_occupations(0), [0, 0, 0, 1, 1, 1, 2, 2, 2]
+            mode_occupations(cfg.n_max, 2, 0), [0, 0, 0, 1, 1, 1, 2, 2, 2]
         )
         np.testing.assert_array_equal(
-            cfg.mode_occupations(1), [0, 1, 2, 0, 1, 2, 0, 1, 2]
+            mode_occupations(cfg.n_max, 2, 1), [0, 1, 2, 0, 1, 2, 0, 1, 2]
         )
 
     def test_rejects_bad_shapes(self):
@@ -63,9 +65,10 @@ class TestHilbertConfig:
             HilbertConfig(3, 3)
         with pytest.raises(InvalidStateError, match=r"shape \(64, 64\)"):
             DensityMatrix(HilbertConfig(3), np.eye(64) / 64)
+        vac = pure_state(HilbertConfig(3), fock_vector(3, (0, 0)))
         for mode in (-1, 2):
-            with pytest.raises(ValueError, match="out of range"):
-                HilbertConfig(3).mode_occupations(mode)
+            with pytest.raises(ValueError, match=f"mode {mode} out of range"):
+                apply_mode_kraus(vac, mode, np.eye(4)[None])
 
 
 class TestAnnihilation:
@@ -114,8 +117,9 @@ class TestApplyUnitary:
             h = 0.5 * (h + h.conj().T)
             u = expm(1j * h)
             rho = random_density_matrix(cfg, rng)
-            out = DensityMatrix(cfg, apply_unitary(rho.elements, u))
-            assert out.trace == pytest.approx(rho.trace, abs=1e-12)
+            # a random unitary mixes the n_A - n_B blocks: no DensityMatrix
+            out = apply_unitary(rho.elements, u)
+            assert np.real(np.trace(out)) == pytest.approx(rho.trace, abs=1e-12)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -186,8 +190,8 @@ class TestApplyModeKraus:
         ops = iso.reshape(4, d, d)
         rho = random_density_matrix(cfg, rng)
         for mode in (0, 1):
-            out = DensityMatrix(cfg, apply_mode_kraus(rho, mode, ops))
-            assert out.trace == pytest.approx(rho.trace, abs=1e-13)
+            out = apply_mode_kraus(rho, mode, ops)  # complex, and mixes the blocks
+            assert np.real(np.trace(out)) == pytest.approx(rho.trace, abs=1e-13)
 
     def test_rejects_wrong_operator_shape(self):
         cfg = HilbertConfig(n_max=2)
@@ -224,7 +228,7 @@ class TestNormalize:
     def test_trace_above_one_rejected(self):
         cfg = HilbertConfig(n_max=1)
         with pytest.raises(InvalidStateError, match="trace"):
-            normalize(cfg, np.diag([1.0, 2e-12, 0.0, 0.0]).astype(complex))
+            normalize(cfg, np.diag([1.0, 2e-12, 0.0, 0.0]))
 
     def test_stack_keeps_only_the_heralding_branches(self):
         # of a stack of branches, each that can herald becomes a read-only
@@ -253,36 +257,48 @@ class TestNormalize:
 class TestStateInvariants:
     def test_construction_rejects_non_hermitian(self):
         cfg = HilbertConfig(n_max=1)
-        bad = padded(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
+        bad = padded(np.array([[0.5, 0.1], [0.3, 0.5]]))
         with pytest.raises(InvalidStateError, match="Hermitian"):
             DensityMatrix(cfg, bad)
 
     def test_construction_rejects_negative_eigenvalue(self):
         cfg = HilbertConfig(n_max=1)
-        bad = padded(np.diag([1.2, -0.2]).astype(complex))
+        bad = padded(np.diag([1.2, -0.2]))
         with pytest.raises(InvalidStateError, match="eigenvalue"):
             DensityMatrix(cfg, bad)
 
     def test_construction_rejects_trace_above_one(self):
         cfg = HilbertConfig(n_max=1)
         with pytest.raises(InvalidStateError, match="trace"):
-            DensityMatrix(cfg, padded(np.diag([0.8, 0.8]).astype(complex)))
+            DensityMatrix(cfg, padded(np.diag([0.8, 0.8])))
 
     def test_real_input_stays_real(self):
         cfg = HilbertConfig(n_max=1)
         assert DensityMatrix(cfg, padded(np.diag([0.75, 0.25]))).elements.dtype == np.float64
         assert pure_state(cfg, fock_vector(cfg.n_max, (0, 0))).elements.dtype == np.float64
 
-    def test_complex_hermitian_state_accepted(self):
+    @pytest.mark.parametrize("elements", [
+        pytest.param(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), id="zero-imaginary-part"),
+        pytest.param(padded(np.array([[0.5, 0.25j], [-0.25j, 0.5]])), id="hermitian"),
+        pytest.param(padded(np.array([[0.5, 0.25j], [0.25j, 0.5]])), id="not-hermitian"),
+    ])
+    def test_complex_state_rejected(self, elements):
+        # every state of the model is real; a complex one is refused as such,
+        # before any cast could drop its imaginary part with a ComplexWarning
         cfg = HilbertConfig(n_max=1)
-        rho = DensityMatrix(cfg, padded(np.array([[0.5, 0.25j], [-0.25j, 0.5]])))
-        assert rho.elements.dtype == np.complex128
-        assert rho.elements[0, 1] == 0.25j
+        with pytest.raises(InvalidStateError, match="complex"):
+            DensityMatrix(cfg, elements)
+        with pytest.raises(InvalidStateError, match="complex"):
+            normalize(cfg, 0.5 * elements)
 
-    def test_imaginary_part_breaking_hermiticity_rejected(self):
+    def test_off_block_bound_is_relative_to_the_trace(self):
+        # |0, 0> and |0, 1> lie in the blocks n_A - n_B = 0 and -1
         cfg = HilbertConfig(n_max=1)
-        with pytest.raises(InvalidStateError, match="Hermitian"):
-            DensityMatrix(cfg, padded(np.array([[0.5, 0.25j], [0.25j, 0.5]])))
+        for element in (0.4e-9, -0.4e-9):
+            DensityMatrix(cfg, padded(np.array([[0.25, element], [element, 0.25]])))
+        for element in (0.6e-9, -0.6e-9):
+            with pytest.raises(InvalidStateError, match="phase-symmetric: off-block element 1.2"):
+                DensityMatrix(cfg, padded(np.array([[0.25, element], [element, 0.25]])))
 
     def test_state_check_names_the_failing_invariant(self):
         cfg = HilbertConfig(n_max=1)
@@ -314,7 +330,11 @@ class TestStateInvariants:
         cfg = HilbertConfig(n_max=2)
         rho = random_density_matrix(cfg, rng)
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        u = np.kron(expm(0.5j * (h + h.conj().T)), np.eye(cfg.dim_per_mode))  # on mode A
-        one = loss_channel(DensityMatrix(cfg, apply_unitary(rho.elements, u)), 1, 0.7)
+        eye = np.eye(cfg.dim_per_mode)
+        u = np.kron(expm(0.5j * (h + h.conj().T)), eye)  # on mode A
+        # U mixes the n_A - n_B blocks, so loss after it runs on the array
+        rotated = apply_unitary(rho.elements, u)
+        full = [np.kron(eye, op) for op in loss_kraus_operators(cfg.n_max, 0.7)]
+        one = sum(op @ rotated @ op.T for op in full)
         two = apply_unitary(loss_channel(rho, 1, 0.7).elements, u)
-        assert np.max(np.abs(one.elements - two)) < 1e-12
+        assert np.max(np.abs(one - two)) < 1e-12

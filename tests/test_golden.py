@@ -116,15 +116,26 @@ SECOND_DISPATCH = {
 }
 
 
-@pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_sweep_bytes_do_not_depend_on_the_dispatch(tmp_path, preset):
-    argv = [sys.executable, "-m", "eprdistill.cli", "sweep", "--preset", preset, "--n-max", "6"]
+# (CLI arguments, start of stdout) per call; the sweeps keep their preset ids
+DISPATCH_CALLS = [
+    *(pytest.param(("sweep", "--preset", preset, "--n-max", "6"), b"g,beta,", id=preset)
+      for preset in PRESET_NAMES),
+    pytest.param(("sample", "--preset", "losschannel", "--gain.g", "14",
+                  "--sample-count", "20000"), b'{\n  "config"', id="sample-losschannel-g14"),
+    pytest.param(("equiv", "--preset", "figS2a", "--n-max", "6"), b'{\n  "config"',
+                 id="equiv-figS2a-n6"),
+]
+
+
+@pytest.mark.parametrize("args, head", DISPATCH_CALLS)
+def test_sweep_bytes_do_not_depend_on_the_dispatch(tmp_path, args, head):
+    argv = [sys.executable, "-m", "eprdistill.cli", *args]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     default, second = (
         subprocess.run(argv, env=child_env, cwd=tmp_path, capture_output=True, check=True).stdout
         for child_env in (env, {**env, **SECOND_DISPATCH})
     )
-    assert default.startswith(b"g,beta,")
+    assert default.startswith(head)
     assert second == default
 
 

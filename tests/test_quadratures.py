@@ -64,22 +64,22 @@ def duan_objective(cov):
 
 def random_covariance(rng, positive_k=True):
     cfg = HilbertConfig(3)
-    cov = covariance_summary(random_density_matrix(cfg, rng, zero_mean=True))
+    cov = covariance_summary(random_density_matrix(cfg, rng))
     if positive_k and cov.xa_xb < 0:
         cov = CovarianceSummary(cov.xx_a, cov.xx_b, -cov.xa_xb)
     return cov
 
 
-def kron_reference_moments(state):
-    """The six second moments from full-space operator products.
+def kron_reference_moments(config, rho):
+    """The six second moments of the unit-trace state array `rho` from
+    full-space operator products.
 
     The state is zero-padded one level above its cutoff, where the embedded
     X^2 and P^2 carry their exact top-level elements.
     """
-    cfg = state.config
-    d = cfg.dim_per_mode
-    big = HilbertConfig(cfg.n_max + 1)
-    tensor = state.elements.reshape(d, d, d, d) / state.trace
+    d = config.dim_per_mode
+    big = HilbertConfig(config.n_max + 1)
+    tensor = rho.reshape(d, d, d, d)
     rho = np.pad(tensor, [(0, 1)] * 4).reshape(big.dim, big.dim)
     ops = {}
     one, eye = annihilation_operator(big.n_max), np.eye(big.dim_per_mode)
@@ -101,7 +101,7 @@ def assert_matches_kron_reference(state):
     """The three stored moments against all six oracle moments: phase
     symmetry gives <P^2> = <X^2> per mode and <P_A P_B> = -<X_A X_B>."""
     cov = covariance_summary(state)
-    ref = kron_reference_moments(state)
+    ref = kron_reference_moments(state.config, state.elements / state.trace)
     expected = {
         "xx_a": (ref["xx_a"], ref["pp_a"]),
         "xx_b": (ref["xx_b"], ref["pp_b"]),
@@ -148,7 +148,7 @@ class TestCovarianceSummary:
         # scaling by a power of two is exact, so a sub-normalized state has
         # the moments of its normalized form bit for bit
         for _ in range(5):
-            state = random_density_matrix(CFG2, rng, zero_mean=True)
+            state = random_density_matrix(CFG2, rng)
             scaled = DensityMatrix(CFG2, 0.25 * state.elements)
             assert covariance_summary(scaled) == covariance_summary(state)
 
@@ -158,32 +158,38 @@ class TestCovarianceSummary:
         assert cov.v_sum == pytest.approx(cov.xx_a + cov.xx_b + 2 * cov.xa_xb, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "occupations, phase",
-        [((1, 0), 1.0), ((1, 0), 1j), ((0, 1), 1.0), ((0, 1), 1j)],
+        "occupations, phase, message",
+        [
+            ((1, 0), 1.0, r"not phase-symmetric: off-block element 5\.000e-01"),
+            ((1, 0), 1j, "complex"),
+            ((0, 1), 1.0, r"not phase-symmetric: off-block element 5\.000e-01"),
+            ((0, 1), 1j, "complex"),
+        ],
         ids=["X_A", "P_A", "X_B", "P_B"],
     )
-    def test_nonzero_first_moment_rejected(self, occupations, phase):
+    def test_nonzero_first_moment_rejected(self, occupations, phase, message):
         # |00> + phase |one photon>: only the named quadrature has a mean, and
-        # the coherence between n_A - n_B = 0 and +-1 is 1/2
+        # the coherence between n_A - n_B = 0 and +-1 is 1/2.  A real state
+        # has <P> = 0, so a P mean needs a complex state, which is refused
         vec = fock_vector(CFG2.n_max, (0, 0)) + phase * fock_vector(CFG2.n_max, occupations)
-        with pytest.raises(ValueError, match=r"not phase-symmetric: off-block element 5\.000e-01"):
-            covariance_summary(pure_state(CFG2, vec))
+        with pytest.raises(ValueError, match=message):
+            pure_state(CFG2, vec)
 
     def test_zero_mean_state_without_phase_symmetry_rejected(self):
         # (|00> + |20>)/sqrt(2) is parity-even, so every first moment vanishes,
         # but its coherence between n_A - n_B = 0 and 2 gives xx_a != pp_a
         vec = fock_vector(CFG2.n_max, (0, 0)) + fock_vector(CFG2.n_max, (2, 0))
-        state = pure_state(CFG2, vec)
-        moments = kron_reference_moments(state)
+        rho = np.outer(vec, vec) / 2.0
+        moments = kron_reference_moments(CFG2, rho)
         assert moments["xx_a"] != pytest.approx(moments["pp_a"])
         with pytest.raises(ValueError, match=r"not phase-symmetric: off-block element 5\.000e-01"):
-            covariance_summary(state)
+            DensityMatrix(CFG2, rho)
 
     @pytest.mark.parametrize("n_max", range(1, 7))
     def test_matches_kron_reference_on_random_states(self, rng, n_max):
         cfg = HilbertConfig(n_max)
         for _ in range(5):
-            assert_matches_kron_reference(random_density_matrix(cfg, rng, zero_mean=True))
+            assert_matches_kron_reference(random_density_matrix(cfg, rng))
 
     @pytest.mark.parametrize("n_max", [3, 6])
     def test_matches_kron_reference_on_pipeline_states(self, n_max):
@@ -207,7 +213,7 @@ class TestKrausMoments:
         # the loss family is complete, so p = 1; a stack of G families gives
         # each family's single-call columns bit for bit.  The cross moment can
         # pass through zero, so its error is measured against sqrt(xx_a xx_b)
-        state = random_density_matrix(HilbertConfig(n_max), rng, zero_mean=True)
+        state = random_density_matrix(HilbertConfig(n_max), rng)
         columns = np.array(kraus_moments(state, loss_kraus_operators(n_max, self.TAUS)))
         singles = np.hstack(
             [kraus_moments(state, loss_kraus_operators(n_max, tau)[None]) for tau in self.TAUS]
@@ -238,7 +244,7 @@ class TestDetectionEfficiency:
         # the moment map must equal physically attenuating each mode with
         # intensity transmissivity eta before extraction
         for _ in range(5):
-            state = random_density_matrix(CFG2, rng, zero_mean=True)
+            state = random_density_matrix(CFG2, rng)
             eta_a, eta_b = rng.uniform(0.2, 1.0, size=2)
             mapped = apply_detection_efficiency(covariance_summary(state), eta_a, eta_b)
             lossy = loss_channel(state, 0, np.sqrt(eta_a))
@@ -368,7 +374,7 @@ class TestJointQuadraturePdf:
         for state in (
             VACUUM,
             tmsv_state(0.2, CFG2),
-            random_density_matrix(CFG2, rng, zero_mean=True),
+            random_density_matrix(CFG2, rng),
             branch,  # sub-normalized: the density integrates to the trace
         ):
             pdf = joint_quadrature_pdf(state, gx, gy)
@@ -426,7 +432,7 @@ class TestEnvelopeBound:
     @given(n_max=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), weight=st.floats(0.0, 1.0))
     def test_matches_dense_oracle_on_random_states(self, wide, n_max, seed, weight):
         cfg = HilbertConfig(n_max)
-        noise = random_density_matrix(cfg, np.random.default_rng(seed), zero_mean=True)
+        noise = random_density_matrix(cfg, np.random.default_rng(seed))
         # at most 1/(6 n_max) of a random state keeps <n> < 1/6 per mode, so
         # env_var = 1.5 (<n> + 1/2) < 1; the unmixed random states are wider
         weight = 1.0 if wide else weight / (6.5 * n_max)

@@ -335,8 +335,10 @@ class TestRunScenario:
         # (|00> + |01>)/sqrt(2) has a coherence between n_A - n_B = 0 and -1
         vec = np.zeros(16)
         vec[[0, 1]] = 1.0
-        source = pure_state(HilbertConfig(3), vec)
-        monkeypatch.setattr(scenario, "_lossy_source", lambda config: source)
+        # the state is refused where it is built, before any moment is read
+        monkeypatch.setattr(
+            scenario, "_lossy_source", lambda config: pure_state(HilbertConfig(3), vec)
+        )
         with pytest.raises(InvalidStateError, match="not phase-symmetric"):
             run_scenario(loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": 8}))
 
