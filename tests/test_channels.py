@@ -436,7 +436,7 @@ class TestNlaCatalysis:
         epr = tmsv_state(gamma, CFG2)
         out, prob = nla_catalysis(epr, 1.0, 1.0)
         assert prob == pytest.approx(1.0, abs=1e-12)
-        below = (mode_occupations(CFG2.n_max, 2, 0) <= 2) & (mode_occupations(CFG2.n_max, 2, 1) <= 2)
+        below = np.all([mode_occupations(CFG2.n_max, 2, m) <= 2 for m in (0, 1)], axis=0)
         np.testing.assert_allclose(
             np.abs(out.elements[np.ix_(below, below)]),
             np.abs(epr.elements[np.ix_(below, below)]),
