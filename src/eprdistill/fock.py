@@ -20,6 +20,7 @@ and `quadratures` reads its second moments from photon numbers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,15 @@ class HilbertConfig:
         return self.dim_per_mode**2
 
 
+@functools.cache
+def _off_block_mask(d: int) -> np.ndarray:
+    """Read-only, one per cutoff: True where row and column n_A - n_B differ."""
+    delta = np.subtract.outer(np.arange(d), np.arange(d)).ravel()  # n_A - n_B per flat index
+    mask = delta[:, None] != delta
+    mask.setflags(write=False)
+    return mask
+
+
 def _check_real(elements) -> None:
     if np.iscomplexobj(elements):
         raise InvalidStateError("state is complex; every state of this model is real")
@@ -93,9 +103,8 @@ class DensityMatrix:
         trace = np.trace(rho)
         if not 0.0 < trace <= 1.0 + tolerances.TRACE_UPPER_SLACK:
             raise InvalidStateError(f"trace {trace:.3e} outside (0, 1]")
-        levels = np.arange(self.config.dim_per_mode)
-        delta = np.subtract.outer(levels, levels).ravel()  # n_A - n_B per flat index
-        off_block = np.max(np.abs(rho), where=delta[:, None] != delta, initial=0.0) / trace
+        mask = _off_block_mask(self.config.dim_per_mode)
+        off_block = np.max(np.abs(rho), where=mask, initial=0.0) / trace
         if not off_block <= tolerances.OFF_BLOCK_ATOL:
             raise InvalidStateError(f"state is not phase-symmetric: off-block element {off_block:.3e}")
         object.__setattr__(self, "elements", rho)

@@ -21,6 +21,14 @@ import numpy as np
 from . import tolerances
 from .fock import DensityMatrix, InvalidStateError
 
+# Column widths of the sampler's two products.  Whole, they stall in OpenBLAS's
+# thread pool in a fresh process: on 2 shared cores the 45 density calls of a
+# 200k-sample call, each one (16, 16) @ (16, 8192), took 63-360 ms, and 28-46 ms
+# in 512-column slices (46-66 ms in 54 or 128); the envelope took 1-14 ms, and
+# 0.3 ms in 32-column slices.  Each element is the same dot product.
+_PDF_COLUMNS = 512
+_ENVELOPE_COLUMNS = 32
+
 
 @dataclass(frozen=True)
 class CovarianceSummary:
@@ -203,18 +211,25 @@ def joint_quadrature_pdf(state: DensityMatrix, x_a, x_b) -> np.ndarray | float:
     psi_n'(x_b) with the Hermite functions matching the X convention.  The
     result integrates to the state's trace.  Inputs broadcast like numpy
     arrays; scalars in, scalar out.
+
+    P_i = t_i^T rho t_i with t_i = psi_a (x) psi_b at point i, over slices of
+    _PDF_COLUMNS points padded with zeros to whole slices: a point's value
+    does not depend on how many points share the call.
     """
     cfg = state.config
     xa_arr, xb_arr = np.broadcast_arrays(np.asarray(x_a, float), np.asarray(x_b, float))
     shape = xa_arr.shape
-    psi_a = hermite_functions(cfg.n_max, xa_arr.ravel())
-    psi_b = hermite_functions(cfg.n_max, xb_arr.ravel())
-    # t_j(i) = psi_a (x) psi_b per point; P_i = t(i)^T rho t(i)
+    pad = (0, -xa_arr.size % _PDF_COLUMNS)
+    psi_a = hermite_functions(cfg.n_max, np.pad(xa_arr.ravel(), pad))
+    psi_b = hermite_functions(cfg.n_max, np.pad(xb_arr.ravel(), pad))
     t = (psi_a[:, None, :] * psi_b[None, :, :]).reshape(-1, psi_a.shape[1])
-    values = np.einsum("ji,ji->i", t, state.elements @ t)
+    values = np.empty(t.shape[1])
+    for s in range(0, t.shape[1], _PDF_COLUMNS):
+        ts = t[:, s : s + _PDF_COLUMNS]
+        values[s : s + _PDF_COLUMNS] = np.einsum("ji,ji->i", ts, state.elements @ ts)
     if shape == ():
         return float(values[0])
-    return values.reshape(shape)
+    return values[: xa_arr.size].reshape(shape)
 
 
 def _envelope_bound(state: DensityMatrix, env_var: float) -> float:
@@ -224,7 +239,8 @@ def _envelope_bound(state: DensityMatrix, env_var: float) -> float:
     psi_m(x_i) psi_m'(x_i) and R = rho reshaped from (m, n, m', n') to
     (m m') x (n n').  As q = e(x) e(y) / (2 pi v) with e(x) = exp(-x^2/2v),
     P/q = 2 pi v B^T R B for B = A / e(x), and no (d^2, 401^2) table is
-    formed.  1/e(x) cannot overflow: diagonal moments are >= 1/2, so
+    formed; B^T R times B runs over slices of _ENVELOPE_COLUMNS grid
+    columns.  1/e(x) cannot overflow: diagonal moments are >= 1/2, so
     v >= 0.75 and x^2/2v <= 50 max(1, 1/v) <= 200/3.
     """
     half_width = 10.0 * max(1.0, np.sqrt(env_var))
@@ -233,7 +249,9 @@ def _envelope_bound(state: DensityMatrix, env_var: float) -> float:
     psi = hermite_functions(state.config.n_max, axis)
     b = (psi[:, None, :] * psi[None, :, :]).reshape(d * d, -1) * np.exp(axis**2 / (2.0 * env_var))
     r = state.elements.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return float(np.max(b.T @ r @ b)) * 2.0 * np.pi * env_var * 1.15
+    left, w = b.T @ r, _ENVELOPE_COLUMNS
+    peak = max(np.max(left @ b[:, s : s + w]) for s in range(0, b.shape[1], w))
+    return float(peak) * 2.0 * np.pi * env_var * 1.15
 
 
 def sample_quadratures(state: DensityMatrix, count: int, seed: int) -> np.ndarray:

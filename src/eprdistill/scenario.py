@@ -338,9 +338,12 @@ def _lossy_source(config: ScenarioConfig) -> DensityMatrix:
     return state
 
 
-def build_distilled_state(config: ScenarioConfig, g: float) -> tuple[DensityMatrix, float]:
-    """Source -> degrade -> catalysis; returns the distilled state and p."""
-    return nla_catalysis(_lossy_source(config), 1.0 / g, config.eta_ancilla)
+def build_distilled_state(
+    config: ScenarioConfig, g: float, _source: DensityMatrix | None = None
+) -> tuple[DensityMatrix, float]:
+    """Source -> degrade -> catalysis; returns the distilled state and p.
+    `_source` stands for `_lossy_source(config)` where the caller has it."""
+    return nla_catalysis(_source or _lossy_source(config), 1.0 / g, config.eta_ancilla)
 
 
 def _sweep_columns(
@@ -360,38 +363,40 @@ def _rows(config: ScenarioConfig, columns: tuple[np.ndarray, ...]) -> list[Sweep
     return [SweepRow(*row, config.model) for row in zip(*(c.tolist() for c in columns))]
 
 
-def evaluate_gain_point(config: ScenarioConfig, g: float) -> SweepRow:
+def evaluate_gain_point(
+    config: ScenarioConfig, g: float, _source: DensityMatrix | None = None
+) -> SweepRow:
     """Evaluate the configured model at a single gain value: the sweep of
-    that one gain.
+    that one gain.  `_source` is as in `build_distilled_state`.
 
     The covariance pipeline is uniform across models: model-specific second
     moments, then detector efficiencies, then the inseparability minimum.
     Analytic models report the single-photon-level heralding probability.
     Raises HeraldingImpossibleError where a sweep would skip the gain.
     """
-    columns, skipped = _sweep(config, np.array([g], dtype=float))
+    columns, skipped = _sweep(config, np.array([g], dtype=float), _source)
     if skipped:
         raise skipped[0][1]
     return _rows(config, columns)[0]
 
 
 def _sweep(
-    config: ScenarioConfig, gains: np.ndarray
+    config: ScenarioConfig, gains: np.ndarray, source: DensityMatrix | None = None
 ) -> tuple[tuple[np.ndarray, ...], list[tuple[float, HeraldingImpossibleError]]]:
     """The columns of the rows at `gains`, in g order, and the skipped gains
     with the error each would raise.
 
     The analytic models evaluate the whole grid as one batch, full_numeric
-    its gains in stacks of _GAIN_CHUNK on one lossy source, reading each
-    stack's moments with `kraus_moments` from its catalysis families.  A
-    gain whose herald probability is at or below HERALD_MIN_PROBABILITY is
-    skipped.
+    its gains in stacks of _GAIN_CHUNK on one lossy source (`source`, or
+    `_lossy_source(config)` if None), reading each stack's moments with
+    `kraus_moments` from its catalysis families.  A gain whose herald
+    probability is at or below HERALD_MIN_PROBABILITY is skipped.
     """
     if config.model != "full_numeric":
         eta = 1.0 if config.model == "ideal" else config.eta_ancilla
         moments = sp_model(config.effective_gamma, config.tau, gains, eta)
         return _sweep_columns(config, gains, *moments), []
-    source = _lossy_source(config)
+    source = source or _lossy_source(config)
     parts, skipped = [], []
     for start in range(0, len(gains), _GAIN_CHUNK):
         chunk = gains[start : start + _GAIN_CHUNK]
@@ -423,21 +428,23 @@ def run_sampling(config: ScenarioConfig) -> dict:
     Requires the full numeric model and a single-valued gain.  The metadata's
     beta, herald probability and model variances are the sweep row at that
     gain (`evaluate_gain_point`), rounded as every report rounds.  The
-    heralded state is built only to be sampled: detector efficiencies are
-    applied to it as loss channels so the samples match what the homodyne
-    detectors would record.  The report echoes the full configuration and
-    carries the shot-noise reference radius.  Its "samples" are the
-    sampler's unrounded (count, 2) array, which only dump_json_report and
-    write_json_report can write (rounding as they go).
+    heralded state is built only to be sampled, from the same lossy source
+    as that row: detector efficiencies are applied to it as loss channels so
+    the samples match what the homodyne detectors would record.  The report
+    echoes the full configuration and carries the shot-noise reference
+    radius.  Its "samples" are the sampler's unrounded (count, 2) array,
+    which only dump_json_report and write_json_report can write (rounding as
+    they go).
     """
     if config.model != "full_numeric":
         raise ConfigError("model", "sampling requires the full_numeric model")
     if config.gain.is_sweep:
         raise ConfigError("gain", "sampling requires a single gain g, not a sweep")
     g = config.gain.g
+    source = _lossy_source(config)
     try:
-        row = evaluate_gain_point(config, g)
-        distilled, _ = build_distilled_state(config, g)
+        row = evaluate_gain_point(config, g, source)
+        distilled, _ = build_distilled_state(config, g, source)
     except HeraldingImpossibleError as exc:
         raise ConfigError("gain.g", f"cannot sample at g={g:g}: {exc}") from exc
     detected = loss_channel(distilled, 0, float(np.sqrt(config.eta_a)))

@@ -14,6 +14,7 @@ from eprdistill import (
     pure_state,
 )
 from eprdistill.channels import beamsplitter_unitary
+from eprdistill import fock
 from eprdistill.fock import apply_unitary, partial_trace, tensor_product
 
 from conftest import (
@@ -21,6 +22,7 @@ from conftest import (
     fock_vector,
     kron_kraus_sum,
     mode_occupations,
+    off_block_mask,
     random_density_matrix,
     random_state_array,
 )
@@ -299,6 +301,14 @@ class TestStateInvariants:
         for element in (0.6e-9, -0.6e-9):
             with pytest.raises(InvalidStateError, match="phase-symmetric: off-block element 1.2"):
                 DensityMatrix(cfg, padded(np.array([[0.25, element], [element, 0.25]])))
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_off_block_mask_is_one_read_only_array_per_cutoff(self, n_max):
+        cfg = HilbertConfig(n_max)
+        mask = fock._off_block_mask(cfg.dim_per_mode)
+        assert mask is fock._off_block_mask(cfg.dim_per_mode)
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, off_block_mask(cfg))
 
     def test_state_check_names_the_failing_invariant(self):
         cfg = HilbertConfig(n_max=1)

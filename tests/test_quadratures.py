@@ -391,6 +391,15 @@ class TestJointQuadraturePdf:
         cov = covariance_summary(state)
         assert moment == pytest.approx(cov.xx_a, abs=1e-4)
 
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_prefixes_equal_the_full_call_bit_for_bit(self, rng, n_max):
+        # a point's density must not depend on how many points share its call
+        state = random_density_matrix(HilbertConfig(n_max), rng)
+        x_a, x_b = rng.normal(scale=2.0, size=(2, 8192 + 700))
+        full = joint_quadrature_pdf(state, x_a, x_b)
+        for k in (1, 511, 512, 513, 8192):
+            assert np.array_equal(joint_quadrature_pdf(state, x_a[:k], x_b[:k]), full[:k])
+
 
 class TestHermiteFunctions:
     def test_orthonormal_on_fine_grid(self):

@@ -565,7 +565,7 @@ class TestRunSampling:
     def test_herald_the_state_path_refuses_is_a_config_error(self, monkeypatch, capsys):
         # near HERALD_MIN_PROBABILITY the sweep's p and the state's own
         # normalisation may disagree on a gain; either refusal exits 2
-        def refuse(config, g):
+        def refuse(config, g, _source=None):
             raise HeraldingImpossibleError(1e-15)
 
         monkeypatch.setattr(scenario, "build_distilled_state", refuse)
@@ -575,6 +575,28 @@ class TestRunSampling:
         err = capsys.readouterr().err
         assert err.startswith("config error: gain.g: cannot sample at g=14:")
         assert "heralding probability 1.000e-15 is vanishing" in err
+
+    def test_lossy_source_is_built_once(self, monkeypatch):
+        # the metadata's sweep row and the sampled state share one source:
+        # one squeezed state, one loss on mode B, then the two detector losses
+        calls = []
+
+        def counting(name, fn):
+            def counted(state, *args):
+                calls.append((name, *args))
+                return fn(state, *args)
+            return counted
+
+        monkeypatch.setattr(scenario, "tmsv_state", counting("tmsv", scenario.tmsv_state))
+        monkeypatch.setattr(scenario, "loss_channel", counting("loss", scenario.loss_channel))
+        config = self.preset_config("losschannel", 14.0)
+        run_sampling(config)
+        assert calls == [
+            ("tmsv", HilbertConfig(3)),
+            ("loss", 1, config.tau),
+            ("loss", 0, float(np.sqrt(config.eta_a))),
+            ("loss", 1, float(np.sqrt(config.eta_b))),
+        ]
 
     def test_sweep_gain_rejected(self):
         with pytest.raises(ConfigError):
