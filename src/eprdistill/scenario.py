@@ -42,8 +42,9 @@ DEGRADE_MODES = ("none", "pump_rotation", "loss")
 
 CSV_HEADER = "g,beta,v_diff,v_sum,duan_I,duan_a_star,herald_p,model"
 
-# Largest sweep and sample sizes accepted; larger requests are refused as
-# config errors before any array is sized from them.
+# Largest cutoff, sweep and sample sizes accepted; larger requests are
+# refused as config errors before any array is sized from them.
+MAX_N_MAX = 6
 MAX_GAIN_STEPS = 100_000
 MAX_SAMPLE_COUNT = 1_000_000
 
@@ -236,8 +237,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(name, f"must be in [0, 1], got {value}")
-        if not 1 <= self.n_max <= 6:
-            raise ConfigError("n_max", f"must be in 1..6, got {self.n_max}")
+        if not 1 <= self.n_max <= MAX_N_MAX:
+            raise ConfigError("n_max", f"must be in 1..{MAX_N_MAX}, got {self.n_max}")
         if self.model not in MODELS:
             raise ConfigError("model", f"must be one of {MODELS}")
         if not 1 <= self.sample_count <= MAX_SAMPLE_COUNT:
@@ -346,19 +347,6 @@ def build_distilled_state(
     return nla_catalysis(_source or _lossy_source(config), 1.0 / g, config.eta_ancilla)
 
 
-def _sweep_columns(
-    config: ScenarioConfig, gains: np.ndarray, cov: CovarianceSummary, herald_p: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """The numeric columns of the rows at `gains`, in SweepRow's order, from
-    the model moments (a summary of columns) and herald probabilities there:
-    detector efficiencies, then the inseparability minimum, each over the
-    whole column."""
-    cov = apply_detection_efficiency(cov, config.eta_a, config.eta_b)
-    duan = duan_inseparability(cov)
-    beta = beta_from_gain(gains, config.effective_gamma, config.tau)
-    return gains, beta, cov.v_diff, cov.v_sum, duan.value, duan.a_star, herald_p
-
-
 def _rows(config: ScenarioConfig, columns: tuple[np.ndarray, ...]) -> list[SweepRow]:
     return [SweepRow(*row, config.model) for row in zip(*(c.tolist() for c in columns))]
 
@@ -367,12 +355,8 @@ def evaluate_gain_point(
     config: ScenarioConfig, g: float, _source: DensityMatrix | None = None
 ) -> SweepRow:
     """Evaluate the configured model at a single gain value: the sweep of
-    that one gain.  `_source` is as in `build_distilled_state`.
-
-    The covariance pipeline is uniform across models: model-specific second
-    moments, then detector efficiencies, then the inseparability minimum.
-    Analytic models report the single-photon-level heralding probability.
-    Raises HeraldingImpossibleError where a sweep would skip the gain.
+    that one gain.  `_source` is as in `build_distilled_state`.  Raises
+    HeraldingImpossibleError where a sweep would skip the gain.
     """
     columns, skipped = _sweep(config, np.array([g], dtype=float), _source)
     if skipped:
@@ -383,33 +367,40 @@ def evaluate_gain_point(
 def _sweep(
     config: ScenarioConfig, gains: np.ndarray, source: DensityMatrix | None = None
 ) -> tuple[tuple[np.ndarray, ...], list[tuple[float, HeraldingImpossibleError]]]:
-    """The columns of the rows at `gains`, in g order, and the skipped gains
-    with the error each would raise.
+    """The columns of the rows at `gains`, in SweepRow's order and g order,
+    and the skipped gains with the error each would raise.
 
-    The analytic models evaluate the whole grid as one batch, full_numeric
-    its gains in stacks of _GAIN_CHUNK on one lossy source (`source`, or
-    `_lossy_source(config)` if None), reading each stack's moments with
-    `kraus_moments` from its catalysis families.  A gain whose herald
-    probability is at or below HERALD_MIN_PROBABILITY is skipped.
+    One covariance pipeline serves every model, once over the whole grid:
+    the model's second moments, then detector efficiencies, then the
+    inseparability minimum.  The analytic models evaluate the grid as one
+    batch and report the single-photon-level heralding probability.
+    full_numeric reads its moments with `kraus_moments` from catalysis
+    families in stacks of _GAIN_CHUNK gains on one lossy source (`source`,
+    or `_lossy_source(config)` if None), and skips a gain whose herald
+    probability is at or below HERALD_MIN_PROBABILITY.
     """
+    skipped = []
     if config.model != "full_numeric":
         eta = 1.0 if config.model == "ideal" else config.eta_ancilla
-        moments = sp_model(config.effective_gamma, config.tau, gains, eta)
-        return _sweep_columns(config, gains, *moments), []
-    source = source or _lossy_source(config)
-    parts, skipped = [], []
-    for start in range(0, len(gains), _GAIN_CHUNK):
-        chunk = gains[start : start + _GAIN_CHUNK]
-        kraus = catalysis_kraus_operators(config.n_max, 1.0 / chunk, config.eta_ancilla)
-        p, n_a, n_b, ab = kraus_moments(source, kraus)
+        cov, p = sp_model(config.effective_gamma, config.tau, gains, eta)
+    else:
+        source = source or _lossy_source(config)
+        stacks = []
+        for start in range(0, len(gains), _GAIN_CHUNK):
+            chunk = gains[start : start + _GAIN_CHUNK]
+            kraus = catalysis_kraus_operators(config.n_max, 1.0 / chunk, config.eta_ancilla)
+            stacks.append(kraus_moments(source, kraus))
+        p, n_a, n_b, ab = map(np.concatenate, zip(*stacks))
         ok = p > tolerances.HERALD_MIN_PROBABILITY
-        p_ok = p[ok]
-        cov = CovarianceSummary(n_a[ok] / p_ok + 0.5, n_b[ok] / p_ok + 0.5, ab[ok] / p_ok)
-        parts.append(_sweep_columns(config, chunk[ok], cov, p_ok))
-        skipped += [
-            (g, HeraldingImpossibleError(q)) for g, q in zip(chunk[~ok].tolist(), p[~ok].tolist())
+        skipped = [
+            (g, HeraldingImpossibleError(q)) for g, q in zip(gains[~ok].tolist(), p[~ok].tolist())
         ]
-    return tuple(map(np.concatenate, zip(*parts))), skipped
+        gains, p = gains[ok], p[ok]
+        cov = CovarianceSummary(n_a[ok] / p + 0.5, n_b[ok] / p + 0.5, ab[ok] / p)
+    cov = apply_detection_efficiency(cov, config.eta_a, config.eta_b)
+    duan = duan_inseparability(cov)
+    beta = beta_from_gain(gains, config.effective_gamma, config.tau)
+    return (gains, beta, cov.v_diff, cov.v_sum, duan.value, duan.a_star, p), skipped
 
 
 def run_scenario(config: ScenarioConfig) -> SweepResult:

@@ -293,6 +293,10 @@ class TestStateInvariants:
         with pytest.raises(InvalidStateError, match="complex"):
             normalize(cfg, 0.5 * elements)
 
+    def test_zero_amplitude_vector_rejected(self):
+        with pytest.raises(ValueError, match="cannot normalize a zero amplitude vector"):
+            pure_state(HilbertConfig(n_max=1), np.zeros(4))
+
     def test_off_block_bound_is_relative_to_the_trace(self):
         # |0, 0> and |0, 1> lie in the blocks n_A - n_B = 0 and -1
         cfg = HilbertConfig(n_max=1)

@@ -29,6 +29,7 @@ from eprdistill.quadratures import covariance_summary
 from eprdistill.scenario import (
     CSV_HEADER,
     MAX_GAIN_STEPS,
+    MAX_N_MAX,
     MAX_SAMPLE_COUNT,
     SweepResult,
     SweepRow,
@@ -88,7 +89,7 @@ class TestConfigValidation:
             ({"gain": {"g_min": 2.0, "g_max": 1.0, "steps": 5}}, "gain.g_max"),
             ({"gain": {"g_min": 2.0, "g_max": 5.0, "steps": 1}}, "gain.steps"),
             ({"eta_a": -0.1}, "eta_a"),
-            ({"n_max": 9}, "n_max"),
+            ({"n_max": MAX_N_MAX + 1}, "n_max"),
             ({"model": "exact"}, "model"),
             ({"sample_count": 0}, "sample_count"),
             ({"degrade": {"tau2": 0.05}}, "degrade"),
@@ -106,6 +107,7 @@ class TestConfigValidation:
             ({"sample_count": 10**15}, "sample_count"),
             ({"gamma": 0.0}, "gamma"),
             ({"gamma": -0.1}, "gamma"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_field_level_errors(self, overrides, field):
@@ -138,7 +140,7 @@ class TestConfigValidation:
     def test_no_invalid_instance_can_be_built(self):
         # the checks run when an instance is built, however it is built
         with pytest.raises(ConfigError) as err:
-            dataclasses.replace(loss_scenario(), n_max=9)
+            dataclasses.replace(loss_scenario(), n_max=MAX_N_MAX + 1)
         assert err.value.field == "n_max"
         with pytest.raises(ConfigError) as err:
             GainSpec(g=0.5)
@@ -322,6 +324,23 @@ class TestRunScenario:
         assert len(result.rows) == 8
         assert len(calls) == 1
 
+    def test_one_detector_map_and_duan_minimum_per_sweep(self, monkeypatch):
+        calls = {"apply_detection_efficiency": 0, "duan_inseparability": 0}
+        for name in calls:
+            original = getattr(scenario, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(scenario, name, counted)
+        # 130 gains run as three catalysis stacks, and one column pass after them
+        assert 130 > 2 * scenario._GAIN_CHUNK
+        data = {**load_preset("losschannel"), "gain": {"g_min": 2.0, "g_max": 30.0, "steps": 130}}
+        result = run_scenario(ScenarioConfig.from_dict(data))
+        assert len(result.rows) == 130
+        assert calls == {"apply_detection_efficiency": 1, "duan_inseparability": 1}
+
     def test_sweep_checks_each_herald_effect(self, monkeypatch):
         # a family scaled past completeness has an effect above 1
         original = scenario.catalysis_kraus_operators
@@ -392,6 +411,19 @@ class TestRunScenario:
             with pytest.raises(HeraldingImpossibleError) as err:
                 evaluate_gain_point(config, g)
             assert str(err.value) == reason
+
+    def test_sweep_warns_of_each_skipped_gain(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(self.MIXED))
+        assert main(["sweep", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: skipped g=1: heralding probability 0.000e+00 is vanishing\n"
+            "warning: skipped g=1.25: heralding probability 5.184e-15 is vanishing\n"
+            "warning: skipped g=1.5: heralding probability 8.000e-15 is vanishing\n"
+            "warning: skipped g=1.75: heralding probability 9.698e-15 is vanishing\n"
+        )
+        assert len(captured.out.splitlines()) == 1 + 5
 
     @pytest.mark.parametrize("config", [
         loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": 8}),
@@ -899,16 +931,23 @@ class TestCli:
             ({"gain": {"g": 5.0}}, ["--tau2", "0.1"], "degrade.tau2: not used with mode 'none'"),
             ({"gamma": 0.1}, ["--gain.steps", "4"],
              "gain: provide either g or both g_min and g_max"),
+            ({"degrade": 5}, ["--tau2", "0.5"], "degrade: expected an object, got int"),
         ],
-        ids=["tau2-without-degrade", "steps-without-gain"],
+        ids=["tau2-without-degrade", "steps-without-gain", "tau2-into-a-number"],
     )
     def test_flag_into_an_absent_section_exits_2(self, tmp_path, capsys, document, flags,
                                                   message):
-        # the flag edits the section's default, as if the document had it
+        # the flag edits the section's default, as if the document had it;
+        # a section that is there but not an object is refused
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(document))
         assert main(["sweep", "--config", str(path), *flags]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            load_preset("nope")
+        assert err.value.field == "preset"
 
     def test_flags_mirror_schema_leaves(self, capsys):
         commands = build_parser()._subparsers._group_actions[0].choices
@@ -1045,6 +1084,12 @@ class TestCli:
         # a NaN or infinity would reach the report as a token JSON does not allow
         assert main(["equiv", "--preset", "losschannel", *variances]) == 2
         assert capsys.readouterr().err.startswith("config error: variances:")
+
+    def test_one_variance_alone_exits_2(self, capsys):
+        assert main(["equiv", "--preset", "losschannel", "--v-diff", "1.0"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: variances: --v-diff and --v-sum must be given together\n"
+        )
 
     def test_strict_equiv_exit_code(self, capsys):
         code = main([
