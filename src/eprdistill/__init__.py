@@ -18,7 +18,6 @@ from .fock import (
     InvalidStateError,
     apply_mode_kraus,
     normalize,
-    pure_state,
 )
 from .models import (
     BETA_OPTIMAL,

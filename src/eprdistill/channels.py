@@ -35,9 +35,9 @@ from .fock import (
     DensityMatrix,
     HilbertConfig,
     apply_mode_kraus,
+    ensemble_state,
     normalize,
     partial_trace,
-    pure_state,
 )
 
 
@@ -51,13 +51,22 @@ def tmsv_state(gamma: float, config: HilbertConfig) -> DensityMatrix:
 
     gamma is the coefficient ratio of consecutive |nn> terms (equivalently the
     tanh of the squeezing strength), so <(X_A - X_B)^2> = (1-gamma)/(1+gamma)
-    up to cutoff error.
+    up to cutoff error.  It is the lossless `tmsv_ensemble`, densified.
+    """
+    return ensemble_state(config, tmsv_ensemble(config.n_max, gamma, 1.0))
+
+
+def tmsv_ensemble(n_max: int, gamma: float, tau: float) -> np.ndarray:
+    """The squeezed vacuum after loss tau on mode B as the (d, d, d) stack of
+    its branches Phi_k = Psi L_k^T (rows n_A, columns n_B; Psi = diag(gamma^m)
+    normalized, L_k of `loss_kraus_operators`): rho = sum_k vec Phi_k vec Phi_k^T.
+    Phi_k is zero off n_A - n_B = k, so each Delta block of rho has rank one,
+    PSD and phase-symmetric by construction.  At tau = 1 only Phi_0 is nonzero.
     """
     _check_gamma(gamma)
-    d = config.dim_per_mode
-    vec = np.zeros(config.dim)
-    vec[:: d + 1] = [gamma**n for n in range(d)]
-    return pure_state(config, vec)
+    psi = np.array([gamma**n for n in range(n_max + 1)])
+    psi /= np.linalg.norm(psi)
+    return psi[:, None] * loss_kraus_operators(n_max, tau).swapaxes(1, 2)
 
 
 def pump_rotation_degrade(gamma: float, theta_deg: float) -> float:

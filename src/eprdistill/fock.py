@@ -114,14 +114,11 @@ class DensityMatrix:
         return float(np.trace(self.elements))
 
 
-def pure_state(config: HilbertConfig, amplitudes: np.ndarray) -> DensityMatrix:
-    """Density matrix |psi><psi| of a normalized amplitude vector."""
-    vec = np.asarray(amplitudes)
-    norm = np.linalg.norm(vec)
-    if norm < tolerances.HERALD_MIN_PROBABILITY:
-        raise ValueError("cannot normalize a zero amplitude vector")
-    vec = vec / norm
-    return DensityMatrix(config, np.outer(vec, vec))
+def ensemble_state(config: HilbertConfig, ensemble: np.ndarray) -> DensityMatrix:
+    """The DensityMatrix sum_k vec Phi_k vec Phi_k^T of a stack of (d, d)
+    amplitude matrices Phi_k[n_A, n_B]."""
+    flat = ensemble.reshape(len(ensemble), config.dim)
+    return DensityMatrix(config, flat.T @ flat)
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

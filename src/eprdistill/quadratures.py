@@ -74,49 +74,64 @@ class DuanResult:
     a_star: float
 
 
-def kraus_moments(state: DensityMatrix, kraus: np.ndarray) -> tuple[np.ndarray, ...]:
+def heisenberg_operators(kraus: np.ndarray) -> tuple[np.ndarray, ...]:
+    """E = sum K^T K, N = sum K^T n K and B = sum K^T b K of each real family
+    (..., n, d, d), transposed, with n and b the number and ladder operators
+    on the rows of K.  Of a `channels.tmsv_ensemble` stack, whose rows are
+    n_A, they are the source's (R, W, L) of `kraus_moments`.
+    """
+    d = kraus.shape[-1]
+    levels = np.arange(d)
+    lowered = np.zeros_like(kraus)  # b K: row k moves to k - 1 with sqrt(k)
+    lowered[..., :-1, :] = np.sqrt(levels[1:, None]) * kraus[..., 1:, :]
+    rows = kraus.reshape(*kraus.shape[:-3], -1, d)
+    # sum_i (O K_i)^T K_i, the transpose of each Heisenberg operator
+    return tuple(
+        op.reshape(rows.shape).swapaxes(-1, -2) @ rows
+        for op in (kraus, levels[:, None] * kraus, lowered)
+    )
+
+
+def mode_b_operators(state: DensityMatrix) -> tuple[np.ndarray, ...]:
+    """The source operators (R, W, L) of a state that `kraus_moments` reads."""
+    d = state.config.dim_per_mode
+    levels = np.arange(d)
+    rho = state.elements.reshape(d, d, d, d)
+    diagonal = rho[levels, :, levels, :]  # rho_mm
+    below = np.sqrt(levels[1:, None, None]) * rho[levels[1:], :, levels[:-1], :]
+    return diagonal.sum(axis=0), (levels[:, None, None] * diagonal).sum(axis=0), below.sum(axis=0)
+
+
+def kraus_moments(source: tuple[np.ndarray, ...], kraus: np.ndarray) -> tuple[np.ndarray, ...]:
     """Moments of the raw branch sigma = sum_i K_i rho K_i^T for each of G
     real Kraus families on mode B, shape (G, n, d, d): (G,) columns Tr sigma,
     <n_A>, <n_B>, Re<ab>, unnormalized.  No sigma is built.
 
+    The source rho enters as three d x d mode-B operators, (R, W, L) =
+    sum_m (rho_mm, m rho_mm, sqrt(m) rho_m,m-1) with rho_mm' its mode-B blocks.
     With K on mode B, Tr[sigma (O_A (x) O_B)] = Tr[rho (O_A (x) sum K^T O_B K)],
-    so per family E = sum K^T K, N = sum K^T n K and B = sum K^T b K suffice;
-    with rho_mm' the mode-B block of the state, Tr sigma = sum_m Tr(rho_mm E),
-    <n_A> = sum_m m Tr(rho_mm E), <n_B> = sum_m Tr(rho_mm N) and <ab> =
-    sum_m sqrt(m) Tr(rho_m,m-1 B).  A K of loss, catalysis or the identity
-    shifts the photon number by a fixed amount, so sigma stays phase-symmetric
-    like every `DensityMatrix`, and <ab> is its one two-mode ladder moment.
-    Each E must lie in [0, 1] (the branch is a state of trace <= 1).  A
-    family's columns do not depend on G.
+    so with each family's `heisenberg_operators` E, N and B, Tr sigma =
+    Tr(R E), <n_A> = Tr(W E), <n_B> = Tr(R N) and <ab> = Tr(L B).  A K of
+    loss, catalysis or the identity shifts the photon number by a fixed
+    amount, so sigma stays phase-symmetric like its source, and <ab> is its
+    one two-mode ladder moment.  Each E must lie in [0, 1] (the branch is a
+    state of trace <= 1).  A family's columns do not depend on G.
     """
-    d = state.config.dim_per_mode
-    levels = np.arange(d)
-    ladder = np.sqrt(levels)
-    lowered = np.zeros_like(kraus)  # b K: row k moves to k - 1 with sqrt(k)
-    lowered[..., :-1, :] = ladder[1:, None] * kraus[..., 1:, :]
-    rows = kraus.reshape(len(kraus), -1, d)
-    # sum_i (O K_i)^T K_i, the transpose of each Heisenberg operator
-    effect, number, lowering = (
-        op.reshape(rows.shape).swapaxes(1, 2) @ rows
-        for op in (kraus, levels[:, None] * kraus, lowered)
-    )
+    effect, number, lowering = heisenberg_operators(kraus)
     spectrum = np.linalg.eigvalsh(effect)
     low, high = spectrum[:, 0].min(), spectrum[:, -1].max()
     if not (low >= tolerances.EIGENVALUE_FLOOR and high <= 1.0 + tolerances.TRACE_UPPER_SLACK):
         raise InvalidStateError(f"herald effect spectrum [{low:.3e}, {high:.3e}] outside [0, 1]")
-    rho = state.elements.reshape(d, d, d, d)
-    diagonal = rho[levels, :, levels, :]  # rho_mm
-    below = ladder[1:, None, None] * rho[levels[1:], :, levels[:-1], :]  # sqrt(m) rho_m,m-1
+    reduced, weighted, below = source
 
     def traces(block, transposed):  # Tr(block O) per family, O^T given
         return (block * transposed).reshape(len(transposed), -1).sum(axis=1)
 
-    reduced = diagonal.sum(axis=0)
     return (
         traces(reduced, effect),
-        traces((levels[:, None, None] * diagonal).sum(axis=0), effect),
+        traces(weighted, effect),
         traces(reduced, number),
-        traces(below.sum(axis=0), lowering),
+        traces(below, lowering),
     )
 
 
@@ -131,7 +146,7 @@ def covariance_summary(state: DensityMatrix) -> CovarianceSummary:
     taken relative to the trace.
     """
     identity = np.eye(state.config.dim_per_mode)[None, None]
-    p, n_a, n_b, ab = (float(column[0]) for column in kraus_moments(state, identity))
+    p, n_a, n_b, ab = (float(c[0]) for c in kraus_moments(mode_b_operators(state), identity))
     return CovarianceSummary(n_a / p + 0.5, n_b / p + 0.5, ab / p)
 
 

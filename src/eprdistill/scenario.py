@@ -24,15 +24,22 @@ from .channels import (
     loss_channel,
     nla_catalysis,
     pump_rotation_degrade,
-    tmsv_state,
+    tmsv_ensemble,
 )
 from .equivalent import solve_equivalents
-from .fock import DensityMatrix, HeraldingImpossibleError, HilbertConfig
+from .fock import (
+    DensityMatrix,
+    HeraldingImpossibleError,
+    HilbertConfig,
+    InvalidStateError,
+    ensemble_state,
+)
 from .models import beta_from_gain, sp_model
 from .quadratures import (
     CovarianceSummary,
     apply_detection_efficiency,
     duan_inseparability,
+    heisenberg_operators,
     kraus_moments,
     sample_quadratures,
 )
@@ -327,45 +334,36 @@ def _round12(values: list[float]) -> list[float]:
     return list(map(float, ("%.12g " * len(values) % tuple(values)).split()))
 
 
-def _lossy_source(config: ScenarioConfig) -> DensityMatrix:
-    """The squeezed source after its degradation, which does not depend on g.
-
-    A sweep builds it once and shares it between its gain stacks, which is
-    safe since a DensityMatrix's elements are read-only.
-    """
-    state = tmsv_state(config.effective_gamma, HilbertConfig(config.n_max))
-    if config.degrade.mode == "loss":
-        state = loss_channel(state, 1, config.tau)
-    return state
+def _lossy_source(config: ScenarioConfig) -> np.ndarray:
+    """The squeezed source after its degradation, which does not depend on g,
+    as its loss ensemble (`channels.tmsv_ensemble`).  A pump rotation lowers
+    gamma; with no loss on mode B, tau = 1."""
+    return tmsv_ensemble(config.n_max, config.effective_gamma, config.tau)
 
 
-def build_distilled_state(
-    config: ScenarioConfig, g: float, _source: DensityMatrix | None = None
-) -> tuple[DensityMatrix, float]:
-    """Source -> degrade -> catalysis; returns the distilled state and p.
-    `_source` stands for `_lossy_source(config)` where the caller has it."""
-    return nla_catalysis(_source or _lossy_source(config), 1.0 / g, config.eta_ancilla)
+def build_distilled_state(config: ScenarioConfig, g: float) -> tuple[DensityMatrix, float]:
+    """Source -> degrade -> catalysis; returns the distilled state and p."""
+    source = ensemble_state(HilbertConfig(config.n_max), _lossy_source(config))
+    return nla_catalysis(source, 1.0 / g, config.eta_ancilla)
 
 
 def _rows(config: ScenarioConfig, columns: tuple[np.ndarray, ...]) -> list[SweepRow]:
     return [SweepRow(*row, config.model) for row in zip(*(c.tolist() for c in columns))]
 
 
-def evaluate_gain_point(
-    config: ScenarioConfig, g: float, _source: DensityMatrix | None = None
-) -> SweepRow:
+def evaluate_gain_point(config: ScenarioConfig, g: float) -> SweepRow:
     """Evaluate the configured model at a single gain value: the sweep of
-    that one gain.  `_source` is as in `build_distilled_state`.  Raises
-    HeraldingImpossibleError where a sweep would skip the gain.
+    that one gain.  Raises HeraldingImpossibleError where a sweep would
+    skip the gain.
     """
-    columns, skipped = _sweep(config, np.array([g], dtype=float), _source)
+    columns, skipped = _sweep(config, np.array([g], dtype=float))
     if skipped:
         raise skipped[0][1]
     return _rows(config, columns)[0]
 
 
 def _sweep(
-    config: ScenarioConfig, gains: np.ndarray, source: DensityMatrix | None = None
+    config: ScenarioConfig, gains: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], list[tuple[float, HeraldingImpossibleError]]]:
     """The columns of the rows at `gains`, in SweepRow's order and g order,
     and the skipped gains with the error each would raise.
@@ -375,16 +373,20 @@ def _sweep(
     inseparability minimum.  The analytic models evaluate the grid as one
     batch and report the single-photon-level heralding probability.
     full_numeric reads its moments with `kraus_moments` from catalysis
-    families in stacks of _GAIN_CHUNK gains on one lossy source (`source`,
-    or `_lossy_source(config)` if None), and skips a gain whose herald
-    probability is at or below HERALD_MIN_PROBABILITY.
+    families in stacks of _GAIN_CHUNK gains on the source operators (R, W,
+    L) of `_lossy_source`, refused unless finite with Tr R = 1 within
+    TRACE_UPPER_SLACK, and skips a gain whose herald probability is at or
+    below HERALD_MIN_PROBABILITY.
     """
     skipped = []
     if config.model != "full_numeric":
         eta = 1.0 if config.model == "ideal" else config.eta_ancilla
         cov, p = sp_model(config.effective_gamma, config.tau, gains, eta)
     else:
-        source = source or _lossy_source(config)
+        source = heisenberg_operators(_lossy_source(config))
+        trace = np.trace(source[0])
+        if not (np.all(np.isfinite(source)) and abs(trace - 1.0) <= tolerances.TRACE_UPPER_SLACK):
+            raise InvalidStateError(f"source trace {trace:.3e} is not 1, or an entry is not finite")
         stacks = []
         for start in range(0, len(gains), _GAIN_CHUNK):
             chunk = gains[start : start + _GAIN_CHUNK]
@@ -432,10 +434,9 @@ def run_sampling(config: ScenarioConfig) -> dict:
     if config.gain.is_sweep:
         raise ConfigError("gain", "sampling requires a single gain g, not a sweep")
     g = config.gain.g
-    source = _lossy_source(config)
     try:
-        row = evaluate_gain_point(config, g, source)
-        distilled, _ = build_distilled_state(config, g, source)
+        row = evaluate_gain_point(config, g)
+        distilled, _ = build_distilled_state(config, g)
     except HeraldingImpossibleError as exc:
         raise ConfigError("gain.g", f"cannot sample at g={g:g}: {exc}") from exc
     detected = loss_channel(distilled, 0, float(np.sqrt(config.eta_a)))

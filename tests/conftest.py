@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eprdistill import DensityMatrix, HilbertConfig, joint_quadrature_pdf
+from eprdistill import DensityMatrix, HilbertConfig, joint_quadrature_pdf, tolerances
 from eprdistill.channels import beamsplitter_unitary, herald_click
 from eprdistill.fock import apply_unitary, tensor_product
 
@@ -19,6 +19,16 @@ def random_density_matrix(config: HilbertConfig, rng: np.random.Generator) -> De
     all first quadrature moments vanish."""
     rho = np.real(random_state_array(config.dim, rng))
     return DensityMatrix(config, rho * ~off_block_mask(config))
+
+
+def pure_state(config: HilbertConfig, amplitudes: np.ndarray) -> DensityMatrix:
+    """Density matrix |psi><psi| of a normalized amplitude vector."""
+    vec = np.asarray(amplitudes)
+    norm = np.linalg.norm(vec)
+    if norm < tolerances.HERALD_MIN_PROBABILITY:
+        raise ValueError("cannot normalize a zero amplitude vector")
+    vec = vec / norm
+    return DensityMatrix(config, np.outer(vec, vec))
 
 
 def fock_vector(n_max: int, occupations) -> np.ndarray:

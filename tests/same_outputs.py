@@ -3,12 +3,14 @@
     python tests/same_outputs.py OTHER_TREE
 
 Runs `python -m eprdistill.cli` with PYTHONPATH=<tree>/src for this tree and
-for OTHER_TREE on the same 76 calls, 19 per bundled preset: `sweep` at
+for OTHER_TREE on the same 84 calls, 21 per bundled preset: `sweep` at
 `--n-max` 1-6, `equiv` at `--n-max` 3 and 6, `sample` at `--gain.g` 3, 14
 and 30 and at `--gain.g` 14 with `--n-max` 6 (20000 samples, seed 7),
-`sweep` and a 300-gain `equiv` of the `single_photon` and of the `ideal`
-model, and `equiv` of the given variance pairs (0.9, 1.2), (1, 1) and
-(0.5, 1e308), which solve to an `ok`, a `degenerate` and an infeasible row.
+`sweep` and `sample` at `--gain.g` 14 (20000 samples, seed 7) of the
+source degraded by a pump rotation of 76 degrees, `sweep` and a 300-gain
+`equiv` of the `single_photon` and of the `ideal` model, and `equiv` of
+the given variance pairs (0.9, 1.2), (1, 1) and (0.5, 1e308), which solve
+to an `ok`, a `degenerate` and an infeasible row.
 Compares stdout, stderr and exit code, prints each call that differs and
 exits 1 if any does.  Both trees run from the same empty working directory,
 so neither imports the other's package.
@@ -38,6 +40,9 @@ def calls() -> list[list[str]]:
         ]
         out.append(["sample", *scenario, "--n-max", "6", "--gain.g", "14",
                     "--sample-count", "20000", "--seed", "7"])
+        rotated = [*scenario, "--degrade", "pump_rotation", "--theta", "76"]
+        out.append(["sweep", *rotated])
+        out.append(["sample", *rotated, "--gain.g", "14", "--sample-count", "20000", "--seed", "7"])
         for model in ("single_photon", "ideal"):
             out.append(["sweep", *scenario, "--model", model])
             out.append(["equiv", *scenario, "--model", model, "--gain.steps", "300"])

@@ -22,7 +22,6 @@ from eprdistill import (
     loss_kraus_operators,
     nla_catalysis,
     pump_rotation_degrade,
-    pure_state,
     run_sampling,
     run_scenario,
     sample_quadratures,
@@ -33,7 +32,7 @@ from eprdistill.channels import beamsplitter_unitary
 from eprdistill.equivalent import EquivalentState
 from eprdistill.scenario import evaluate_gain_point
 
-from conftest import beamsplitter, fidelity, fock_vector, random_density_matrix
+from conftest import beamsplitter, fidelity, fock_vector, pure_state, random_density_matrix
 
 
 def report(tag: str, ok: bool, detail: str) -> bool:

@@ -17,13 +17,12 @@ from eprdistill import (
     loss_kraus_operators,
     nla_catalysis,
     pump_rotation_degrade,
-    pure_state,
     tmsv_state,
 )
 from eprdistill import channels, tolerances
-from eprdistill.channels import beamsplitter_unitary, herald_click
-from eprdistill.fock import tensor_product
-from eprdistill.quadratures import kraus_moments
+from eprdistill.channels import beamsplitter_unitary, herald_click, tmsv_ensemble
+from eprdistill.fock import ensemble_state, tensor_product
+from eprdistill.quadratures import heisenberg_operators, kraus_moments, mode_b_operators
 
 from conftest import (
     ancilla_photon,
@@ -35,6 +34,7 @@ from conftest import (
     kron_kraus_sum,
     mode_occupations,
     off_block_mask,
+    pure_state,
     random_density_matrix,
     three_mode_catalysis,
 )
@@ -80,6 +80,65 @@ class TestTmsvState:
         for gamma in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
                 tmsv_state(gamma, CFG2)
+
+
+def tmsv_vector(gamma: float, n_max: int) -> np.ndarray:
+    """gamma^n on |nn>: the squeezed vacuum's amplitudes, not normalized."""
+    d = n_max + 1
+    vec = np.zeros(d * d)
+    vec[:: d + 1] = [gamma**n for n in range(d)]
+    return vec
+
+
+class TestTmsvEnsemble:
+    """The lossy source as its stack of branches Phi_k, against the dense path."""
+
+    POINTS = [(0.135, math.sqrt(0.05)), (0.9, 0.7), (0.3, 1.0), (0.0, 0.4), (0.6, 0.0)]
+
+    @staticmethod
+    def assert_matches_the_dense_path(n_max, gamma, tau):
+        # the densified stack, and its (E, N, B) as the (R, W, L) of that state
+        cfg = HilbertConfig(n_max)
+        ensemble = tmsv_ensemble(n_max, gamma, tau)
+        densified = ensemble_state(cfg, ensemble)
+        for source in (tmsv_state(gamma, cfg), pure_state(cfg, tmsv_vector(gamma, n_max))):
+            expected = loss_channel(source, 1, tau).elements
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(densified.elements - expected)) <= 1e-15 * scale
+        theirs = mode_b_operators(densified)
+        top = max(np.max(np.abs(op)) for op in theirs)
+        for ours, op in zip(heisenberg_operators(ensemble), theirs):
+            assert np.max(np.abs(ours - op)) <= 1e-15 * top
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    @pytest.mark.parametrize("gamma, tau", POINTS)
+    def test_densified_stack_matches_the_dense_path(self, n_max, gamma, tau):
+        self.assert_matches_the_dense_path(n_max, gamma, tau)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_max=st.integers(1, 6), gamma=st.floats(0.0, 0.95), tau=st.floats(0.0, 1.0))
+    def test_densified_stack_matches_the_dense_path_anywhere(self, n_max, gamma, tau):
+        self.assert_matches_the_dense_path(n_max, gamma, tau)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_max=st.integers(1, 6), gamma=st.floats(0.0, 0.95), tau=st.floats(0.0, 1.0))
+    def test_each_branch_lies_on_its_line_and_tr_r_is_one(self, n_max, gamma, tau):
+        # Phi_k[n_A, n_B] is zero unless n_A - n_B = k, so every Delta block
+        # of the state is rank one; the source operator R has trace 1
+        ensemble = tmsv_ensemble(n_max, gamma, tau)
+        lines = np.subtract.outer(np.arange(n_max + 1), np.arange(n_max + 1))
+        assert ensemble.shape == (n_max + 1,) * 3
+        for k, branch in enumerate(ensemble):
+            assert np.all(branch[lines != k] == 0.0)
+        r, _, _ = heisenberg_operators(ensemble)
+        assert abs(np.trace(r) - 1.0) <= tolerances.TRACE_UPPER_SLACK
+
+    def test_lossless_stack_is_one_branch(self):
+        # at tau = 1, L_0 = 1 and every other L_k vanishes
+        ensemble = tmsv_ensemble(3, 0.3, 1.0)
+        assert np.all(ensemble[1:] == 0.0)
+        psi = np.diag(ensemble[0])
+        assert psi == pytest.approx(0.3 ** np.arange(4) / np.linalg.norm(0.3 ** np.arange(4)))
 
 
 class TestRealArithmetic:
@@ -548,7 +607,8 @@ class TestCatalysisAmplitudes:
 
 def catalysis_moments(epr, rs, eta: float) -> tuple[np.ndarray, ...]:
     """kraus_moments of the catalysis families at the reflectivities rs."""
-    return kraus_moments(epr, catalysis_kraus_operators(epr.config.n_max, rs, eta))
+    kraus = catalysis_kraus_operators(epr.config.n_max, rs, eta)
+    return kraus_moments(mode_b_operators(epr), kraus)
 
 
 def dense_moments(epr, r: float, eta: float) -> tuple[float, ...]:

@@ -29,7 +29,7 @@ from eprdistill import (
 from eprdistill.channels import _check_complete
 from eprdistill.fock import apply_unitary
 from eprdistill.models import sp_model
-from eprdistill.quadratures import kraus_moments
+from eprdistill.quadratures import kraus_moments, mode_b_operators
 
 NAN = math.nan
 CFG1 = HilbertConfig(1)
@@ -58,10 +58,11 @@ def vacuum_with(index, value) -> np.ndarray:
     pytest.param(lambda: CovarianceSummary(0.5, 0.5, NAN), ValueError, id="cross-moment-nan"),
     pytest.param(lambda: DensityMatrix(CFG1, vacuum_with((0, 1), NAN)),
                  ValueError, id="off-block-nan"),
-    pytest.param(lambda: kraus_moments(tmsv_state(0.1, CFG1),
+    pytest.param(lambda: kraus_moments(mode_b_operators(tmsv_state(0.1, CFG1)),
                                        catalysis_kraus_operators(1, np.array([0.5, NAN]), 0.65)),
                  ValueError, id="catalysis-moments-r-nan"),
-    pytest.param(lambda: kraus_moments(tmsv_state(0.1, CFG1), np.full((1, 1, 2, 2), NAN)),
+    pytest.param(lambda: kraus_moments(mode_b_operators(tmsv_state(0.1, CFG1)),
+                                       np.full((1, 1, 2, 2), NAN)),
                  InvalidStateError, id="kraus-moments-family-nan"),
     pytest.param(lambda: EquivalentState(NAN, 0.5, 0.5), ValueError, id="gamma-eq-nan"),
     pytest.param(lambda: beta_from_gain(NAN, 0.1, 1.0), ValueError, id="gain-nan"),

@@ -11,7 +11,6 @@ from eprdistill import (
     loss_channel,
     loss_kraus_operators,
     normalize,
-    pure_state,
 )
 from eprdistill.channels import beamsplitter_unitary
 from eprdistill import fock
@@ -23,6 +22,7 @@ from conftest import (
     kron_kraus_sum,
     mode_occupations,
     off_block_mask,
+    pure_state,
     random_density_matrix,
     random_state_array,
 )

@@ -142,6 +142,11 @@ class TestDeterministicBound:
 
 
 class TestTmsvCovariance:
+    @pytest.mark.parametrize("gamma", [-0.1, 1.0, 1.5])
+    def test_out_of_range(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be in"):
+            tmsv_covariance(gamma)
+
     def test_matches_numeric_extraction(self):
         cfg = HilbertConfig(6)
         for gamma in (0.05, 0.135, 0.18):
@@ -158,6 +163,11 @@ class TestTmsvCovariance:
 
 
 class TestDegradedVariances:
+    @pytest.mark.parametrize("tau", [-0.1, 1.5])
+    def test_out_of_range(self, tau):
+        with pytest.raises(ValueError, match="tau must be in"):
+            degraded_variances(0.135, tau, 1.0, 1.0)
+
     def test_matches_channel_pipeline(self):
         # independent oracle: run the actual loss channels and the detector
         # map on the numeric source state, unrotated and pump-rotated

@@ -18,19 +18,19 @@ from eprdistill import (
     loss_channel,
     loss_kraus_operators,
     nla_catalysis,
-    pure_state,
     sample_quadratures,
     tmsv_state,
 )
 from eprdistill import quadratures
 from eprdistill.cli import load_preset
-from eprdistill.quadratures import hermite_functions, kraus_moments
+from eprdistill.quadratures import hermite_functions, kraus_moments, mode_b_operators
 from eprdistill.scenario import build_distilled_state
 
 from conftest import (
     annihilation_operator,
     dense_envelope_bound,
     fock_vector,
+    pure_state,
     random_density_matrix,
 )
 
@@ -214,9 +214,10 @@ class TestKrausMoments:
         # each family's single-call columns bit for bit.  The cross moment can
         # pass through zero, so its error is measured against sqrt(xx_a xx_b)
         state = random_density_matrix(HilbertConfig(n_max), rng)
-        columns = np.array(kraus_moments(state, loss_kraus_operators(n_max, self.TAUS)))
+        source = mode_b_operators(state)
+        columns = np.array(kraus_moments(source, loss_kraus_operators(n_max, self.TAUS)))
         singles = np.hstack(
-            [kraus_moments(state, loss_kraus_operators(n_max, tau)[None]) for tau in self.TAUS]
+            [kraus_moments(source, loss_kraus_operators(n_max, tau)[None]) for tau in self.TAUS]
         )
         assert columns.tobytes() == singles.tobytes()
         for (p, n_a, n_b, ab), tau in zip(columns.T, self.TAUS):

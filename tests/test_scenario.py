@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from eprdistill import (
     ConfigError,
+    DensityMatrix,
     GainSpec,
     HeraldingImpossibleError,
     HilbertConfig,
     InvalidStateError,
     ScenarioConfig,
-    pure_state,
     run_equivalence,
     run_sampling,
     run_scenario,
@@ -55,6 +55,13 @@ def row_bits(rows) -> list[tuple]:
         tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row))
         for row in rows
     ]
+
+
+def count_states(monkeypatch) -> list[int]:
+    """A list that grows by one for each DensityMatrix built from now on."""
+    built, check = [], DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: built.append(1) or check(self))
+    return built
 
 
 def loss_scenario(**overrides) -> ScenarioConfig:
@@ -295,23 +302,25 @@ class TestRunScenario:
         assert len(result.skipped) == 2
 
     def test_source_built_once_per_sweep(self, monkeypatch):
-        calls = {"tmsv_state": 0, "loss_channel": 0}
-        for name in calls:
-            original = getattr(scenario, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(scenario, name, counted)
+        calls = []
+        original = scenario.tmsv_ensemble
+        monkeypatch.setattr(
+            scenario, "tmsv_ensemble", lambda *args: calls.append(args) or original(*args)
+        )
         # 130 gains run as at least three stacks that share one source
         assert 130 > 2 * scenario._GAIN_CHUNK
         for steps in (8, 130):
-            calls.update(tmsv_state=0, loss_channel=0)
-            gain = {"g_min": 2.0, "g_max": 30.0, "steps": steps}
-            result = run_scenario(loss_scenario(gain=gain))
+            calls.clear()
+            config = loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": steps})
+            result = run_scenario(config)
             assert len(result.rows) == steps
-            assert calls == {"tmsv_state": 1, "loss_channel": 1}
+            assert calls == [(3, config.gamma, config.tau)]
+
+    def test_sweep_builds_no_density_matrix(self, monkeypatch):
+        built = count_states(monkeypatch)
+        result = run_scenario(loss_scenario())
+        assert len(result.rows) == 29
+        assert not built
 
     def test_one_catalysis_family_stack_per_sweep(self, monkeypatch):
         calls = []
@@ -350,15 +359,14 @@ class TestRunScenario:
         with pytest.raises(InvalidStateError, match="herald effect spectrum"):
             run_scenario(loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": 8}))
 
-    def test_sweep_refuses_a_source_without_phase_symmetry(self, monkeypatch):
-        # (|00> + |01>)/sqrt(2) has a coherence between n_A - n_B = 0 and -1
-        vec = np.zeros(16)
-        vec[[0, 1]] = 1.0
-        # the state is refused where it is built, before any moment is read
+    @pytest.mark.parametrize("factor", [1.0 + 1e-9, 0.5, math.nan])
+    def test_sweep_refuses_a_source_off_trace_or_not_finite(self, monkeypatch, factor):
+        # the source's R must have trace 1 and every source operator be finite
+        original = scenario.tmsv_ensemble
         monkeypatch.setattr(
-            scenario, "_lossy_source", lambda config: pure_state(HilbertConfig(3), vec)
+            scenario, "tmsv_ensemble", lambda *args: math.sqrt(factor) * original(*args)
         )
-        with pytest.raises(InvalidStateError, match="not phase-symmetric"):
+        with pytest.raises(InvalidStateError, match="source trace"):
             run_scenario(loss_scenario(gain={"g_min": 2.0, "g_max": 30.0, "steps": 8}))
 
     @pytest.mark.parametrize("n_max", [3, 6])
@@ -597,7 +605,7 @@ class TestRunSampling:
     def test_herald_the_state_path_refuses_is_a_config_error(self, monkeypatch, capsys):
         # near HERALD_MIN_PROBABILITY the sweep's p and the state's own
         # normalisation may disagree on a gain; either refusal exits 2
-        def refuse(config, g, _source=None):
+        def refuse(config, g):
             raise HeraldingImpossibleError(1e-15)
 
         monkeypatch.setattr(scenario, "build_distilled_state", refuse)
@@ -609,26 +617,32 @@ class TestRunSampling:
         assert "heralding probability 1.000e-15 is vanishing" in err
 
     def test_lossy_source_is_built_once(self, monkeypatch):
-        # the metadata's sweep row and the sampled state share one source:
-        # one squeezed state, one loss on mode B, then the two detector losses
+        # the sampled state's one source DensityMatrix, densified from the
+        # loss ensemble, then the two detector losses; no loss_channel
+        # degrades the source
         calls = []
-
-        def counting(name, fn):
-            def counted(state, *args):
-                calls.append((name, *args))
-                return fn(state, *args)
-            return counted
-
-        monkeypatch.setattr(scenario, "tmsv_state", counting("tmsv", scenario.tmsv_state))
-        monkeypatch.setattr(scenario, "loss_channel", counting("loss", scenario.loss_channel))
+        source, loss = scenario.ensemble_state, scenario.loss_channel
+        monkeypatch.setattr(
+            scenario, "ensemble_state",
+            lambda cfg, ensemble: calls.append(("source", cfg)) or source(cfg, ensemble),
+        )
+        monkeypatch.setattr(
+            scenario, "loss_channel",
+            lambda state, mode, tau: calls.append(("loss", mode, tau)) or loss(state, mode, tau),
+        )
         config = self.preset_config("losschannel", 14.0)
         run_sampling(config)
         assert calls == [
-            ("tmsv", HilbertConfig(3)),
-            ("loss", 1, config.tau),
+            ("source", HilbertConfig(3)),
             ("loss", 0, float(np.sqrt(config.eta_a))),
             ("loss", 1, float(np.sqrt(config.eta_b))),
         ]
+
+    def test_four_density_matrices_per_run(self, monkeypatch):
+        # the source, the heralded state and the two detector losses
+        built = count_states(monkeypatch)
+        run_sampling(self.preset_config("losschannel", 14.0))
+        assert len(built) == 4
 
     def test_sweep_gain_rejected(self):
         with pytest.raises(ConfigError):
