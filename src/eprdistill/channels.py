@@ -35,7 +35,6 @@ from .fock import (
     DensityMatrix,
     HilbertConfig,
     apply_mode_kraus,
-    ensemble_state,
     normalize,
     partial_trace,
 )
@@ -67,6 +66,13 @@ def tmsv_ensemble(n_max: int, gamma: float, tau: float) -> np.ndarray:
     psi = np.array([gamma**n for n in range(n_max + 1)])
     psi /= np.linalg.norm(psi)
     return psi[:, None] * loss_kraus_operators(n_max, tau).swapaxes(1, 2)
+
+
+def ensemble_state(config: HilbertConfig, ensemble: np.ndarray) -> DensityMatrix:
+    """The DensityMatrix sum_k vec Phi_k vec Phi_k^T of a stack of (d, d)
+    amplitude matrices Phi_k[n_A, n_B]."""
+    flat = ensemble.reshape(len(ensemble), config.dim)
+    return DensityMatrix(config, flat.T @ flat)
 
 
 def pump_rotation_degrade(gamma: float, theta_deg: float) -> float:

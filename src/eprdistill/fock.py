@@ -114,13 +114,6 @@ class DensityMatrix:
         return float(np.trace(self.elements))
 
 
-def ensemble_state(config: HilbertConfig, ensemble: np.ndarray) -> DensityMatrix:
-    """The DensityMatrix sum_k vec Phi_k vec Phi_k^T of a stack of (d, d)
-    amplitude matrices Phi_k[n_A, n_B]."""
-    flat = ensemble.reshape(len(ensemble), config.dim)
-    return DensityMatrix(config, flat.T @ flat)
-
-
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Joint state array a (x) b; the modes of `b` follow those of `a`."""
     return np.kron(a, b)

@@ -21,19 +21,14 @@ import numpy as np
 from . import tolerances
 from .channels import (
     catalysis_kraus_operators,
+    ensemble_state,
     loss_channel,
     nla_catalysis,
     pump_rotation_degrade,
     tmsv_ensemble,
 )
 from .equivalent import solve_equivalents
-from .fock import (
-    DensityMatrix,
-    HeraldingImpossibleError,
-    HilbertConfig,
-    InvalidStateError,
-    ensemble_state,
-)
+from .fock import DensityMatrix, HeraldingImpossibleError, HilbertConfig, InvalidStateError
 from .models import beta_from_gain, sp_model
 from .quadratures import (
     CovarianceSummary,

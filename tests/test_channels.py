@@ -20,8 +20,8 @@ from eprdistill import (
     tmsv_state,
 )
 from eprdistill import channels, tolerances
-from eprdistill.channels import beamsplitter_unitary, herald_click, tmsv_ensemble
-from eprdistill.fock import ensemble_state, tensor_product
+from eprdistill.channels import beamsplitter_unitary, ensemble_state, herald_click, tmsv_ensemble
+from eprdistill.fock import tensor_product
 from eprdistill.quadratures import heisenberg_operators, kraus_moments, mode_b_operators
 
 from conftest import (
